@@ -10,7 +10,12 @@ of to numpy internals.
 
 The experiment itself applies one independent Haar unitary per
 subsystem and reports how far the measure moves.  It asserts nothing
-about the deviations; it only reports them.
+about the deviations; it only reports them.  Trials run in chunks: each
+trial draws from its own substream, then Gram-Schmidt, the unitarity
+check and the rotation run once over the chunk's stack of trials.  Every
+step after the draw works within one trial's matrices, so a trial's
+deviation is bitwise the same whatever the chunk size, and equal to the
+single-trial path through ``haar_unitary`` and ``apply_local``.
 """
 
 from __future__ import annotations
@@ -21,13 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DEFAULT_CONFIG, MeasureConfig, resolve_measure
+from .measures import DEFAULT_CONFIG, MeasureConfig, check_measure_size, resolve_measure
 from .states import PureState, validate
 
 UNITARITY_TOL = 1e-10
 
 # Runs longer than this keep only the max deviation, not the full list.
 PER_TRIAL_CAP = 10000
+
+# Trials run in chunks holding at most this many complex entries (rotated
+# states plus gates), so memory stays flat however large the state.
+CHUNK_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,7 @@ class UnitaryGate:
             raise DimensionMismatchError(
                 f"expected a {dim}x{dim} matrix, got shape {entries.shape}"
             )
-        defect = float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
-        if defect > UNITARITY_TOL:
-            raise ValidationError(
-                f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL:g})"
-            )
+        _check_unitary(entries[None])
         arr = entries.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
@@ -88,6 +93,42 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
 
 
+def _haar_stack(normals: np.ndarray, dim: int) -> np.ndarray:
+    """Haar unitaries, one per row of ``normals``.
+
+    Row t of ``normals`` (shape ``(T, 2 dim^2)``) holds the real parts
+    and then the imaginary parts of a row-major complex Gaussian matrix,
+    as drawn by :func:`haar_unitary`.  Modified Gram-Schmidt runs on the
+    ``(T, dim, dim)`` stack: each column is normalized and then
+    projected out of every later column, so column j sees the
+    projections against columns 0, 1, ... in order, as in the
+    column-by-column loop.  Every reduction runs within one matrix, so a
+    matrix's result does not depend on what else is in the stack.
+    """
+    sq = dim * dim
+    q = (normals[:, :sq] + 1j * normals[:, sq:]).reshape(-1, dim, dim)
+    for k in range(dim):
+        col = q[:, :, k]
+        norm = np.sqrt(np.einsum("ti,ti->t", col.real, col.real)
+                       + np.einsum("ti,ti->t", col.imag, col.imag))
+        col /= norm[:, None]
+        rest = q[:, :, k + 1:]
+        coef = np.einsum("ti,tij->tj", col.conj(), rest)
+        rest -= col[:, :, None] * coef[:, None, :]
+    return q
+
+
+def _check_unitary(stack: np.ndarray) -> None:
+    """Refuse a ``(T, n, n)`` stack unless every matrix is unitary within
+    ``UNITARITY_TOL`` componentwise."""
+    gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+    defect = float(np.max(np.abs(gram - np.eye(stack.shape[-1]))))
+    if defect > UNITARITY_TOL:
+        raise ValidationError(
+            f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL:g})"
+        )
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
     """Haar-distributed unitary from Gram-Schmidt on a Gaussian matrix.
 
@@ -99,14 +140,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
     """
     if dim < 1:
         raise DimensionMismatchError(f"dim must be positive, got {dim}")
-    flat = standard_normals(rng, 2 * dim * dim)
-    z = (flat[: dim * dim] + 1j * flat[dim * dim:]).reshape(dim, dim)
-    q = z.astype(np.complex128)
-    for k in range(dim):
-        for i in range(k):
-            q[:, k] -= np.vdot(q[:, i], q[:, k]) * q[:, i]
-        q[:, k] /= np.linalg.norm(q[:, k])
-    return UnitaryGate(dim, q)
+    normals = standard_normals(rng, 2 * dim * dim)
+    return UnitaryGate(dim, _haar_stack(normals[None], dim)[0])
+
+
+def _rotate(amps: np.ndarray, dims, stacks) -> np.ndarray:
+    """Rotate one state by T gate sets: copy t gets ``stacks[j][t]`` on
+    slot j, for every slot.
+
+    ``amps`` is the flat state; ``stacks[j]`` has shape ``(T, n_j, n_j)``.
+    Returns the rotated amplitudes, shape ``(T, prod(dims))``.
+    """
+    count = len(stacks[0])
+    psi = np.broadcast_to(amps, (count, amps.size))
+    for j, (n, gates) in enumerate(zip(dims, stacks)):
+        lead = math.prod(dims[:j])
+        trail = math.prod(dims[j + 1:])
+        psi = np.matmul(gates[:, None], psi.reshape(count, lead, n, trail))
+    return psi.reshape(count, -1)
 
 
 def apply_local(state: PureState, gates) -> PureState:
@@ -121,10 +172,15 @@ def apply_local(state: PureState, gates) -> PureState:
             raise DimensionMismatchError(
                 f"gate {j + 1} has dim {gate.dim}, subsystem has dim {state.dims[j]}"
             )
-    tensor = state.tensor
-    for j, gate in enumerate(gates):
-        tensor = np.moveaxis(np.tensordot(gate.entries, tensor, axes=([1], [j])), 0, j)
-    return PureState(state.dims, tensor.reshape(-1))
+    stacks = [gate.entries[None] for gate in gates]
+    return PureState(state.dims, _rotate(state.amplitudes, state.dims, stacks)[0])
+
+
+def _chunk_trials(dims) -> int:
+    """Trials per chunk: as many as fit ``CHUNK_AMPLITUDES`` counting each
+    trial's rotated state and gate entries, and at least one."""
+    per_trial = math.prod(dims) + sum(n * n for n in dims)
+    return max(1, CHUNK_AMPLITUDES // per_trial)
 
 
 def invariance_experiment(
@@ -143,23 +199,41 @@ def invariance_experiment(
     judgement about invariance is baked in.
 
     ``deviations`` carries the full per-trial list only up to 10000
-    trials; the maximum is always present.
+    trials; beyond that only the running maximum is kept.  The maximum
+    is always present.
     """
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     if not 0 <= int(seed) < 2 ** 64:
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    check_measure_size(state)
     validate(state, cfg.tol)
     fn = resolve_measure(measure, state.num_subsystems)
     baseline = fn(state, cfg)
+    dims = state.dims
+    keep = trials <= PER_TRIAL_CAP
     deviations = []
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        gates = [haar_unitary(n, rng) for n in state.dims]
-        rotated = apply_local(state, gates)
-        deviations.append(fn(rotated, cfg).value - baseline.value)
-    max_abs = max((abs(d) for d in deviations), default=0.0)
-    kept = tuple(deviations) if trials <= PER_TRIAL_CAP else None
+    max_abs = 0.0
+    step = _chunk_trials(dims)
+    for lo in range(0, trials, step):
+        count = min(step, trials - lo)
+        normals = [np.empty((count, 2 * n * n)) for n in dims]
+        for t in range(count):
+            rng = trial_rng(seed, lo + t)
+            for slot, n in zip(normals, dims):
+                slot[t] = standard_normals(rng, 2 * n * n)
+        stacks = [_haar_stack(slot, n) for slot, n in zip(normals, dims)]
+        for gates in stacks:
+            _check_unitary(gates)
+        rotated = _rotate(state.amplitudes, dims, stacks)
+        for t in range(count):
+            d = fn(PureState(dims, rotated[t]), cfg).value - baseline.value
+            # seeded by the first deviation, as max() over the list is,
+            # so a NaN there still shows
+            max_abs = max(max_abs, abs(d)) if lo + t else abs(d)
+            if keep:
+                deviations.append(d)
+    kept = tuple(deviations) if keep else None
     return InvarianceRun(
         seed=int(seed),
         trials=int(trials),

@@ -79,6 +79,18 @@ class MeasureResult:
     term_sum: float
 
 
+def check_measure_size(state: PureState) -> None:
+    """Refuse a state whose total dimension exceeds ``MAX_MEASURE_DIM``.
+
+    Called before validation, so an oversized input costs no more than
+    reading its dims.
+    """
+    if state.total_dim > MAX_MEASURE_DIM:
+        raise TooLargeError(
+            f"total dimension {state.total_dim} exceeds the measure guard of {MAX_MEASURE_DIM}"
+        )
+
+
 def _prepared(state: PureState, cfg: MeasureConfig, normalize: bool) -> PureState:
     if normalize:
         return _normalize_state(state)
@@ -118,6 +130,9 @@ def bipartite_concurrence(
     ------
     WrongArityError
         If the state does not have exactly two subsystems.
+    TooLargeError
+        If the total dimension exceeds 4096 (the minor sum is quadratic
+        in it).
     NotNormalizedError
         If the squared norm is off by more than ``cfg.tol`` and
         ``normalize`` is not set.
@@ -126,6 +141,7 @@ def bipartite_concurrence(
         raise WrongArityError(
             f"bipartite concurrence needs 2 subsystems, got {state.num_subsystems}"
         )
+    check_measure_size(state)
     state = _prepared(state, cfg, normalize)
     mat = state.tensor  # rows over the first subsystem
     term_sum = _kernels.minor_pair_sum(np.ascontiguousarray(mat))
@@ -227,10 +243,7 @@ def multipartite_measure(
         raise WrongArityError(
             f"multipartite measure needs at least 2 subsystems, got {state.num_subsystems}"
         )
-    if state.total_dim > MAX_MEASURE_DIM:
-        raise TooLargeError(
-            f"total dimension {state.total_dim} exceeds the measure guard of {MAX_MEASURE_DIM}"
-        )
+    check_measure_size(state)
     state = _prepared(state, cfg, normalize)
     term_sum = _kernels.swap_term_sum(state.amplitudes, state.dims)
     return _finish(MeasureKind.MULTIPARTITE_E, cfg, term_sum)
@@ -268,10 +281,7 @@ def tripartite_measure(
         raise WrongArityError(
             f"tripartite measure needs 3 subsystems, got {state.num_subsystems}"
         )
-    if state.total_dim > MAX_MEASURE_DIM:
-        raise TooLargeError(
-            f"total dimension {state.total_dim} exceeds the measure guard of {MAX_MEASURE_DIM}"
-        )
+    check_measure_size(state)
     state = _prepared(state, cfg, normalize)
     A = state.tensor
     n1, n2, n3 = A.shape

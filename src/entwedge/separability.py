@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidPartitionError
+from .measures import check_measure_size
 from .states import Bipartition, PureState, enumerate_bipartitions, matricize, validate
 
 DEFAULT_THRESHOLD = 1e-10
@@ -62,13 +63,16 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
 
     Zero exactly when the state factors across the split; equals
     ``1 - purity`` of the left side's marginal for normalized input.
+    Refuses total dimension above 4096, like the measures.
     """
+    check_measure_size(state)
     validate(state)
     return _kernels.minor_pair_sum(matricize(state, part))
 
 
 def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True when every single-subsystem split passes the threshold."""
+    check_measure_size(state)
     validate(state)
     m = state.num_subsystems
     if m < 2:
@@ -88,6 +92,7 @@ def separability_report(
     when they all pass, the per-subsystem factors are extracted and the
     reconstruction is verified up to a global phase.
     """
+    check_measure_size(state)
     validate(state)
     m = state.num_subsystems
     if m < 2:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import entwedge
 from entwedge import save_state
 from entwedge.cli import cli_main
 from conftest import bell_state, random_state
@@ -247,6 +252,17 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("command", ["measure", "separability", "invariance"])
+    def test_oversized_bipartite_expression_is_three(self, capsys, command):
+        # 256 x 256 is within the state guard but far above the measure
+        # guard; the quadratic minor sum must never start
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", "|255,255>")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "exceeds the measure guard" in err
+
     def test_parse_subcommand_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "parse", "--expr", "|0,")
         assert code == 1
@@ -268,3 +284,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             cli_main(["measure", "--expr", BELL_EXPR, "--measure", "spectral"])
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def test_runs_as_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entwedge.cli", "measure", "--expr", BELL_EXPR],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("kind: bipartite_concurrence\n")

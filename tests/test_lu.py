@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from entwedge import (
     invariance_experiment,
     partial_trace,
     purity,
+    resolve_measure,
     standard_normals,
     trial_rng,
 )
 from entwedge import lu
-from entwedge.errors import DimensionMismatchError, ValidationError
+from entwedge.errors import DimensionMismatchError, TooLargeError, ValidationError
 from conftest import bell_state, ghz_state, random_state
 
 
@@ -78,6 +81,20 @@ class TestHaarUnitary:
         with pytest.raises(DimensionMismatchError):
             haar_unitary(0, trial_rng(0, 0))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_matches_column_loop_reference(self, dim):
+        # textbook modified Gram-Schmidt, one column at a time, on the
+        # same draws; summation order differs, so agree to rounding
+        for trial in range(5):
+            flat = standard_normals(trial_rng(13, trial), 2 * dim * dim)
+            q = (flat[: dim * dim] + 1j * flat[dim * dim:]).reshape(dim, dim)
+            for k in range(dim):
+                for i in range(k):
+                    q[:, k] -= np.vdot(q[:, i], q[:, k]) * q[:, i]
+                q[:, k] /= np.linalg.norm(q[:, k])
+            gate = haar_unitary(dim, trial_rng(13, trial))
+            np.testing.assert_allclose(gate.entries, q, rtol=0, atol=1e-12)
+
 
 class TestUnitaryGate:
     def test_accepts_identity_and_phase(self):
@@ -130,6 +147,15 @@ class TestApplyLocal:
         c0 = bipartite_concurrence(state).value
         c1 = bipartite_concurrence(rotated, normalize=True).value
         assert c1 == pytest.approx(c0, abs=1e-10)
+
+    def test_matches_tensordot_reference(self, rng):
+        state = random_state(rng, (2, 3, 1, 4))
+        gates = [haar_unitary(n, trial_rng(12, j)) for j, n in enumerate(state.dims)]
+        tensor = state.tensor
+        for j, gate in enumerate(gates):
+            tensor = np.moveaxis(np.tensordot(gate.entries, tensor, axes=([1], [j])), 0, j)
+        rotated = apply_local(state, gates)
+        np.testing.assert_allclose(rotated.amplitudes, tensor.reshape(-1), rtol=0, atol=1e-14)
 
     def test_gate_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -194,10 +220,13 @@ class TestInvarianceExperiment:
         assert run.deviations == ()
 
     def test_deviation_cap(self, monkeypatch):
+        full = invariance_experiment(bell_state(), trials=6, seed=1)
         monkeypatch.setattr(lu, "PER_TRIAL_CAP", 5)
         run = invariance_experiment(bell_state(), trials=6, seed=1)
         assert run.deviations is None
         assert run.max_abs_deviation <= 1e-9
+        # above the cap only the running max is kept; it is the same max
+        assert run == dataclasses.replace(full, deviations=None)
 
     def test_forced_multipartite_on_two_subsystems(self):
         run = invariance_experiment(
@@ -214,3 +243,61 @@ class TestInvarianceExperiment:
             invariance_experiment(bell_state(), seed=-5)
         with pytest.raises(ValidationError):
             invariance_experiment(bell_state(), seed=2**64)
+
+
+def chunk_budget(state, trials_per_chunk):
+    """CHUNK_AMPLITUDES value giving chunks of exactly this many trials."""
+    per_trial = state.total_dim + sum(n * n for n in state.dims)
+    return trials_per_chunk * per_trial
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (1, 3), (3, 1, 2)])
+    def test_chunking_does_not_change_deviations(self, monkeypatch, rng, dims):
+        state = random_state(rng, dims)
+        trials = 23
+        runs = []
+        for per_chunk in (1, 7, trials + 5):
+            monkeypatch.setattr(lu, "CHUNK_AMPLITUDES", chunk_budget(state, per_chunk))
+            assert lu._chunk_trials(dims) == per_chunk
+            runs.append(invariance_experiment(state, trials=trials, seed=31))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0].deviations) == trials
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (1, 3)])
+    def test_trial_matches_public_single_trial_path(self, rng, dims):
+        # trial k is haar_unitary per slot from trial k's substream, then
+        # apply_local and the measure, bit for bit
+        state = random_state(rng, dims)
+        run = invariance_experiment(state, trials=12, seed=8)
+        fn = resolve_measure("auto", state.num_subsystems)
+        baseline = fn(state).value
+        for k, deviation in enumerate(run.deviations):
+            rng_k = trial_rng(8, k)
+            gates = [haar_unitary(n, rng_k) for n in dims]
+            assert fn(apply_local(state, gates)).value - baseline == deviation
+
+    def test_dim_one_slot(self):
+        # a dim-1 slot rotates by a phase and leaves the measure alone
+        vec = np.array([1, 0, 0, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
+        state = PureState((2, 1, 3), vec)
+        run = invariance_experiment(state, trials=20, seed=4)
+        assert len(run.deviations) == 20
+        assert run.max_abs_deviation <= 1e-9
+
+    def test_non_unitary_stack_is_refused(self, monkeypatch):
+        real_stack = lu._haar_stack
+
+        def skewed(normals, dim):
+            stack = real_stack(normals, dim)
+            stack[-1] *= 1.0 + 1e-6  # one gate in the chunk is off
+            return stack
+
+        monkeypatch.setattr(lu, "_haar_stack", skewed)
+        with pytest.raises(ValidationError, match="deviates from unitary"):
+            invariance_experiment(ghz_state(3), trials=5, seed=0)
+
+    def test_oversized_state_is_refused_before_any_trial(self):
+        state = PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
+        with pytest.raises(TooLargeError):
+            invariance_experiment(state, trials=5)

@@ -252,6 +252,17 @@ class TestMultipartite:
         with pytest.raises(TooLargeError):
             multipartite_measure(PureState(dims, amps))
 
+    def test_bipartite_size_guard_before_validation(self):
+        # 4160 > 4096, and all-zero amplitudes would fail validation
+        state = PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
+        with pytest.raises(TooLargeError):
+            bipartite_concurrence(state)
+
+    def test_bipartite_boundary_dimension_allowed(self):
+        amps = np.zeros(4096, dtype=np.complex128)
+        amps[0] = 1.0
+        assert bipartite_concurrence(PureState((64, 64), amps)).value == 0.0
+
     def test_boundary_dimension_allowed(self):
         dims = (8, 8, 8, 8)  # exactly 4096
         amps = np.zeros(4096, dtype=np.complex128)

@@ -19,7 +19,7 @@ from entwedge import (
     purity,
     separability_report,
 )
-from entwedge.errors import InvalidPartitionError, NotNormalizedError
+from entwedge.errors import InvalidPartitionError, NotNormalizedError, TooLargeError
 from conftest import (
     bell_state,
     bell_x_bell_state,
@@ -171,6 +171,31 @@ class TestReport:
     def test_threshold_recorded(self):
         report = separability_report(bell_state(), threshold=1e-6)
         assert report.threshold == 1e-6
+
+
+class TestSizeGuard:
+    # (65, 64) is 4160 > 4096; all-zero amplitudes would fail validation,
+    # so TooLargeError shows the guard runs first
+    @staticmethod
+    def oversized() -> PureState:
+        return PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
+
+    def test_partition_residual(self):
+        with pytest.raises(TooLargeError):
+            partition_residual(self.oversized(), Bipartition((1,), 2))
+
+    def test_is_product_state(self):
+        with pytest.raises(TooLargeError):
+            is_product_state(self.oversized())
+
+    def test_separability_report(self):
+        with pytest.raises(TooLargeError):
+            separability_report(self.oversized())
+
+    def test_boundary_dimension_allowed(self):
+        amps = np.zeros(64 * 64, dtype=np.complex128)
+        amps[0] = 1.0
+        assert separability_report(PureState((64, 64), amps)).fully_separable
 
 
 class TestMeasureConsistency:
