@@ -1,6 +1,5 @@
 """Wedge-product entanglement measures for pure multipartite states."""
 
-from ._kernels import active_backend
 from .ketlang import KetExpr, evaluate, parse_ket, pretty
 from .lu import (
     InvarianceRun,
@@ -60,7 +59,6 @@ __all__ = [
     "PartitionVerdict",
     "TensorGrid",
     "UnitaryGate",
-    "active_backend",
     "alt",
     "apply_local",
     "bipartite_concurrence",

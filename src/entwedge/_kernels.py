@@ -1,103 +1,25 @@
-"""Hot summation kernels with a numba fast path and a numpy fallback.
+"""The quadratic pair sums behind the measures.
 
-Both measures reduce to the same inner pattern: sums of
-``|a b' - b a'|^2`` over quadratically many index pairs.  The loop-nest
-versions below are compiled with numba when it is importable; setting
-``ENTWEDGE_DISABLE_NUMBA=1`` (checked once at import) forces the
-vectorized numpy path instead.  Both implementations are exported so the
-benchmark and the tests can compare them inside one process.
+Both reduce to one pattern: squared moduli ``|a b' - b a'|^2`` of the
+2x2 minors of a matrix.  ``minor_pair_sum`` adds them for one matrix.
+``swap_term_sum`` is built from it: exchanging the slot-j entries of two
+multi-indices K, L turns ``a_K a_L - a_K' a_L'`` into a 2x2 minor of the
+slot-j unfolding (rows over slot j, columns over all other slots), and
+the ordered (K, L) pairs count each such minor twice.  For a normalized
+state this is the I-concurrence purity form
+``sum_j 2 (1 - tr rho_j^2)`` of Rungta et al., PRA 64, 042315 (2001).
 
-Summation order is fixed per backend, so repeated calls with the same
-input give bitwise-identical results for a given backend.
+Summation order is fixed, so repeated calls with the same input give
+bitwise-identical results.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-DISABLE_ENV = "ENTWEDGE_DISABLE_NUMBA"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-numba_kwargs = {"cache": True, "nogil": True}
-
-# Cap on entries per temporary block in the numpy path (32 MB of complex128).
+# Cap on entries per temporary block (32 MB of complex128).
 _BLOCK_ENTRIES = 1 << 21
 
-
-# --- loop-nest kernels (numba compile targets) ---------------------------
-
-def _swap_term_sum_loops(amps, dims, strides):
-    D = amps.shape[0]
-    m = dims.shape[0]
-    # digit table: dig[k, j] is multi-index entry j of flat index k
-    dig = np.empty((D, m), dtype=np.int64)
-    for k in range(D):
-        for j in range(m):
-            dig[k, j] = (k // strides[j]) % dims[j]
-    total = 0.0
-    for k in range(D):
-        ak = amps[k]
-        # the (k, l) and (l, k) terms are equal, and k == l contributes
-        # nothing, so run the strict upper triangle and double at the end
-        for l in range(k + 1, D):
-            base = ak * amps[l]
-            for j in range(m):
-                delta = dig[l, j] - dig[k, j]
-                if delta == 0:
-                    continue  # swapped product equals base, difference is 0
-                step = delta * strides[j]
-                swapped = amps[k + step] * amps[l - step]
-                d = base - swapped
-                total += d.real * d.real + d.imag * d.imag
-    return 2.0 * total
-
-
-def _minor_pair_sum_loops(mat):
-    R, C = mat.shape
-    total = 0.0
-    for mu in range(R):
-        for nu in range(mu + 1, R):
-            for i in range(C):
-                a = mat[mu, i]
-                b = mat[nu, i]
-                for j in range(C):
-                    d = a * mat[nu, j] - b * mat[mu, j]
-                    total += d.real * d.real + d.imag * d.imag
-    return total
-
-
-if HAS_NUMBA:
-    _swap_term_sum_jit = njit(**numba_kwargs)(_swap_term_sum_loops)
-    _minor_pair_sum_jit = njit(**numba_kwargs)(_minor_pair_sum_loops)
-
-
-def _strides_for(dims: np.ndarray) -> np.ndarray:
-    strides = np.ones(dims.size, dtype=np.int64)
-    for j in range(dims.size - 2, -1, -1):
-        strides[j] = strides[j + 1] * dims[j + 1]
-    return strides
-
-
-def swap_term_sum_numba(amps: np.ndarray, dims) -> float:
-    dims = np.asarray(dims, dtype=np.int64)
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    return float(_swap_term_sum_jit(amps, dims, _strides_for(dims)))
-
-
-def minor_pair_sum_numba(mat: np.ndarray) -> float:
-    return float(_minor_pair_sum_jit(np.ascontiguousarray(mat, dtype=np.complex128)))
-
-
-# --- vectorized numpy fallback -------------------------------------------
 
 def _wedge_abs2_sum(u: np.ndarray, v: np.ndarray) -> float:
     """sum over all (p, q) of |u[p] v[q] - v[p] u[q]|^2, row-blocked."""
@@ -111,23 +33,11 @@ def _wedge_abs2_sum(u: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
-def swap_term_sum_numpy(amps: np.ndarray, dims) -> float:
-    dims = [int(n) for n in np.asarray(dims).reshape(-1)]
-    tensor = np.ascontiguousarray(amps, dtype=np.complex128).reshape(dims)
-    total = 0.0
-    for j, nj in enumerate(dims):
-        lead = math.prod(dims[:j])
-        trail = math.prod(dims[j + 1:])
-        planes = tensor.reshape(lead, nj, trail)
-        slabs = [np.ascontiguousarray(planes[:, x, :]).reshape(-1) for x in range(nj)]
-        for a in range(nj):
-            for b in range(a + 1, nj):
-                # ordered index pairs count both (a, b) and (b, a)
-                total += 2.0 * _wedge_abs2_sum(slabs[a], slabs[b])
-    return total
-
-
-def minor_pair_sum_numpy(mat: np.ndarray) -> float:
+def minor_pair_sum(mat: np.ndarray) -> float:
+    """Sum of ``|M[mu,i] M[nu,j] - M[nu,i] M[mu,j]|^2`` over row pairs
+    ``mu < nu`` and all column pairs ``(i, j)``, i.e. every squared 2x2
+    minor of ``mat`` counted twice.  Equals ``1 - tr rho^2`` of the row
+    marginal when ``mat`` has unit Frobenius norm."""
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     R, C = mat.shape
     # The summand is symmetric under exchanging the row pair with the
@@ -142,24 +52,16 @@ def minor_pair_sum_numpy(mat: np.ndarray) -> float:
     return total
 
 
-# --- backend selection ----------------------------------------------------
-
-_disabled = os.environ.get(DISABLE_ENV, "").strip().lower() in ("1", "true", "yes")
-
-if HAS_NUMBA and not _disabled:
-    BACKEND = "numba"
-    swap_term_sum = swap_term_sum_numba
-    minor_pair_sum = minor_pair_sum_numba
-else:
-    BACKEND = "numpy"
-    swap_term_sum = swap_term_sum_numpy
-    minor_pair_sum = minor_pair_sum_numpy
-
-if not HAS_NUMBA:
-    swap_term_sum_numba = None
-    minor_pair_sum_numba = None
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+def swap_term_sum(amps: np.ndarray, dims) -> float:
+    """Sum over ordered multi-index pairs ``(K, L)`` and slots ``j`` of
+    ``|a_K a_L - a_K' a_L'|^2``, the primes exchanging the slot-j
+    entries: ``sum_j 2 * minor_pair_sum(slot-j unfolding)``."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    total = 0.0
+    lead = 1
+    for nj in dims:
+        nj = int(nj)
+        unfolding = amps.reshape(lead, nj, -1).swapaxes(0, 1).reshape(nj, -1)
+        total += 2.0 * minor_pair_sum(unfolding)
+        lead *= nj
+    return total

@@ -14,27 +14,43 @@ Juxtaposed kets tensor together, so ``|0>|1>`` means the same as
 ``(re + im*i) * sqrt(rad)`` with rational parts and a square-free
 integer radicand; amplitudes accumulate in that exact form and are
 converted to floating point once, at the very end of evaluation.
+
+A ``sqrt(p/q)`` radicand is capped: ``p*q``, in lowest terms, may not
+exceed ``MAX_RADICAND``.  Size guards run on the syntax tree, so an
+expression naming too many slots or too large a total dimension is
+refused before any product is expanded or any amplitude allocated.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArityMismatchError, DimTooSmallError, KetSyntaxError
-from .states import PureState
+from .errors import ArityMismatchError, DimTooSmallError, KetSyntaxError, ValidationError
+from .states import PureState, check_size_guards
+
+# Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
+# off its square part trial-divides up to the cube root, about 2*10^5
+# steps at the cap; past 2**53 the radicand is not even an exact float.
+MAX_RADICAND = 2 ** 53
 
 
 # --- exact scalars -------------------------------------------------------
 
 def _square_split(n: int) -> tuple[int, int]:
-    """n >= 1 as root**2 * free with free square-free."""
+    """n >= 1 as root**2 * free with free square-free.
+
+    Trial division stops once ``d**3`` exceeds what is left.  That
+    cofactor has no prime factor below ``d``, so it is 1, p, p**2 or
+    p*q, and an integer square root tells the square case apart.
+    """
     root, free = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             count = 0
             while n % d == 0:
@@ -44,6 +60,9 @@ def _square_split(n: int) -> tuple[int, int]:
             if count % 2:
                 free *= d
         d += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        return root * r, free
     return root, free * n
 
 
@@ -83,19 +102,23 @@ class ExactScalar:
         return self.re == 0 and self.im == 0
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar.make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.rad * other.rad,
-        )
+        re = self.re * other.re - self.im * other.im
+        im = self.re * other.im + self.im * other.re
+        if re == 0 and im == 0:
+            return ZERO
+        # Both radicands are square-free, so with g = gcd(a, b) the product
+        # is a*b = g^2 (a/g)(b/g), and (a/g)(b/g) is square-free again.
+        a, b = self.rad.numerator, other.rad.numerator
+        g = math.gcd(a, b)
+        return ExactScalar(re * g, im * g, Fraction((a // g) * (b // g)))
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        # 1 / ((a+bi) sqrt(r)) = (a-bi) sqrt(r) / ((a^2+b^2) r)
+        # 1 / ((a+bi) sqrt(r)) = (a-bi) sqrt(r) / ((a^2+b^2) r), and r is
+        # already square-free
         scale = (other.re * other.re + other.im * other.im) * other.rad
-        inverse = ExactScalar.make(other.re / scale, -other.im / scale, other.rad)
-        return self * inverse
+        return self * ExactScalar(other.re / scale, -other.im / scale, other.rad)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im, self.rad)
@@ -138,20 +161,23 @@ class KetExpr:
     arity: int
 
 
-def _arity(node) -> int:
+def _slot_dims(node) -> tuple[int, ...]:
+    """One past the largest index each slot uses, read off the tree; its
+    length is the slot count."""
     if isinstance(node, KetNode):
-        return len(node.indices)
+        return tuple(x + 1 for x in node.indices)
     if isinstance(node, ScalarNode):
-        return 0
+        return ()
     if isinstance(node, ProductNode):
-        return sum(_arity(f) for f in node.factors)
+        return tuple(n for factor in node.factors for n in _slot_dims(factor))
     if isinstance(node, SumNode):
-        arities = {_arity(term) for _, term in node.terms}
+        shapes = [_slot_dims(term) for _, term in node.terms]
+        arities = {len(shape) for shape in shapes}
         if len(arities) > 1:
             raise ArityMismatchError(
                 f"summed terms have different slot counts: {sorted(arities)}"
             )
-        return arities.pop()
+        return tuple(map(max, zip(*shapes)))
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -303,7 +329,12 @@ class _Parser:
             self.take("RPAREN")
             if den == 0:
                 raise KetSyntaxError("division by zero", den_col)
-            return ExactScalar.make(1, 0, Fraction(num, den))
+            rad = Fraction(num, den)
+            if rad.numerator * rad.denominator > MAX_RADICAND:
+                raise KetSyntaxError(
+                    f"sqrt radicand {rad} is beyond the cap of {MAX_RADICAND}", col
+                )
+            return ExactScalar.make(1, 0, rad)
         got = word or "end of input"
         raise KetSyntaxError(f"expected a scalar, got {got!r}", col)
 
@@ -323,7 +354,7 @@ def parse_ket(text: str) -> KetExpr:
     tok = parser.peek()
     if tok[0] != "EOF":
         raise KetSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return KetExpr(root, _arity(root))
+    return KetExpr(root, len(_slot_dims(root)))
 
 
 # --- canonical printing ----------------------------------------------------
@@ -392,18 +423,18 @@ def _amp_add(table: dict, scalar: ExactScalar) -> None:
     table[scalar.rad] = (re + scalar.re, im + scalar.im)
 
 
-def _walk(node) -> tuple[int, dict]:
+def _walk(node) -> dict:
     """Exact amplitudes as {multi-index: {radicand: (re, im)}}."""
     if isinstance(node, KetNode):
-        return len(node.indices), {node.indices: {ONE.rad: (ONE.re, ONE.im)}}
+        return {node.indices: {ONE.rad: (ONE.re, ONE.im)}}
     if isinstance(node, ScalarNode):
         table = {}
         _amp_add(table, node.value)
-        return 0, {(): table}
+        return {(): table}
     if isinstance(node, ProductNode):
-        arity, amps = _walk(node.factors[0])
+        amps = _walk(node.factors[0])
         for factor in node.factors[1:]:
-            f_arity, f_amps = _walk(factor)
+            f_amps = _walk(factor)
             merged = {}
             for idx_a, table_a in amps.items():
                 for idx_b, table_b in f_amps.items():
@@ -414,20 +445,17 @@ def _walk(node) -> tuple[int, dict]:
                                 re_b, im_b, rad_b
                             )
                             _amp_add(target, product)
-            arity += f_arity
             amps = merged
-        return arity, amps
+        return amps
     if isinstance(node, SumNode):
-        arity = _arity(node)
         merged = {}
         for sign, term in node.terms:
-            _, amps = _walk(term)
-            for idx, table in amps.items():
+            for idx, table in _walk(term).items():
                 target = merged.setdefault(idx, {})
                 for rad, (re, im) in table.items():
                     scalar = ExactScalar(re, im, rad)
                     _amp_add(target, scalar if sign == 1 else -scalar)
-        return arity, merged
+        return merged
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -436,7 +464,8 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
 
     Dims are inferred as one past the largest index used in each slot
     unless supplied.  The result is NOT normalized; whatever the
-    expression says is what comes out.
+    expression says is what comes out.  The size guards run on the
+    syntax tree, before any product is expanded.
 
     Raises
     ------
@@ -445,16 +474,19 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
         number of entries.
     DimTooSmallError
         If a ket index does not fit inside the supplied dims.
+    TooLargeError
+        If the expression has more than ``MAX_SUBSYSTEMS`` slots or the
+        dims multiply to more than ``MAX_TOTAL_DIM``.
+    ValidationError
+        If an amplitude is too large for a float.
     """
-    arity, amps = _walk(expr.root if isinstance(expr, KetExpr) else expr)
+    node = expr.root if isinstance(expr, KetExpr) else expr
+    needed = _slot_dims(node)
+    arity = len(needed)
     if arity == 0:
         raise ArityMismatchError("expression has no kets, so there is no state")
-    needed = [0] * arity
-    for idx in amps:
-        for slot, x in enumerate(idx):
-            needed[slot] = max(needed[slot], x + 1)
     if dims is None:
-        dims = tuple(needed)
+        dims = needed
     else:
         dims = tuple(int(n) for n in dims)
         if len(dims) != arity:
@@ -466,13 +498,20 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
                 raise DimTooSmallError(
                     f"slot {slot + 1} uses index {need - 1} but its dim is {have}"
                 )
+    check_size_guards(dims)
     vector = np.zeros(math.prod(dims), dtype=np.complex128)
-    for idx, table in amps.items():
+    for idx, table in _walk(node).items():
         flat = 0
         for x, n in zip(idx, dims):
             flat = flat * n + x
         total = 0j
-        for rad, (re, im) in table.items():
-            total += ExactScalar(re, im, rad).to_complex()
+        try:
+            for rad, (re, im) in table.items():
+                total += ExactScalar(re, im, rad).to_complex()
+        except OverflowError:
+            total = complex(math.inf)
+        if not cmath.isfinite(total):
+            label = ",".join(map(str, idx))
+            raise ValidationError(f"amplitude of |{label}> overflows a float")
         vector[flat] = total
     return PureState(dims, vector)

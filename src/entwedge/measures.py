@@ -56,10 +56,12 @@ class MeasureConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.norm_constant > 0:
-            raise WrongDimsError(f"norm_constant must be positive, got {self.norm_constant}")
-        if self.tol < 0:
-            raise WrongDimsError(f"tol must be nonnegative, got {self.tol}")
+        if not 0 < self.norm_constant < math.inf:
+            raise WrongDimsError(
+                f"norm_constant must be positive and finite, got {self.norm_constant}"
+            )
+        if not 0 <= self.tol < math.inf:
+            raise WrongDimsError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
 DEFAULT_CONFIG = MeasureConfig()
@@ -157,10 +159,9 @@ def pair_qubit_concurrence(
     """Two-qubit closed form ``2 |a_00 a_11 - a_10 a_01|`` (at the default
     norm constant).
 
-    The arithmetic mirrors the generic bipartite path step for step, so
-    on dims (2, 2) the two functions agree bit for bit when the compiled
-    kernel is active.  The vectorized fallback kernel may contract
-    multiplies differently and land one ulp away.
+    Agrees with :func:`bipartite_concurrence` on dims (2, 2) to within
+    rounding: the vectorized kernel may contract multiplies differently
+    and land one ulp away.
     """
     if state.dims != (2, 2):
         raise WrongDimsError(f"pair-qubit concurrence needs dims (2, 2), got {state.dims}")

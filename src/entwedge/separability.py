@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidPartitionError
+from .errors import InvalidPartitionError, ValidationError
 from .measures import check_measure_size
 from .states import Bipartition, PureState, enumerate_bipartitions, matricize, validate
 
@@ -70,8 +70,15 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     return _kernels.minor_pair_sum(matricize(state, part))
 
 
+def _check_threshold(threshold: float) -> None:
+    # NaN would call every split entangled, and inf every split separable
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold!r}")
+
+
 def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True when every single-subsystem split passes the threshold."""
+    _check_threshold(threshold)
     check_measure_size(state)
     validate(state)
     m = state.num_subsystems
@@ -90,8 +97,10 @@ def separability_report(
 
     Full separability is decided by the single-subsystem splits alone;
     when they all pass, the per-subsystem factors are extracted and the
-    reconstruction is verified up to a global phase.
+    reconstruction is verified up to a global phase.  A non-finite
+    threshold raises :class:`ValidationError`.
     """
+    _check_threshold(threshold)
     check_measure_size(state)
     validate(state)
     m = state.num_subsystems

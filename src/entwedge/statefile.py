@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import IoError, SchemaError, TooLargeError
-from .states import MAX_SUBSYSTEMS, MAX_TOTAL_DIM, PureState
+from .errors import IoError, SchemaError
+from .states import PureState, check_size_guards
 
 
 def _require_int(value, where: str) -> int:
@@ -33,7 +33,15 @@ def _require_int(value, where: str) -> int:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # Python's json reads NaN, Infinity and 1e999 (as inf); an integer
+    # literal past the float range overflows in the conversion
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_document(doc) -> PureState:
@@ -57,14 +65,7 @@ def _parse_document(doc) -> PureState:
         raise SchemaError("amplitudes: expected a list")
     # Same guards the state itself enforces, applied before anything is
     # allocated, so a hostile document cannot ask for a giant buffer.
-    if len(dims) > MAX_SUBSYSTEMS:
-        raise TooLargeError(
-            f"{len(dims)} subsystems exceeds the guard of {MAX_SUBSYSTEMS}"
-        )
-    if math.prod(dims) > MAX_TOTAL_DIM:
-        raise TooLargeError(
-            f"total dimension {math.prod(dims)} exceeds the guard of {MAX_TOTAL_DIM}"
-        )
+    check_size_guards(dims)
 
     strides = [1] * len(dims)
     for j in range(len(dims) - 2, -1, -1):

@@ -43,6 +43,24 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-9
 
 
+def check_size_guards(dims) -> None:
+    """Refuse more than ``MAX_SUBSYSTEMS`` subsystems or a total dimension
+    above ``MAX_TOTAL_DIM``.
+
+    Reads only the dims, so parsers run it before they allocate or
+    expand anything.
+    """
+    if len(dims) > MAX_SUBSYSTEMS:
+        raise TooLargeError(
+            f"{len(dims)} subsystems exceeds the guard of {MAX_SUBSYSTEMS}"
+        )
+    total = math.prod(dims)
+    if total > MAX_TOTAL_DIM:
+        raise TooLargeError(
+            f"total dimension {total} exceeds the guard of {MAX_TOTAL_DIM}"
+        )
+
+
 def _frozen_complex_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if shape is not None:
@@ -78,15 +96,8 @@ class PureState:
         dims = tuple(int(n) for n in self.dims)
         if len(dims) == 0 or any(n < 1 for n in dims):
             raise InvalidPartitionError(f"dims must be positive, got {dims}")
-        if len(dims) > MAX_SUBSYSTEMS:
-            raise TooLargeError(
-                f"{len(dims)} subsystems exceeds the guard of {MAX_SUBSYSTEMS}"
-            )
+        check_size_guards(dims)
         total = math.prod(dims)
-        if total > MAX_TOTAL_DIM:
-            raise TooLargeError(
-                f"total dimension {total} exceeds the guard of {MAX_TOTAL_DIM}"
-            )
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != total:
             raise LengthMismatchError(
@@ -201,10 +212,12 @@ def validate(state: PureState, tol: float = DEFAULT_NORM_TOL) -> None:
     Raises
     ------
     NotNormalizedError
-        Carrying the actual norm when ``|sum |a|^2 - 1| > tol``.
+        Carrying the actual norm unless ``|sum |a|^2 - 1| <= tol``, so a
+        non-finite amplitude or tolerance is refused too.
     """
     sq = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if abs(sq - 1.0) > tol:
+    # written as "not <=" because every comparison with NaN is False
+    if not abs(sq - 1.0) <= tol:
         raise NotNormalizedError(math.sqrt(sq), tol)
 
 
@@ -215,10 +228,15 @@ def normalize(state: PureState) -> PureState:
     ------
     ZeroStateError
         If every amplitude is zero.
+    ValidationError
+        If the norm is not finite (a NaN or infinite amplitude, or an
+        overflow).
     """
     nrm = state.norm()
     if nrm == 0.0:
         raise ZeroStateError("cannot normalize the zero vector")
+    if not math.isfinite(nrm):
+        raise ValidationError(f"cannot normalize a state of norm {nrm!r}")
     return PureState(state.dims, state.amplitudes / nrm)
 
 

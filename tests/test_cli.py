@@ -263,6 +263,45 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the measure guard" in err
 
+    def test_nan_threshold_is_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "separability", "--expr", BELL_EXPR, "--threshold", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite" in err
+
+    def test_non_finite_norm_constant_is_two(self, capsys):
+        for bad in ("nan", "inf"):
+            code, _, err = run_cli(
+                capsys, "measure", "--expr", BELL_EXPR, "--norm-constant", bad
+            )
+            assert code == 2
+            assert "norm_constant" in err
+
+    def test_nan_state_file_is_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dims": [2, 2], "amplitudes": [{"idx": [0, 0], "re": NaN, "im": 0.0}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "measure", "--state", str(path))
+        assert code == 1
+        assert out == ""
+        assert "expected a finite number" in err
+
+    def test_overflowing_amplitude_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "measure", "--expr", "1" + "0" * 400 + " |0,0> + |1,1>")
+        assert code == 2
+        assert "overflows" in err
+
+    def test_radicand_beyond_cap_is_one(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "parse", "--expr", f"sqrt({2 ** 53 + 1}) |0>")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "cap" in err
+
     def test_parse_subcommand_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "parse", "--expr", "|0,")
         assert code == 1

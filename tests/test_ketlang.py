@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entwedge import evaluate, multipartite_measure, parse_ket, pretty
-from entwedge.errors import ArityMismatchError, DimTooSmallError, KetSyntaxError
+from entwedge.errors import (
+    ArityMismatchError,
+    DimTooSmallError,
+    KetSyntaxError,
+    TooLargeError,
+    ValidationError,
+)
 from entwedge.ketlang import (
+    MAX_RADICAND,
     ExactScalar,
     KetNode,
     ProductNode,
     ScalarNode,
     SumNode,
+    _square_split,
 )
 from conftest import bell_state, ghz_state, w3_state
 
@@ -80,6 +92,38 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
+def square_split_by_trial(n: int) -> tuple[int, int]:
+    """Reference split: trial division all the way to sqrt(n)."""
+    root, free = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            count = 0
+            while n % d == 0:
+                n //= d
+                count += 1
+            root *= d ** (count // 2)
+            if count % 2:
+                free *= d
+        d += 1
+    return root, free * n
+
+
+def peak_bytes_and_seconds(fn) -> tuple[int, float]:
+    """Peak traced allocation and wall time of ``fn()``, which must raise
+    ``TooLargeError``."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TooLargeError):
+            fn()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, seconds
+
+
 class TestExactScalar:
     def test_radicand_made_square_free(self):
         assert ExactScalar.make(1, 0, 12) == ExactScalar.make(2, 0, 3)
@@ -112,6 +156,27 @@ class TestExactScalar:
         assert one / i == ExactScalar.make(0, -1)
         with pytest.raises(ZeroDivisionError):
             one / ExactScalar.make(0)
+
+    # the cofactor left after trial division to the cube root is 1, p,
+    # p**2 or p*q; the examples hit each with primes near 10**6
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10 ** 12))
+    @example(1)
+    @example(999983)
+    @example(999983 ** 2)
+    @example(999983 * 1000003)
+    @example(8 * 999983 ** 2)
+    @example(10 ** 12)
+    @example(999999999989)
+    def test_square_split_matches_trial_division(self, n):
+        assert _square_split(n) == square_split_by_trial(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+    def test_product_of_radicals_stays_canonical(self, a, b):
+        left = ExactScalar.make(1, 0, a)
+        right = ExactScalar.make(1, 0, b)
+        assert left * right == ExactScalar.make(1, 0, a * b)
 
     def test_to_complex_exact_cases(self):
         assert ExactScalar.make(1, 0, 2).to_complex() == complex(math.sqrt(2.0))
@@ -175,6 +240,28 @@ class TestParsing:
         with pytest.raises(KetSyntaxError) as info:
             parse_ket(text)
         assert info.value.column == column
+
+    @pytest.mark.parametrize("prime", [1000000000039, 2 ** 53 - 111])
+    def test_large_prime_radicand_is_fast(self, prime):
+        # trial division to sqrt(n) needs about 10**8 steps on the prime
+        # just below the cap
+        start = time.perf_counter()
+        value = parse_ket(f"sqrt({prime})").root.value
+        assert time.perf_counter() - start < 0.5
+        assert value == ExactScalar(Fraction(1), Fraction(0), Fraction(prime))
+
+    def test_radicand_cap(self):
+        assert MAX_RADICAND == 2 ** 53
+        assert parse_ket(f"sqrt({2 ** 53})").root.value == ExactScalar.make(2 ** 26, 0, 2)
+        for text in (f"sqrt({2 ** 53 + 1})", f"2 sqrt(2/{2 ** 53 + 1}) |0>"):
+            with pytest.raises(KetSyntaxError) as info:
+                parse_ket(text)
+            assert info.value.column == text.index("sqrt") + 1
+            assert "cap" in str(info.value)
+        # the cap applies in lowest terms
+        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").root.value == (
+            ExactScalar.make(1, 0, 2)
+        )
 
     def test_whitespace_ignored(self):
         assert parse_ket("  |0,0>   +|1,1> ").root == parse_ket("|0,0>+|1,1>").root
@@ -273,8 +360,40 @@ class TestEvaluate:
         with pytest.raises(ArityMismatchError):
             evaluate(parse_ket("2 + 3"))
 
+    def test_overflowing_amplitude_refused(self):
+        with pytest.raises(ValidationError):
+            evaluate(parse_ket("1" + "0" * 400 + " |0> + |1>"))
+        with pytest.raises(ValidationError):
+            evaluate(parse_ket("1" + "0" * 308 + " sqrt(5) |0>"))
+
     def test_distribution_over_sums(self):
         state = evaluate(parse_ket("(|0> + |1>) (|0> - |1>)"), dims=(2, 2))
         np.testing.assert_allclose(
             state.amplitudes, [1.0, -1.0, 1.0, -1.0], atol=0
         )
+
+
+class TestGuardsBeforeExpansion:
+    # Checked on the syntax tree, so neither the dense vector nor the
+    # expanded product is ever built.
+    def test_huge_index(self):
+        expr = parse_ket("|2000000>")
+        peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
+        assert peak < 1 << 20
+        assert seconds < 0.1
+
+    def test_huge_supplied_dims(self):
+        expr = parse_ket("|0>")
+        peak, _ = peak_bytes_and_seconds(lambda: evaluate(expr, dims=(10 ** 10,)))
+        assert peak < 1 << 20
+
+    def test_too_many_factors(self):
+        text = "(|0>+|1>)" * 10
+        peak, seconds = peak_bytes_and_seconds(lambda: evaluate(parse_ket(text)))
+        assert peak < 1 << 20
+        assert seconds < 0.1
+
+    def test_boundary_still_evaluates(self):
+        state = evaluate(parse_ket("(|0>+|1>)" * 8))
+        assert state.dims == (2,) * 8
+        assert np.all(state.amplitudes == 1.0)

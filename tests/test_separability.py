@@ -19,7 +19,12 @@ from entwedge import (
     purity,
     separability_report,
 )
-from entwedge.errors import InvalidPartitionError, NotNormalizedError, TooLargeError
+from entwedge.errors import (
+    InvalidPartitionError,
+    NotNormalizedError,
+    TooLargeError,
+    ValidationError,
+)
 from conftest import (
     bell_state,
     bell_x_bell_state,
@@ -167,6 +172,13 @@ class TestReport:
         single = PureState((2,), np.array([1, 0], dtype=np.complex128))
         with pytest.raises(InvalidPartitionError):
             separability_report(single)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_refused(self, bad):
+        with pytest.raises(ValidationError):
+            separability_report(bell_state(), threshold=bad)
+        with pytest.raises(ValidationError):
+            is_product_state(bell_state(), threshold=bad)
 
     def test_threshold_recorded(self):
         report = separability_report(bell_state(), threshold=1e-6)

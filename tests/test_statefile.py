@@ -179,3 +179,18 @@ class TestSchemaMessages:
         self.check(tmp_path, doc, "amplitudes[0].re: expected a number, got 'big'")
         doc = {"dims": [2], "amplitudes": [{"idx": [0], "re": 0.0, "im": True}]}
         self.check(tmp_path, doc, "amplitudes[0].im: expected a number, got True")
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+    )
+    def test_component_not_finite(self, tmp_path, literal):
+        path = tmp_path / "state.json"
+        path.write_text(
+            '{"dims": [2], "amplitudes": [{"idx": [0], "re": 1.0, "im": %s}]}' % literal,
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError) as info:
+            load_state(str(path))
+        assert "amplitudes[0].im: expected a finite number" in str(info.value)

@@ -23,6 +23,7 @@ from entwedge.errors import (
     InvalidPartitionError,
     LengthMismatchError,
     NotNormalizedError,
+    ValidationError,
     TooLargeError,
     ZeroStateError,
 )
@@ -87,6 +88,16 @@ class TestPureState:
         vec[0] = math.sqrt(1 + 5e-9)
         with pytest.raises(NotNormalizedError):
             validate(PureState((2,), vec), tol=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validate_refuses_non_finite(self, bad):
+        vec = np.array([bad, 0.0, 0.0, 0.0], dtype=np.complex128)
+        with pytest.raises(NotNormalizedError):
+            validate(PureState((2, 2), vec))
+        with pytest.raises(NotNormalizedError):
+            validate(bell_state(), tol=math.nan)
+        with pytest.raises(ValidationError):
+            normalize(PureState((2, 2), vec))
 
     def test_normalize(self):
         vec = np.array([3.0, 0.0, 0.0, 4.0], dtype=np.complex128)
