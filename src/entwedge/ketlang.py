@@ -16,9 +16,11 @@ integer radicand; amplitudes accumulate in that exact form and are
 converted to floating point once, at the very end of evaluation.
 
 A ``sqrt(p/q)`` radicand is capped: ``p*q``, in lowest terms, may not
-exceed ``MAX_RADICAND``.  Size guards run on the syntax tree, so an
-expression naming too many slots or too large a total dimension is
-refused before any product is expanded or any amplitude allocated.
+exceed ``MAX_RADICAND``, and neither may the radicand of any scalar's
+printed form.  Parentheses nest at most ``MAX_NESTING`` deep.  Size
+guards run on the syntax tree, so an expression naming too many slots
+or too large a total dimension is refused before any product is
+expanded or any amplitude allocated.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from .states import PureState, check_size_guards
 # off its square part trial-divides up to the cube root, about 2*10^5
 # steps at the cap; past 2**53 the radicand is not even an exact float.
 MAX_RADICAND = 2 ** 53
+
+# Deepest parenthesis nesting accepted.  The parser, the printer and the
+# evaluator each recurse once per level, so without a cap a short input
+# could exhaust the interpreter's stack.
+MAX_NESTING = 64
 
 
 # --- exact scalars -------------------------------------------------------
@@ -235,6 +242,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -275,8 +283,14 @@ class _Parser:
         if kind == "PIPE":
             return self.ket()
         if kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise KetSyntaxError(
+                    f"parentheses nest deeper than the cap of {MAX_NESTING}", col
+                )
             self.take("LPAREN")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.take("RPAREN")
             return inner
         if kind in ("INT", "DECIMAL", "IDENT"):
@@ -296,6 +310,7 @@ class _Parser:
 
     # scalar := atom ('/' atom)*
     def scalar(self) -> ExactScalar:
+        col = self.peek()[2]
         value = self.atom()
         while self.peek()[0] == "SLASH":
             _, _, col = self.take("SLASH")
@@ -303,6 +318,13 @@ class _Parser:
                 value = value / self.atom()
             except ZeroDivisionError:
                 raise KetSyntaxError("division by zero", col) from None
+        # An atom alone prints within the cap, but dividing by a decimal
+        # or a sqrt can grow a in (a/b) sqrt(r) until a^2 r passes it, and
+        # then no text pretty can print for the value would parse again.
+        if value.rad != 1 and _unfolded_radicand(value) > MAX_RADICAND:
+            raise KetSyntaxError(
+                f"scalar needs a radicand beyond the cap of {MAX_RADICAND}", col
+            )
         return value
 
     # atom := INT | DECIMAL | 'i' | 'sqrt' '(' INT ['/' INT] ')'
@@ -363,6 +385,13 @@ def _fraction_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _unfolded_radicand(s: ExactScalar) -> int:
+    """``a^2 r`` for ``s = (a/b) sqrt(r)`` up to a unit factor, the
+    radicand ``s`` prints with as ``sqrt(a^2 r)/b``."""
+    coef = s.re if s.im == 0 else s.im
+    return coef.numerator ** 2 * s.rad.numerator
+
+
 def _scalar_text(s: ExactScalar) -> str:
     if s.is_zero():
         return "0"
@@ -370,13 +399,17 @@ def _scalar_text(s: ExactScalar) -> str:
         raise ValueError("mixed real/imaginary scalars cannot print as one atom")
     coef = s.re if s.im == 0 else s.im
     magnitude = abs(coef)
+    folded = magnitude * magnitude * s.rad
     if s.rad == 1:
         body = _fraction_text(magnitude)
     elif magnitude == 1:
         body = f"sqrt({_fraction_text(s.rad)})"
-    else:
+    elif folded.numerator * folded.denominator <= MAX_RADICAND:
         # fold the rational part under the root: q*sqrt(r) = sqrt(q^2 r)
-        body = f"sqrt({_fraction_text(magnitude * magnitude * s.rad)})"
+        body = f"sqrt({_fraction_text(folded)})"
+    else:
+        # the folded radicand carries b^2 and would pass the parser's cap
+        body = f"sqrt({_unfolded_radicand(s)})/{magnitude.denominator}"
     if s.im == 0:
         return body if coef > 0 else body + "/i/i"
     if coef > 0:
@@ -500,10 +533,9 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
                 )
     check_size_guards(dims)
     vector = np.zeros(math.prod(dims), dtype=np.complex128)
-    for idx, table in _walk(node).items():
-        flat = 0
-        for x, n in zip(idx, dims):
-            flat = flat * n + x
+    amps = _walk(node)
+    totals = []
+    for idx, table in amps.items():
         total = 0j
         try:
             for rad, (re, im) in table.items():
@@ -513,5 +545,7 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
         if not cmath.isfinite(total):
             label = ",".join(map(str, idx))
             raise ValidationError(f"amplitude of |{label}> overflows a float")
-        vector[flat] = total
+        totals.append(total)
+    multi = np.array(list(amps), dtype=np.intp).reshape(-1, arity)
+    vector[np.ravel_multi_index(multi.T, dims)] = totals
     return PureState(dims, vector)

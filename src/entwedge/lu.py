@@ -11,11 +11,12 @@ of to numpy internals.
 The experiment itself applies one independent Haar unitary per
 subsystem and reports how far the measure moves.  It asserts nothing
 about the deviations; it only reports them.  Trials run in chunks: each
-trial draws from its own substream, then Gram-Schmidt, the unitarity
-check and the rotation run once over the chunk's stack of trials.  Every
-step after the draw works within one trial's matrices, so a trial's
-deviation is bitwise the same whatever the chunk size, and equal to the
-single-trial path through ``haar_unitary`` and ``apply_local``.
+trial draws from its own substream, then the QR factorization with its
+phase fix, the unitarity check and the rotation run once over the
+chunk's stack of trials.  Every step after the draw works within one
+trial's matrices, so a trial's deviation is bitwise the same whatever
+the chunk size, and equal to the single-trial path through
+``haar_unitary`` and ``apply_local``.
 """
 
 from __future__ import annotations
@@ -98,24 +99,19 @@ def _haar_stack(normals: np.ndarray, dim: int) -> np.ndarray:
 
     Row t of ``normals`` (shape ``(T, 2 dim^2)``) holds the real parts
     and then the imaginary parts of a row-major complex Gaussian matrix,
-    as drawn by :func:`haar_unitary`.  Modified Gram-Schmidt runs on the
-    ``(T, dim, dim)`` stack: each column is normalized and then
-    projected out of every later column, so column j sees the
-    projections against columns 0, 1, ... in order, as in the
-    column-by-column loop.  Every reduction runs within one matrix, so a
-    matrix's result does not depend on what else is in the stack.
+    as drawn by :func:`haar_unitary`.  The ``(T, dim, dim)`` stack is
+    factored as ``Z = QR`` in one call, and column k of each Q is
+    multiplied by the phase ``r_kk / |r_kk|`` so that R's diagonal
+    becomes real and positive; without this phase fix Q is not Haar
+    distributed (Mezzadri, Notices AMS 54, 592 (2007)).  LAPACK
+    factors each matrix on its own, so a matrix's result does not
+    depend on what else is in the stack.
     """
     sq = dim * dim
-    q = (normals[:, :sq] + 1j * normals[:, sq:]).reshape(-1, dim, dim)
-    for k in range(dim):
-        col = q[:, :, k]
-        norm = np.sqrt(np.einsum("ti,ti->t", col.real, col.real)
-                       + np.einsum("ti,ti->t", col.imag, col.imag))
-        col /= norm[:, None]
-        rest = q[:, :, k + 1:]
-        coef = np.einsum("ti,tij->tj", col.conj(), rest)
-        rest -= col[:, :, None] * coef[:, None, :]
-    return q
+    z = (normals[:, :sq] + 1j * normals[:, sq:]).reshape(-1, dim, dim)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _check_unitary(stack: np.ndarray) -> None:
@@ -130,13 +126,12 @@ def _check_unitary(stack: np.ndarray) -> None:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
-    """Haar-distributed unitary from Gram-Schmidt on a Gaussian matrix.
+    """Haar-distributed unitary from the QR factorization of a Gaussian
+    matrix.
 
-    Columns of an iid complex Gaussian matrix are orthonormalized by
-    modified Gram-Schmidt.  The triangular factor this produces has real
-    positive diagonal (each entry is a column norm), so the column-phase
-    correction that a general QR factorization would require is already
-    the identity and the orthonormalized matrix is itself the sample.
+    An iid complex Gaussian matrix is factored as ``QR`` and each column
+    of Q is multiplied by the phase of the matching diagonal entry of R,
+    which makes the factorization unique and the sample Haar.
     """
     if dim < 1:
         raise DimensionMismatchError(f"dim must be positive, got {dim}")

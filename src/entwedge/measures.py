@@ -27,8 +27,7 @@ from .errors import (
     WrongArityError,
     WrongDimsError,
 )
-from .states import PureState, validate
-from .states import normalize as _normalize_state
+from .states import PureState, is_finite, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -56,11 +55,11 @@ class MeasureConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.norm_constant < math.inf:
+        if not (is_finite(self.norm_constant) and self.norm_constant > 0):
             raise WrongDimsError(
                 f"norm_constant must be positive and finite, got {self.norm_constant}"
             )
-        if not 0 <= self.tol < math.inf:
+        if not (is_finite(self.tol) and self.tol >= 0):
             raise WrongDimsError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
@@ -93,13 +92,6 @@ def check_measure_size(state: PureState) -> None:
         )
 
 
-def _prepared(state: PureState, cfg: MeasureConfig, normalize: bool) -> PureState:
-    if normalize:
-        return _normalize_state(state)
-    validate(state, cfg.tol)
-    return state
-
-
 def _finish(kind: MeasureKind, cfg: MeasureConfig, term_sum: float) -> MeasureResult:
     value = math.sqrt(cfg.norm_constant * term_sum)
     return MeasureResult(kind, value, cfg.norm_constant, term_sum)
@@ -108,8 +100,6 @@ def _finish(kind: MeasureKind, cfg: MeasureConfig, term_sum: float) -> MeasureRe
 def bipartite_concurrence(
     state: PureState,
     cfg: MeasureConfig = DEFAULT_CONFIG,
-    *,
-    normalize: bool = False,
 ) -> MeasureResult:
     """Concurrence of a two-subsystem pure state.
 
@@ -125,8 +115,6 @@ def bipartite_concurrence(
         Two-subsystem state; refused otherwise.
     cfg : MeasureConfig
         Norm constant and normalization tolerance.
-    normalize : bool
-        Rescale the input to unit norm instead of refusing it.
 
     Raises
     ------
@@ -136,15 +124,15 @@ def bipartite_concurrence(
         If the total dimension exceeds 4096 (the minor sum is quadratic
         in it).
     NotNormalizedError
-        If the squared norm is off by more than ``cfg.tol`` and
-        ``normalize`` is not set.
+        If the squared norm is off by more than ``cfg.tol``; rescale
+        with :func:`~entwedge.states.normalize` first to accept it.
     """
     if state.num_subsystems != 2:
         raise WrongArityError(
             f"bipartite concurrence needs 2 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    state = _prepared(state, cfg, normalize)
+    validate(state, cfg.tol)
     mat = state.tensor  # rows over the first subsystem
     term_sum = _kernels.minor_pair_sum(np.ascontiguousarray(mat))
     return _finish(MeasureKind.BIPARTITE_CONCURRENCE, cfg, term_sum)
@@ -153,8 +141,6 @@ def bipartite_concurrence(
 def pair_qubit_concurrence(
     state: PureState,
     cfg: MeasureConfig = DEFAULT_CONFIG,
-    *,
-    normalize: bool = False,
 ) -> MeasureResult:
     """Two-qubit closed form ``2 |a_00 a_11 - a_10 a_01|`` (at the default
     norm constant).
@@ -165,7 +151,7 @@ def pair_qubit_concurrence(
     """
     if state.dims != (2, 2):
         raise WrongDimsError(f"pair-qubit concurrence needs dims (2, 2), got {state.dims}")
-    state = _prepared(state, cfg, normalize)
+    validate(state, cfg.tol)
     a = state.amplitudes
     det = a[0] * a[3] - a[2] * a[1]
     term_sum = 2.0 * (det.real * det.real + det.imag * det.imag)
@@ -209,8 +195,6 @@ def _checked_index(state: PureState, K) -> tuple[int, ...]:
 def multipartite_measure(
     state: PureState,
     cfg: MeasureConfig = DEFAULT_CONFIG,
-    *,
-    normalize: bool = False,
 ) -> MeasureResult:
     """Wedge measure over all multi-index pairs and all slots.
 
@@ -226,8 +210,6 @@ def multipartite_measure(
         At least two subsystems, total dimension at most 4096.
     cfg : MeasureConfig
         Norm constant and normalization tolerance.
-    normalize : bool
-        Rescale the input to unit norm instead of refusing it.
 
     Raises
     ------
@@ -237,15 +219,15 @@ def multipartite_measure(
         If the total dimension exceeds 4096 (the pair sum is quadratic
         in it).
     NotNormalizedError
-        If the squared norm is off by more than ``cfg.tol`` and
-        ``normalize`` is not set.
+        If the squared norm is off by more than ``cfg.tol``; rescale
+        with :func:`~entwedge.states.normalize` first to accept it.
     """
     if state.num_subsystems < 2:
         raise WrongArityError(
             f"multipartite measure needs at least 2 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    state = _prepared(state, cfg, normalize)
+    validate(state, cfg.tol)
     term_sum = _kernels.swap_term_sum(state.amplitudes, state.dims)
     return _finish(MeasureKind.MULTIPARTITE_E, cfg, term_sum)
 
@@ -268,8 +250,6 @@ def resolve_measure(selector: str, num_subsystems: int):
 def tripartite_measure(
     state: PureState,
     cfg: MeasureConfig = DEFAULT_CONFIG,
-    *,
-    normalize: bool = False,
 ) -> MeasureResult:
     """Three-subsystem measure written out as three explicit slot terms.
 
@@ -283,7 +263,7 @@ def tripartite_measure(
             f"tripartite measure needs 3 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    state = _prepared(state, cfg, normalize)
+    validate(state, cfg.tol)
     A = state.tensor
     n1, n2, n3 = A.shape
     D = A.size

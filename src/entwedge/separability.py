@@ -7,14 +7,13 @@ moduli (each counted twice); it equals ``1 - purity`` of either side's
 reduced density matrix, which the tests verify as an independent route.
 
 For a fully separable state the per-subsystem factors are recovered as
-dominant eigenvectors of the subsystem Gram matrices, by plain power
-iteration, and the tensor product of the factors is checked against the
-input up to a global phase.
+the top eigenvectors of the subsystem Gram matrices, from a Hermitian
+eigensolver, and the tensor product of the factors is checked against
+the input up to a global phase.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -23,13 +22,9 @@ import numpy as np
 from . import _kernels
 from .errors import InvalidPartitionError, ValidationError
 from .measures import check_measure_size
-from .states import Bipartition, PureState, enumerate_bipartitions, matricize, validate
+from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, matricize, validate
 
 DEFAULT_THRESHOLD = 1e-10
-
-# Power-iteration controls for certificate extraction.
-POWER_TOL = 1e-12
-POWER_MAX_ITERS = 10000
 
 # A certificate must rebuild the state, up to global phase, this closely.
 CERTIFICATE_TOL = 1e-8
@@ -72,7 +67,7 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
 
 def _check_threshold(threshold: float) -> None:
     # NaN would call every split entangled, and inf every split separable
-    if not math.isfinite(threshold):
+    if not is_finite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
 
 
@@ -129,7 +124,8 @@ def separability_report(
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rotate so the largest-modulus component (first occurrence) is real
-    and nonnegative, making the iteration and its limit deterministic."""
+    and nonnegative, making the factor independent of the eigensolver's
+    choice of phase."""
     k = int(np.argmax(np.abs(v)))
     z = v[k]
     if z == 0:
@@ -138,23 +134,9 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def _dominant_factor(mat: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector of ``mat`` via power iteration on
-    its Gram matrix, started from the largest diagonal entry."""
-    gram = mat @ mat.conj().T
-    n = gram.shape[0]
-    x = np.zeros(n, dtype=np.complex128)
-    x[int(np.argmax(np.diag(gram).real))] = 1.0
-    for _ in range(POWER_MAX_ITERS):
-        y = gram @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            break  # start vector sits in the kernel; keep what we have
-        y = _phase_fixed(y / norm)
-        done = float(np.linalg.norm(y - x)) <= POWER_TOL
-        x = y
-        if done:
-            break
-    x = x.copy()
+    """Dominant left singular vector of ``mat``: the eigenvector of its
+    Gram matrix with the largest eigenvalue, phase-fixed and read-only."""
+    x = _phase_fixed(np.linalg.eigh(mat @ mat.conj().T)[1][:, -1])
     x.setflags(write=False)
     return x
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import IoError, SchemaError
-from .states import PureState, check_size_guards
+from .states import PureState, check_size_guards, is_finite
 
 
 def _require_int(value, where: str) -> int:
@@ -33,15 +33,11 @@ def _require_int(value, where: str) -> int:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    # Python's json reads NaN, Infinity and 1e999 (as inf); an integer
-    # literal past the float range overflows in the conversion
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    # Python's json reads NaN, Infinity, 1e999 (as inf) and integer
+    # literals past the float range
+    if not is_finite(value):
         raise SchemaError(f"{where}: expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _parse_document(doc) -> PureState:
@@ -67,10 +63,6 @@ def _parse_document(doc) -> PureState:
     # allocated, so a hostile document cannot ask for a giant buffer.
     check_size_guards(dims)
 
-    strides = [1] * len(dims)
-    for j in range(len(dims) - 2, -1, -1):
-        strides[j] = strides[j + 1] * dims[j + 1]
-
     entries = {}
     for pos, raw in enumerate(doc["amplitudes"]):
         where = f"amplitudes[{pos}]"
@@ -88,23 +80,22 @@ def _parse_document(doc) -> PureState:
             raise SchemaError(
                 f"{where}.idx: has {len(raw['idx'])} entries for {len(dims)} dims"
             )
-        flat = 0
         for slot, value in enumerate(raw["idx"]):
             x = _require_int(value, f"{where}.idx[{slot}]")
             if not 0 <= x < dims[slot]:
                 raise SchemaError(
                     f"{where}.idx[{slot}]: index {x} out of range for dim {dims[slot]}"
                 )
-            flat += x * strides[slot]
-        if flat in entries:
+        idx = tuple(raw["idx"])
+        if idx in entries:
             raise SchemaError(f"{where}.idx: duplicate multi-index {raw['idx']}")
         re = _require_number(raw["re"], f"{where}.re")
         im = _require_number(raw["im"], f"{where}.im")
-        entries[flat] = complex(re, im)
+        entries[idx] = complex(re, im)
 
     vector = np.zeros(math.prod(dims), dtype=np.complex128)
-    for flat, value in entries.items():
-        vector[flat] = value
+    multi = np.array(list(entries), dtype=np.intp).reshape(-1, len(dims))
+    vector[np.ravel_multi_index(multi.T, dims)] = list(entries.values())
     return PureState(tuple(dims), vector)
 
 

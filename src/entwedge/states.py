@@ -61,6 +61,15 @@ def check_size_guards(dims) -> None:
         )
 
 
+def is_finite(value) -> bool:
+    """True for a finite real number.  An integer past the float range
+    counts as infinite, where ``math.isfinite`` would raise on it."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _frozen_complex_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if shape is not None:
@@ -87,6 +96,8 @@ class PureState:
         If the amplitude count does not equal ``prod(dims)``.
     TooLargeError
         If ``m > 8`` or ``prod(dims) > 2**20``.
+    ValidationError
+        If an amplitude is an integer too large for a float.
     """
 
     dims: tuple[int, ...]
@@ -98,7 +109,10 @@ class PureState:
             raise InvalidPartitionError(f"dims must be positive, got {dims}")
         check_size_guards(dims)
         total = math.prod(dims)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        try:
+            amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        except OverflowError:
+            raise ValidationError("an amplitude is too large for a float") from None
         if amps.size != total:
             raise LengthMismatchError(
                 f"got {amps.size} amplitudes for dims {dims} (need {total})"

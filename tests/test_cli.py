@@ -302,6 +302,14 @@ class TestExitCodes:
         assert code == 1
         assert "cap" in err
 
+    def test_deep_nesting_is_one(self, capsys):
+        # 400 levels would exhaust the recursive parser's stack without the cap
+        code, out, err = run_cli(capsys, "parse", "--expr", "(" * 400 + "|0>" + ")" * 400)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parentheses nest deeper than the cap of 64")
+        assert "Traceback" not in err
+
     def test_parse_subcommand_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "parse", "--expr", "|0,")
         assert code == 1

@@ -21,6 +21,7 @@ from entwedge.errors import (
     ValidationError,
 )
 from entwedge.ketlang import (
+    MAX_NESTING,
     MAX_RADICAND,
     ExactScalar,
     KetNode,
@@ -122,6 +123,57 @@ def peak_bytes_and_seconds(fn) -> tuple[int, float]:
     finally:
         tracemalloc.stop()
     return peak, seconds
+
+
+def decimal_text(digits: int, places: int) -> str:
+    text = str(digits).rjust(places + 1, "0")
+    return text[:-places] + "." + text[-places:]
+
+
+def atoms(nonzero: bool):
+    low = 1 if nonzero else 0
+    return st.one_of(
+        st.integers(low, 10 ** 12).map(str),
+        st.builds(decimal_text, st.integers(low, 10 ** 9), st.integers(1, 12)),
+        st.just("i"),
+        st.builds("sqrt({}/{})".format, st.integers(1, 1000), st.integers(1, 1000)),
+    )
+
+
+# scalar := atom ('/' atom)*, never dividing by zero
+SCALARS = st.builds(
+    lambda first, rest: "/".join([first, *rest]),
+    atoms(nonzero=False),
+    st.lists(atoms(nonzero=True), max_size=2),
+)
+
+
+def kets(arity: int):
+    indices = st.lists(st.integers(0, 3), min_size=arity, max_size=arity)
+    return indices.map(lambda xs: "|" + ",".join(map(str, xs)) + ">")
+
+
+def expressions(arity: int, depth: int):
+    """Ket expression text with ``arity`` slots and at most ``depth``
+    levels of parentheses."""
+    factors = kets(arity)
+    if depth > 0:
+        inner = expressions(arity, depth - 1).map("({})".format)
+        factors = st.one_of(factors, inner)
+        if arity > 1:
+            split = st.tuples(expressions(1, depth - 1), expressions(arity - 1, depth - 1))
+            factors = st.one_of(factors, split.map(lambda pair: "({}) ({})".format(*pair)))
+    terms = st.builds(
+        lambda scalars, factor: " ".join([*scalars, factor]),
+        st.lists(SCALARS, max_size=2),
+        factors,
+    )
+    return st.builds(
+        lambda lead, first, rest: lead + first + "".join(f" {op} {t}" for op, t in rest),
+        st.sampled_from(["", "+", "-"]),
+        terms,
+        st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=2),
+    )
 
 
 class TestExactScalar:
@@ -263,6 +315,38 @@ class TestParsing:
             ExactScalar.make(1, 0, 2)
         )
 
+    def test_nesting_cap(self):
+        assert MAX_NESTING == 64
+        for depth in (MAX_NESTING + 1, 400):
+            text = "(" * depth + "|0>" + ")" * depth
+            with pytest.raises(KetSyntaxError) as info:
+                parse_ket(text)
+            assert info.value.column == MAX_NESTING + 1
+            assert "cap" in str(info.value)
+
+    def test_nesting_at_cap(self):
+        # every level is a product, so pretty keeps all but the outer
+        # parentheses and the evaluator walks the full depth
+        text = "(i " * MAX_NESTING + "|0>" + ")" * MAX_NESTING
+        expr = parse_ket(text)
+        assert parse_ket(pretty(expr)).root == expr.root
+        assert pretty(expr).count("(") == MAX_NESTING - 1
+        state = evaluate(expr)
+        assert state.amplitudes[0] == 1.0  # i**64
+
+    @pytest.mark.parametrize("text", ["1000000000/sqrt(3) |0>", "sqrt(2)/0.000000001 |0>"])
+    def test_scalar_without_printable_radicand_refused(self, text):
+        # 10**9 sqrt(3)/3 and 10**9 sqrt(2) need a radicand past the cap
+        # in any printed form
+        with pytest.raises(KetSyntaxError) as info:
+            parse_ket(text)
+        assert info.value.column == text.index("/") + 1
+        assert "cap" in str(info.value)
+        # the same value is fine once a later division shrinks it again
+        assert parse_ket("1000000000/sqrt(3)/1000000000").root.value == (
+            ExactScalar.make(1, 0, Fraction(1, 3))
+        )
+
     def test_whitespace_ignored(self):
         assert parse_ket("  |0,0>   +|1,1> ").root == parse_ket("|0,0>+|1,1>").root
 
@@ -293,6 +377,28 @@ class TestPretty:
         assert pretty(parse_ket("2/i")) == "2/i"
         assert pretty(parse_ket("i")) == "i"
         assert parse_ket("1/i/i").root.value == ExactScalar.make(-1)
+
+    def test_radicand_past_cap_prints_unfolded(self):
+        # folded under the root this would print sqrt(1/500000000000000000)
+        expr = parse_ket("sqrt(2)/1000000000 |0>")
+        assert pretty(expr) == "sqrt(2)/1000000000 |0>"
+        assert parse_ket(pretty(expr)).root == expr.root
+        assert pretty(parse_ket("-sqrt(2)/1000000000/i")) == "-sqrt(2)/1000000000/i"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of([expressions(arity, 2) for arity in (1, 2, 3)]))
+    @example("sqrt(2)/1000000000 |0>")
+    @example("sqrt(3)/2 |1>")
+    def test_generated_round_trip(self, text):
+        try:
+            expr = parse_ket(text)
+        except KetSyntaxError as exc:
+            # the only refusal the generator can hit is a radicand cap
+            assert "cap" in str(exc)
+            return
+        printed = pretty(expr)
+        assert parse_ket(printed).root == expr.root
+        assert pretty(parse_ket(printed)) == printed
 
     def test_mixed_scalar_cannot_print(self):
         node = ScalarNode(ExactScalar.make(1, 1))
@@ -397,3 +503,25 @@ class TestGuardsBeforeExpansion:
         state = evaluate(parse_ket("(|0>+|1>)" * 8))
         assert state.dims == (2,) * 8
         assert np.all(state.amplitudes == 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            # more than 8 slots, as one ket or as a product of sums
+            st.integers(9, 40).map(lambda k: "|" + ",".join(["1"] * k) + ">"),
+            st.integers(9, 40).map(lambda k: "(|0>+|1>)" * k),
+            # a total dimension past 2**20 from one large index
+            st.builds(
+                lambda small, big, at: " ".join(
+                    f"(|0>+|{x}>)" for x in small[:at] + [big] + small[at:]
+                ),
+                st.lists(st.integers(0, 40), max_size=7),
+                st.integers(2 ** 20, 10 ** 12),
+                st.integers(0, 7),
+            ),
+        )
+    )
+    def test_generated_oversized_expressions(self, text):
+        expr = parse_ket(text)
+        peak, _ = peak_bytes_and_seconds(lambda: evaluate(expr))
+        assert peak < 1 << 20

@@ -15,6 +15,7 @@ from entwedge import (
     bipartite_concurrence,
     haar_unitary,
     invariance_experiment,
+    normalize,
     partial_trace,
     purity,
     resolve_measure,
@@ -81,7 +82,7 @@ class TestHaarUnitary:
         with pytest.raises(DimensionMismatchError):
             haar_unitary(0, trial_rng(0, 0))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 64])
     def test_matches_column_loop_reference(self, dim):
         # textbook modified Gram-Schmidt, one column at a time, on the
         # same draws; summation order differs, so agree to rounding
@@ -145,7 +146,7 @@ class TestApplyLocal:
         gates = [haar_unitary(2, trial_rng(8, 0)), UnitaryGate(2, np.eye(2))]
         rotated = apply_local(state, gates)
         c0 = bipartite_concurrence(state).value
-        c1 = bipartite_concurrence(rotated, normalize=True).value
+        c1 = bipartite_concurrence(normalize(rotated)).value
         assert c1 == pytest.approx(c0, abs=1e-10)
 
     def test_matches_tensordot_reference(self, rng):

@@ -13,6 +13,7 @@ from entwedge import (
     PureState,
     bipartite_concurrence,
     multipartite_measure,
+    normalize,
     pair_coefficient,
     pair_qubit_concurrence,
     partial_trace,
@@ -152,7 +153,7 @@ class TestBipartite:
 
     def test_normalize_flag(self):
         amps = np.array([3.0, 0.0, 0.0, 3.0], dtype=np.complex128)
-        result = bipartite_concurrence(PureState((2, 2), amps), normalize=True)
+        result = bipartite_concurrence(normalize(PureState((2, 2), amps)))
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
 

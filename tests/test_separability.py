@@ -14,6 +14,7 @@ from entwedge import (
     is_product_state,
     matricize,
     multipartite_measure,
+    normalize,
     partial_trace,
     partition_residual,
     purity,
@@ -25,6 +26,7 @@ from entwedge.errors import (
     TooLargeError,
     ValidationError,
 )
+from entwedge.separability import CERTIFICATE_TOL
 from conftest import (
     bell_state,
     bell_x_bell_state,
@@ -160,6 +162,25 @@ class TestReport:
             rebuilt = reduce(np.kron, report.certificate)
             overlap = np.vdot(rebuilt, state.amplitudes)
             assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("dims", [(16, 16), (64, 64)])
+    def test_near_product_certificate(self, rng, dims):
+        # a 1e-9 perturbation leaves residuals near 1e-18, far below the
+        # threshold; (64, 64) is the largest size the measure guard allows
+        noise = random_state(rng, dims).amplitudes
+        amps = random_product_state(rng, dims).amplitudes + 1e-9 * noise
+        state = normalize(PureState(dims, amps))
+        report = separability_report(state)
+        assert report.fully_separable
+        assert report.certificate_error <= CERTIFICATE_TOL
+        for j, factor in enumerate(report.certificate, start=1):
+            top = np.linalg.svd(matricize(state, Bipartition((j,), len(dims))))[0][:, 0]
+            overlap = np.vdot(top, factor)
+            np.testing.assert_allclose(
+                factor, top * (overlap / abs(overlap)), rtol=0, atol=1e-12
+            )
+        again = separability_report(state).certificate
+        assert [f.tobytes() for f in again] == [f.tobytes() for f in report.certificate]
 
     def test_loose_threshold_is_caught_by_certificate(self):
         # verdicts follow the threshold, but the reconstruction error
