@@ -6,17 +6,22 @@ generator, so trial k is reproducible in isolation and independent of
 how many trials run around it.  Normal variates come from an explicit
 Box-Muller transform of uniform doubles rather than the generator's own
 normal method, pinning the exact variate stream to this module instead
-of to numpy internals.
+of to numpy internals.  A uniform double is ``(w >> 11) * 2**-53`` for a
+raw 64-bit PCG64 word ``w``, which is what ``Generator.random`` returns
+on PCG64.
 
 The experiment itself applies one independent Haar unitary per
 subsystem and reports how far the measure moves.  It asserts nothing
-about the deviations; it only reports them.  Trials run in chunks: each
-trial draws from its own substream, then the QR factorization with its
-phase fix, the unitarity check and the rotation run once over the
-chunk's stack of trials.  Every step after the draw works within one
-trial's matrices, so a trial's deviation is bitwise the same whatever
-the chunk size, and equal to the single-trial path through
-``haar_unitary`` and ``apply_local``.
+about the deviations; it only reports them.  Trials run in chunks.  The
+only per-trial step is the seeding: each trial's PCG64 fills one row of
+the chunk's raw-word buffer.  Everything after that runs once over the
+chunk's stack of trials: the conversion to uniforms, Box-Muller per
+slot, the QR factorization with its phase fix, the unitarity check, the
+rotation and the norm check of the rotated states.  The re-measure then
+calls the measure's own kernel on each rotated row.  Every step works
+within one trial's numbers, so a trial's deviation is bitwise the same
+whatever the chunk size, and equal to the single-trial path through
+``haar_unitary``, ``apply_local`` and the public measure.
 """
 
 from __future__ import annotations
@@ -27,8 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DEFAULT_CONFIG, MeasureConfig, check_measure_size, resolve_measure
-from .states import PureState, validate
+from .measures import (
+    DEFAULT_CONFIG,
+    MeasureConfig,
+    check_measure_size,
+    measure_amplitudes,
+    resolve_measure,
+)
+from .states import PureState, check_unit_norms, validate
 
 UNITARITY_TOL = 1e-10
 
@@ -74,24 +85,59 @@ class InvarianceRun:
     deviations: tuple | None
 
 
+def _trial_bits(seed: int, trial: int) -> np.random.PCG64:
+    """PCG64 for one trial's substream, independent of all others."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
+    return np.random.PCG64(seq)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Generator for one trial's substream, independent of all others."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.Generator(_trial_bits(seed, trial))
 
 
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on uniform doubles.
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Box-Muller along the last axis: the cosine normals of each row,
+    then its sine normals.
 
     ``log1p(-u)`` keeps the argument strictly positive since ``u`` is
     drawn from [0, 1).
     """
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * math.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
+def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n standard normals via Box-Muller on uniform doubles."""
     pairs = (n + 1) // 2
     u1 = rng.random(pairs)
     u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * math.pi * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+    return _box_muller(u1, u2)[:n]
+
+
+def _chunk_normals(seed: int, lo: int, count: int, dims) -> list:
+    """The normals of trials ``lo .. lo + count - 1``, one ``(count, 2 n^2)``
+    array per slot.
+
+    Row t of slot j's array is bitwise ``standard_normals(rng, 2 n_j^2)``
+    for ``rng = trial_rng(seed, lo + t)`` after the earlier slots' draws:
+    each slot uses ``n_j^2`` uniforms for the radii, then ``n_j^2`` for
+    the angles.
+    """
+    total = sum(2 * n * n for n in dims)
+    raw = np.empty((count, total), dtype=np.uint64)
+    for t in range(count):
+        raw[t] = _trial_bits(seed, lo + t).random_raw(total)
+    uniforms = (raw >> np.uint64(11)) * 2.0 ** -53
+    normals = []
+    start = 0
+    for n in dims:
+        sq = n * n
+        normals.append(_box_muller(uniforms[:, start:start + sq],
+                                   uniforms[:, start + sq:start + 2 * sq]))
+        start += 2 * sq
+    return normals
 
 
 def _haar_stack(normals: np.ndarray, dim: int) -> np.ndarray:
@@ -203,8 +249,7 @@ def invariance_experiment(
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
     check_measure_size(state)
     validate(state, cfg.tol)
-    fn = resolve_measure(measure, state.num_subsystems)
-    baseline = fn(state, cfg)
+    baseline = resolve_measure(measure, state.num_subsystems)(state, cfg)
     dims = state.dims
     keep = trials <= PER_TRIAL_CAP
     deviations = []
@@ -212,17 +257,14 @@ def invariance_experiment(
     step = _chunk_trials(dims)
     for lo in range(0, trials, step):
         count = min(step, trials - lo)
-        normals = [np.empty((count, 2 * n * n)) for n in dims]
-        for t in range(count):
-            rng = trial_rng(seed, lo + t)
-            for slot, n in zip(normals, dims):
-                slot[t] = standard_normals(rng, 2 * n * n)
+        normals = _chunk_normals(seed, lo, count, dims)
         stacks = [_haar_stack(slot, n) for slot, n in zip(normals, dims)]
         for gates in stacks:
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)
+        check_unit_norms(rotated, cfg.tol)
         for t in range(count):
-            d = fn(PureState(dims, rotated[t]), cfg).value - baseline.value
+            d = measure_amplitudes(baseline.kind, rotated[t], dims, cfg).value - baseline.value
             # seeded by the first deviation, as max() over the list is,
             # so a NaN there still shows
             max_abs = max(max_abs, abs(d)) if lo + t else abs(d)

@@ -97,6 +97,24 @@ def _finish(kind: MeasureKind, cfg: MeasureConfig, term_sum: float) -> MeasureRe
     return MeasureResult(kind, value, cfg.norm_constant, term_sum)
 
 
+def measure_amplitudes(
+    kind: MeasureKind, amps: np.ndarray, dims, cfg: MeasureConfig
+) -> MeasureResult:
+    """The ``kind`` measure of a flat amplitude vector over ``dims``.
+
+    Trusts its input: the caller has already checked the arity, the size
+    guard and the norm.  :func:`bipartite_concurrence`,
+    :func:`multipartite_measure` and the invariance experiment's
+    re-measure all end here, so each quantity has one implementation.
+    """
+    if kind is MeasureKind.BIPARTITE_CONCURRENCE:
+        # rows over the first subsystem
+        term_sum = _kernels.minor_pair_sum(amps.reshape(dims))
+    else:
+        term_sum = _kernels.swap_term_sum(amps, dims)
+    return _finish(kind, cfg, term_sum)
+
+
 def bipartite_concurrence(
     state: PureState,
     cfg: MeasureConfig = DEFAULT_CONFIG,
@@ -133,9 +151,9 @@ def bipartite_concurrence(
         )
     check_measure_size(state)
     validate(state, cfg.tol)
-    mat = state.tensor  # rows over the first subsystem
-    term_sum = _kernels.minor_pair_sum(np.ascontiguousarray(mat))
-    return _finish(MeasureKind.BIPARTITE_CONCURRENCE, cfg, term_sum)
+    return measure_amplitudes(
+        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes, state.dims, cfg
+    )
 
 
 def pair_qubit_concurrence(
@@ -228,8 +246,7 @@ def multipartite_measure(
         )
     check_measure_size(state)
     validate(state, cfg.tol)
-    term_sum = _kernels.swap_term_sum(state.amplitudes, state.dims)
-    return _finish(MeasureKind.MULTIPARTITE_E, cfg, term_sum)
+    return measure_amplitudes(MeasureKind.MULTIPARTITE_E, state.amplitudes, state.dims, cfg)
 
 
 def resolve_measure(selector: str, num_subsystems: int):

@@ -79,8 +79,9 @@ def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> 
     m = state.num_subsystems
     if m < 2:
         return True  # nothing to split
+    # checked once above, so each split calls the kernel directly
     return all(
-        partition_residual(state, Bipartition((j,), m)) <= threshold
+        _kernels.minor_pair_sum(matricize(state, Bipartition((j,), m))) <= threshold
         for j in range(1, m + 1)
     )
 
@@ -103,7 +104,7 @@ def separability_report(
         raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
     per = {}
     for part in enumerate_bipartitions(m):
-        residual = partition_residual(state, part)
+        residual = _kernels.minor_pair_sum(matricize(state, part))
         per[part] = PartitionVerdict(residual, residual <= threshold)
     # Singleton splits decide full separability; on two subsystems the
     # {2} split canonicalizes to {1}, so look keys up in canonical form.

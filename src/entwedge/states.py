@@ -225,14 +225,29 @@ def validate(state: PureState, tol: float = DEFAULT_NORM_TOL) -> None:
 
     Raises
     ------
+    ValidationError
+        If ``tol`` is negative or not finite, before the norm is read.
     NotNormalizedError
         Carrying the actual norm unless ``|sum |a|^2 - 1| <= tol``, so a
-        non-finite amplitude or tolerance is refused too.
+        non-finite amplitude is refused too.
     """
-    sq = float(np.sum(np.abs(state.amplitudes) ** 2))
+    if not (is_finite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be nonnegative and finite, got {tol!r}")
+    check_unit_norms(state.amplitudes[None], tol)
+
+
+def check_unit_norms(rows: np.ndarray, tol: float) -> None:
+    """Refuse a ``(T, D)`` stack of amplitude rows unless every row's
+    squared norm is within ``tol`` of 1, in one reduction over the stack.
+
+    The first failing row raises :class:`NotNormalizedError` with its
+    norm.  ``tol`` is trusted here; :func:`validate` checks it.
+    """
+    sq = np.sum(np.abs(rows) ** 2, axis=1)
     # written as "not <=" because every comparison with NaN is False
-    if not abs(sq - 1.0) <= tol:
-        raise NotNormalizedError(math.sqrt(sq), tol)
+    bad = np.flatnonzero(~(np.abs(sq - 1.0) <= tol))
+    if bad.size:
+        raise NotNormalizedError(math.sqrt(sq[bad[0]]), tol)
 
 
 def normalize(state: PureState) -> PureState:

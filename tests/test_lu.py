@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwedge import (
     InvarianceRun,
@@ -23,7 +27,12 @@ from entwedge import (
     trial_rng,
 )
 from entwedge import lu
-from entwedge.errors import DimensionMismatchError, TooLargeError, ValidationError
+from entwedge.errors import (
+    DimensionMismatchError,
+    NotNormalizedError,
+    TooLargeError,
+    ValidationError,
+)
 from conftest import bell_state, ghz_state, random_state
 
 
@@ -302,3 +311,124 @@ class TestBatchedTrials:
         state = PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
         with pytest.raises(TooLargeError):
             invariance_experiment(state, trials=5)
+
+
+class TestChunkDraws:
+    def test_uniform_doubles_are_shifted_raw_words(self):
+        # the chunk path turns raw PCG64 words into uniforms itself; if
+        # numpy ever changes Generator.random on PCG64, this fails first
+        for seed in (0, 5, 2**64 - 1):
+            expected = np.random.Generator(np.random.PCG64(seed)).random(1000)
+            raw = np.random.PCG64(seed).random_raw(1000)
+            np.testing.assert_array_equal((raw >> np.uint64(11)) * 2.0**-53, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+        seed=st.integers(0, 2**64 - 1),
+        lo=st.integers(0, 10**6),
+        count=st.integers(1, 4),
+    )
+    def test_rows_match_per_trial_draws(self, dims, seed, lo, count):
+        normals = lu._chunk_normals(seed, lo, count, dims)
+        assert [slot.shape for slot in normals] == [(count, 2 * n * n) for n in dims]
+        for t in range(count):
+            rng = trial_rng(seed, lo + t)
+            for slot, n in zip(normals, dims):
+                np.testing.assert_array_equal(slot[t], standard_normals(rng, 2 * n * n))
+
+
+class TestStackNormCheck:
+    def test_scaled_trial_is_refused(self, monkeypatch):
+        real_rotate = lu._rotate
+
+        def scaled(amps, dims, stacks):
+            rotated = real_rotate(amps, dims, stacks)
+            rotated[2] *= 1.0 + 1e-6  # trials 2 and 3 of the chunk leave the sphere
+            rotated[3] *= 2.0
+            return rotated
+
+        monkeypatch.setattr(lu, "_rotate", scaled)
+        with pytest.raises(NotNormalizedError) as info:
+            invariance_experiment(ghz_state(3), trials=5, seed=0)
+        # the first failing trial is the one reported
+        assert info.value.norm == pytest.approx(1.0 + 1e-6, rel=1e-12)
+        assert info.value.tol == lu.DEFAULT_CONFIG.tol
+
+
+def golden_state(dims):
+    k = np.arange(math.prod(dims))
+    vec = (k + 1) + 1j * ((k * 7) % 5 - 2)
+    return PureState(dims, vec / np.linalg.norm(vec))
+
+
+def numerics_fingerprint():
+    """Hash of the libm, LAPACK QR and BLAS matmul results on fixed inputs
+    that do not come from entwedge.  The deviations' last bits follow
+    these, so it names the platform the golden deviations hold on."""
+    parts = []
+    for n in (2, 3, 4):
+        u = (np.arange(1, 4 * n * n + 1) * 0.6180339887498949) % 1.0
+        sq = 2 * n * n
+        radius = np.sqrt(-2.0 * np.log1p(-u[:sq]))
+        angle = 2.0 * math.pi * u[sq:]
+        z = (radius * np.cos(angle) + 1j * radius * np.sin(angle)).reshape(2, n, n)
+        q, r = np.linalg.qr(z)
+        parts += [q, r, np.matmul(q[:, None], z.reshape(2, 1, n, n))]
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()[:16]
+
+
+# (dims, seed, measure, trials) -> baseline_value, then per platform
+# fingerprint: deviations, max_abs_deviation.  Recorded before the draws
+# and the re-measure ran as chunk stacks, on x86-64 with numpy 2.4 and its
+# bundled OpenBLAS 0.3.31: "70d3..." with the AVX-512 (SkylakeX) kernels,
+# "f00e..." with the Haswell/Zen ones.
+GOLDEN = [
+    (((2, 3), 7, "auto", 6), "0x1.1b7da6e39dc63p-1", {
+        "70d30828638ee746": (
+            ["0x1.0000000000000p-53", "0x1.8000000000000p-52", "0x1.0000000000000p-53",
+             "-0x1.0000000000000p-51", "-0x1.0000000000000p-52", "0x1.0000000000000p-53"],
+            "0x1.0000000000000p-51"),
+        "f00eac3ca9446df2": (
+            ["0x1.0000000000000p-53", "0x1.8000000000000p-52", "0x0.0p+0",
+             "-0x1.0000000000000p-51", "-0x1.0000000000000p-52", "-0x1.0000000000000p-53"],
+            "0x1.0000000000000p-51"),
+    }),
+    (((2, 2, 2), 2**64 - 1, "auto", 5), "0x1.2925937802c27p+0", {
+        "70d30828638ee746": (
+            ["-0x1.0000000000000p-52", "0x1.0000000000000p-51", "-0x1.0000000000000p-52",
+             "-0x1.0000000000000p-50", "-0x1.4000000000000p-50"],
+            "0x1.4000000000000p-50"),
+        "f00eac3ca9446df2": (
+            ["-0x1.0000000000000p-52", "0x1.8000000000000p-51", "0x1.0000000000000p-52",
+             "-0x1.0000000000000p-50", "-0x1.8000000000000p-51"],
+            "0x1.0000000000000p-50"),
+    }),
+    (((1, 3, 2), 2**63 + 5, "multipartite", 4), "0x1.cb8070f59d8bcp-1", {
+        "70d30828638ee746": (
+            ["-0x1.0000000000000p-52", "-0x1.0000000000000p-51", "-0x1.0000000000000p-53",
+             "-0x1.8000000000000p-52"],
+            "0x1.0000000000000p-51"),
+        "f00eac3ca9446df2": (
+            ["-0x1.8000000000000p-51", "-0x1.8000000000000p-52", "-0x1.8000000000000p-52",
+             "-0x1.0000000000000p-53"],
+            "0x1.8000000000000p-51"),
+    }),
+]
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("case, baseline, per_platform", GOLDEN)
+    def test_matches_recorded_run(self, case, baseline, per_platform):
+        dims, seed, measure, trials = case
+        run = invariance_experiment(golden_state(dims), trials=trials, seed=seed, measure=measure)
+        # the baseline runs no QR, matmul or libm call, so it holds to
+        # rounding everywhere and bitwise on the recording platforms
+        assert run.baseline_value == pytest.approx(float.fromhex(baseline), rel=1e-15, abs=0)
+        recorded = per_platform.get(numerics_fingerprint())
+        if recorded is None:
+            pytest.skip("libm, LAPACK or BLAS here round differently from the recording platforms")
+        deviations, max_abs = recorded
+        assert run.baseline_value.hex() == baseline
+        assert [d.hex() for d in run.deviations] == deviations
+        assert run.max_abs_deviation.hex() == max_abs

@@ -21,7 +21,7 @@ from entwedge import (
     separability_report,
     validate,
 )
-from entwedge.errors import SchemaError, ValidationError, WrongDimsError
+from entwedge.errors import NotNormalizedError, SchemaError, ValidationError, WrongDimsError
 from conftest import bell_state
 
 HUGE = st.integers(10 ** 399, 10 ** 400 - 1)
@@ -98,3 +98,23 @@ def test_amplitudes(value, count, data):
             validate(PureState((count,), amps))
         with pytest.raises(ValidationError):
             normalize(PureState((count,), amps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(NON_FINITE)
+def test_validate_tolerance(value):
+    # refused as a bad tolerance, whatever the state
+    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
+        validate(bell_state(), tol=value)
+
+
+@pytest.mark.parametrize("tol", [-1, -1e-12])
+def test_validate_negative_tolerance(tol):
+    with pytest.raises(ValidationError, match="tol must be nonnegative and finite") as info:
+        validate(bell_state(), tol=tol)
+    assert not isinstance(info.value, NotNormalizedError)
+
+
+def test_validate_infinite_tolerance_does_not_pass_any_norm():
+    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
+        validate(PureState((2,), [5, 0]), tol=math.inf)

@@ -26,6 +26,7 @@ from entwedge.errors import (
     TooLargeError,
     ValidationError,
 )
+from entwedge import separability
 from entwedge.separability import CERTIFICATE_TOL
 from conftest import (
     bell_state,
@@ -229,6 +230,42 @@ class TestSizeGuard:
         amps = np.zeros(64 * 64, dtype=np.complex128)
         amps[0] = 1.0
         assert separability_report(PureState((64, 64), amps)).fully_separable
+
+
+class TestValidateOnce:
+    @staticmethod
+    def count_validate(monkeypatch) -> list:
+        calls = []
+        real = separability.validate
+
+        def counted(state, *args):
+            calls.append(state)
+            return real(state, *args)
+
+        monkeypatch.setattr(separability, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (2, 2, 2, 2)])
+    def test_report_validates_once(self, monkeypatch, rng, dims):
+        state = random_state(rng, dims)
+        calls = self.count_validate(monkeypatch)
+        report = separability_report(state)
+        assert len(calls) == 1
+        assert len(report.per_partition) == 2 ** (len(dims) - 1) - 1
+
+    def test_is_product_state_validates_once(self, monkeypatch, rng):
+        state = random_product_state(rng, (2, 3, 2, 2))
+        calls = self.count_validate(monkeypatch)
+        assert is_product_state(state)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2), (2, 2, 2, 2), (1, 3, 2, 2)])
+    def test_residuals_match_checked_route(self, rng, dims):
+        # bitwise the residual partition_residual computes, checks and all
+        state = random_state(rng, dims)
+        report = separability_report(state)
+        for part, verdict in report.per_partition.items():
+            assert verdict.residual == partition_residual(state, part)
 
 
 class TestMeasureConsistency:

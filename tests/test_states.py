@@ -94,7 +94,8 @@ class TestPureState:
         vec = np.array([bad, 0.0, 0.0, 0.0], dtype=np.complex128)
         with pytest.raises(NotNormalizedError):
             validate(PureState((2, 2), vec))
-        with pytest.raises(NotNormalizedError):
+        # a NaN tolerance is refused as such, not as a norm failure
+        with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
             validate(bell_state(), tol=math.nan)
         with pytest.raises(ValidationError):
             normalize(PureState((2, 2), vec))
