@@ -1,13 +1,13 @@
-"""The quadratic pair sums behind the measures.
+"""The split residual behind every measure and every verdict.
 
-Both reduce to one pattern: squared moduli ``|a b' - b a'|^2`` of the
-2x2 minors of a matrix.  ``minor_pair_sum`` adds them for one matrix.
-``swap_term_sum`` is built from it: exchanging the slot-j entries of two
-multi-indices K, L turns ``a_K a_L - a_K' a_L'`` into a 2x2 minor of the
-slot-j unfolding (rows over slot j, columns over all other slots), and
-the ordered (K, L) pairs count each such minor twice.  For a normalized
-state this is the I-concurrence purity form
-``sum_j 2 (1 - tr rho_j^2)`` of Rungta et al., PRA 64, 042315 (2001).
+``minor_pair_sum`` adds the squared moduli ``|a b' - b a'|^2`` of the
+2x2 minors of one matrix.  Applied to a state unfolded across a split
+(:func:`entwedge.states.unfold`) it is the split's residual: zero
+exactly when the state factors there, and ``1 - tr rho^2`` of either
+side's marginal for a normalized state, the purity form of the
+generalized concurrence (Rungta et al., PRA 64, 042315 (2001)).  Every
+measure in :mod:`entwedge.measures` is a sum of such residuals, so this
+is the one algorithm that computes them.
 
 Summation order is fixed, so repeated calls with the same input give
 bitwise-identical results.
@@ -49,19 +49,4 @@ def minor_pair_sum(mat: np.ndarray) -> float:
     for mu in range(R):
         for nu in range(mu + 1, R):
             total += _wedge_abs2_sum(mat[mu], mat[nu])
-    return total
-
-
-def swap_term_sum(amps: np.ndarray, dims) -> float:
-    """Sum over ordered multi-index pairs ``(K, L)`` and slots ``j`` of
-    ``|a_K a_L - a_K' a_L'|^2``, the primes exchanging the slot-j
-    entries: ``sum_j 2 * minor_pair_sum(slot-j unfolding)``."""
-    amps = np.asarray(amps, dtype=np.complex128)
-    total = 0.0
-    lead = 1
-    for nj in dims:
-        nj = int(nj)
-        unfolding = amps.reshape(lead, nj, -1).swapaxes(0, 1).reshape(nj, -1)
-        total += 2.0 * minor_pair_sum(unfolding)
-        lead *= nj
     return total

@@ -17,8 +17,8 @@ only per-trial step is the seeding: each trial's PCG64 fills one row of
 the chunk's raw-word buffer.  Everything after that runs once over the
 chunk's stack of trials: the conversion to uniforms, Box-Muller per
 slot, the QR factorization with its phase fix, the unitarity check, the
-rotation and the norm check of the rotated states.  The re-measure then
-calls the measure's own kernel on each rotated row.  Every step works
+rotation, the norm check of the rotated states and the re-measure,
+which unfolds the rotated stack once per split.  Every step works
 within one trial's numbers, so a trial's deviation is bitwise the same
 whatever the chunk size, and equal to the single-trial path through
 ``haar_unitary``, ``apply_local`` and the public measure.
@@ -36,7 +36,7 @@ from .measures import (
     DEFAULT_CONFIG,
     MeasureConfig,
     check_measure_size,
-    measure_amplitudes,
+    measure_rows,
     resolve_measure,
 )
 from .states import PureState, check_unit_norms, validate
@@ -263,8 +263,8 @@ def invariance_experiment(
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)
         check_unit_norms(rotated, cfg.tol)
-        for t in range(count):
-            d = measure_amplitudes(baseline.kind, rotated[t], dims, cfg).value - baseline.value
+        for t, result in enumerate(measure_rows(baseline.kind, rotated, dims, cfg)):
+            d = result.value - baseline.value
             # seeded by the first deviation, as max() over the list is,
             # so a NaN there still shows
             max_abs = max(max_abs, abs(d)) if lo + t else abs(d)

@@ -1,11 +1,13 @@
 """Entanglement measures built from pairwise wedge coefficients.
 
 Every measure here has the shape ``value = sqrt(norm_constant * term_sum)``
-where ``term_sum`` collects squared moduli of antisymmetrized amplitude
-products.  For two subsystems the terms are the 2x2 minors of the
-amplitude matrix; for m subsystems the sum runs over every pair of
-multi-indices ``K, L`` and every slot ``j``, comparing ``a_K a_L``
-against the product with the j-th slot entries exchanged.
+where ``term_sum`` is a sum of split residuals: squared 2x2 minors of the
+state unfolded across a split.  For two subsystems it is the residual of
+split {1}.  For m subsystems it runs over every pair of multi-indices
+``K, L`` and every slot ``j``, comparing ``a_K a_L`` against the product
+with the j-th slot entries exchanged; each such difference is a minor of
+the slot-j unfolding, met once from each side, so the sum is twice the
+singleton residuals.
 
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
@@ -27,7 +29,7 @@ from .errors import (
     WrongArityError,
     WrongDimsError,
 )
-from .states import PureState, is_finite, validate
+from .states import PureState, is_finite, unfold, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -97,22 +99,28 @@ def _finish(kind: MeasureKind, cfg: MeasureConfig, term_sum: float) -> MeasureRe
     return MeasureResult(kind, value, cfg.norm_constant, term_sum)
 
 
-def measure_amplitudes(
-    kind: MeasureKind, amps: np.ndarray, dims, cfg: MeasureConfig
-) -> MeasureResult:
-    """The ``kind`` measure of a flat amplitude vector over ``dims``.
+def measure_rows(
+    kind: MeasureKind, rows: np.ndarray, dims, cfg: MeasureConfig
+) -> list[MeasureResult]:
+    """The ``kind`` measure of each row of a ``(T, prod(dims))`` stack of
+    flat amplitude vectors over ``dims``.
 
+    The bipartite term sum is the residual of split {1}; the
+    multipartite one is ``2 * sum_j`` of the singleton residuals, added
+    in slot order.  Each split is unfolded once for the whole stack.
     Trusts its input: the caller has already checked the arity, the size
-    guard and the norm.  :func:`bipartite_concurrence`,
+    guard and the norms.  :func:`bipartite_concurrence`,
     :func:`multipartite_measure` and the invariance experiment's
     re-measure all end here, so each quantity has one implementation.
     """
     if kind is MeasureKind.BIPARTITE_CONCURRENCE:
-        # rows over the first subsystem
-        term_sum = _kernels.minor_pair_sum(amps.reshape(dims))
+        slots, weight = [0], 1.0
     else:
-        term_sum = _kernels.swap_term_sum(amps, dims)
-    return _finish(kind, cfg, term_sum)
+        slots, weight = range(len(dims)), 2.0
+    sums = np.zeros(len(rows))
+    for j in slots:
+        sums += [_kernels.minor_pair_sum(mat) for mat in unfold(rows, dims, [j])]
+    return [_finish(kind, cfg, weight * float(total)) for total in sums]
 
 
 def bipartite_concurrence(
@@ -151,9 +159,9 @@ def bipartite_concurrence(
         )
     check_measure_size(state)
     validate(state, cfg.tol)
-    return measure_amplitudes(
-        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes, state.dims, cfg
-    )
+    return measure_rows(
+        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes[None], state.dims, cfg
+    )[0]
 
 
 def pair_qubit_concurrence(
@@ -246,7 +254,7 @@ def multipartite_measure(
         )
     check_measure_size(state)
     validate(state, cfg.tol)
-    return measure_amplitudes(MeasureKind.MULTIPARTITE_E, state.amplitudes, state.dims, cfg)
+    return measure_rows(MeasureKind.MULTIPARTITE_E, state.amplitudes[None], state.dims, cfg)[0]
 
 
 def resolve_measure(selector: str, num_subsystems: int):
@@ -282,35 +290,24 @@ def tripartite_measure(
     check_measure_size(state)
     validate(state, cfg.tol)
     A = state.tensor
-    n1, n2, n3 = A.shape
     D = A.size
 
-    # Term with the first slots exchanged:
-    #   a[k1,k2,k3] a[l1,l2,l3] - a[l1,k2,k3] a[k1,l2,l3]
-    # The (k1, l1) exchange is a transpose of axes 0 and 3 of the
-    # broadcast product; chunking runs along k3, which the exchange
-    # never touches.
-    step = max(1, _CHUNK_ENTRIES // max(1, D * n1 * n2))
-    first = 0.0
-    for lo in range(0, n3, step):
-        prod = A[:, :, lo:lo + step, None, None, None] * A[None, None, None, :, :, :]
-        diff = prod - prod.transpose(3, 1, 2, 0, 4, 5)
-        first += float(np.sum(diff.real ** 2 + diff.imag ** 2))
-
-    # Term with the second slots exchanged (axes 1 and 4), chunked along k3.
-    second = 0.0
-    for lo in range(0, n3, step):
-        prod = A[:, :, lo:lo + step, None, None, None] * A[None, None, None, :, :, :]
-        diff = prod - prod.transpose(0, 4, 2, 3, 1, 5)
-        second += float(np.sum(diff.real ** 2 + diff.imag ** 2))
-
-    # Term with the third slots exchanged (axes 2 and 5), chunked along k1.
-    step1 = max(1, _CHUNK_ENTRIES // max(1, D * n2 * n3))
-    third = 0.0
-    for lo in range(0, n1, step1):
-        prod = A[lo:lo + step1, :, :, None, None, None] * A[None, None, None, :, :, :]
-        diff = prod - prod.transpose(0, 1, 5, 3, 4, 2)
-        third += float(np.sum(diff.real ** 2 + diff.imag ** 2))
-
-    term_sum = first + second + third
+    # Slot j's term is a[k] a[l] - a[k'] a[l'] with the slot-j entries of
+    # k and l exchanged: a transpose of axes j and j + 3 of the broadcast
+    # product.  Chunking runs along a slot the exchange never touches,
+    # the third (or the first, for j = 2).
+    term_sum = 0.0
+    for j in range(3):
+        ax = 0 if j == 2 else 2
+        n = A.shape[ax]
+        step = max(1, _CHUNK_ENTRIES // max(1, D * (D // n)))
+        perm = list(range(6))
+        perm[j], perm[j + 3] = j + 3, j
+        term = 0.0
+        for lo in range(0, n, step):
+            part = A[(slice(None),) * ax + (slice(lo, lo + step),)]
+            prod = part[:, :, :, None, None, None] * A[None, None, None, :, :, :]
+            diff = prod - prod.transpose(perm)
+            term += float(np.sum(diff.real ** 2 + diff.imag ** 2))
+        term_sum += term  # the three terms in slot order
     return _finish(MeasureKind.MULTIPARTITE_E, cfg, term_sum)

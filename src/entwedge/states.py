@@ -269,6 +269,21 @@ def normalize(state: PureState) -> PureState:
     return PureState(state.dims, state.amplitudes / nrm)
 
 
+def unfold(rows: np.ndarray, dims, left_axes) -> np.ndarray:
+    """Unfold a ``(T, prod(dims))`` stack of amplitude rows into a
+    contiguous ``(T, r, c)`` stack of matrices: rows over the 0-based
+    slots ``left_axes`` (row-major, in that order), columns over the
+    other slots in increasing order.  The one place amplitudes are
+    reordered into a matrix.  Trusts its arguments."""
+    left_axes = list(left_axes)
+    right_axes = [ax for ax in range(len(dims)) if ax not in left_axes]
+    count = len(rows)
+    r = math.prod(dims[ax] for ax in left_axes)
+    perm = [0] + [ax + 1 for ax in left_axes + right_axes]
+    tensor = rows.reshape((count,) + tuple(dims)).transpose(perm)
+    return np.ascontiguousarray(tensor.reshape(count, r, math.prod(dims) // r))
+
+
 def matricize(state: PureState, part: Bipartition) -> np.ndarray:
     """Unfold the state into a matrix across a bipartition.
 
@@ -281,10 +296,7 @@ def matricize(state: PureState, part: Bipartition) -> np.ndarray:
             f"partition of {part.total} subsystems applied to {state.num_subsystems}"
         )
     left_axes = [j - 1 for j in part.left]
-    right_axes = [j - 1 for j in part.right]
-    rows = math.prod(state.dims[ax] for ax in left_axes)
-    reordered = np.transpose(state.tensor, left_axes + right_axes)
-    return np.ascontiguousarray(reordered.reshape(rows, -1))
+    return unfold(state.amplitudes[None], state.dims, left_axes)[0]
 
 
 def partial_trace(state: PureState, keep: int) -> DensityMatrix:

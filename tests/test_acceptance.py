@@ -2,7 +2,7 @@
 
 Each test covers one numbered criterion and prints a single
 ``criterion NN PASS/FAIL`` line with the measured quantities (visible
-under ``pytest -s``), then asserts.  Criteria 2, 3, 8, and 9 are
+under ``pytest -s``), then asserts.  Criteria 2, 3, 8, 9 and 12 are
 seeded sweeps; their seeds are fixed here so every run measures the
 same ensemble.
 """
@@ -341,4 +341,61 @@ def test_criterion_11_text_formats_are_stable(tmp_path, capsys):
         f"{len(ROUND_TRIP_CORPUS)} expressions round-trip through the printer; "
         "state files reload bit for bit; repeated machine output is byte-identical",
         bool(ok),
+    )
+
+
+def _biseparable_state(rng: np.random.Generator, dims) -> PureState:
+    """A random pure state on one randomly chosen slot, tensored with a
+    random joint state of the other two, in slot order."""
+    j = int(rng.integers(len(dims)))
+    rest = tuple(n for k, n in enumerate(dims) if k != j)
+    factor = random_state(rng, (dims[j],)).amplitudes
+    pair = random_state(rng, rest).amplitudes.reshape(rest)
+    tensor = np.moveaxis(np.multiply.outer(factor, pair), 0, j)
+    return PureState(tuple(dims), tensor.reshape(-1))
+
+
+def test_criterion_12_what_e_sees_past_three_subsystems():
+    # m = 3: with slot j pure, E^2 = 4 sum_{i != j} (1 - tr rho_i^2)
+    # <= 8 (1 - 1/min(n_k, n_l)) over the other two slots, which is 4 on
+    # both dims below, so no biseparable state reaches GHZ3's sqrt(6).
+    rng = np.random.default_rng(1012)
+    peaks = {}
+    for dims in [(2, 2, 2), (2, 3, 2)]:
+        peaks[dims] = max(
+            multipartite_measure(_biseparable_state(rng, dims)).value
+            for _ in range(3000)
+        )
+    ghz3 = multipartite_measure(ghz_state(3)).value
+    m3_ok = max(peaks.values()) <= 2.0 and abs(ghz3 - math.sqrt(6.0)) <= 1e-12
+
+    # m = 4: Bell x Bell is separable across {1,2}|{3,4}, yet every
+    # singleton marginal is maximally mixed, as for GHZ4, so E cannot
+    # tell the two apart; their split residuals can.
+    bb, ghz4 = bell_x_bell_state(), ghz_state(4)
+    e_bb = multipartite_measure(bb).value
+    e_ghz4 = multipartite_measure(ghz4).value
+    collide = all(
+        e == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12) for e in (e_bb, e_ghz4)
+    )
+    profiles = {
+        name: {p.left: v.residual for p, v in separability_report(s).per_partition.items()}
+        for name, s in (("bb", bb), ("ghz4", ghz4))
+    }
+    want_bb = {(1,): 0.5, (2,): 0.5, (3,): 0.5, (4,): 0.5,
+               (1, 2): 0.0, (1, 3): 0.75, (1, 4): 0.75}
+    want = {"bb": want_bb, "ghz4": dict.fromkeys(want_bb, 0.5)}
+    profile_ok = all(
+        profiles[name].keys() == want[name].keys()
+        and all(abs(profiles[name][k] - w) <= 1e-12 for k, w in want[name].items())
+        for name in want
+    )
+    ok = m3_ok and collide and profile_ok
+    peak_text = ", ".join(f"{dims}: {peak:.4f}" for dims, peak in peaks.items())
+    _report(
+        12,
+        f"3000 biseparable states per dims peak at E = {peak_text} (bound 2, "
+        f"GHZ3 {ghz3:.4f}); Bell x Bell and GHZ4 both give E = {e_bb!r} / "
+        f"{e_ghz4!r}, split profiles differ ({{1,2}}: 0 vs 0.5)",
+        ok,
     )

@@ -1,16 +1,16 @@
-"""The pair-sum kernels against brute-force oracles."""
+"""The split residual kernel and the unfolding against brute-force oracles."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
+from entwedge import Bipartition, matricize, multipartite_measure
 from entwedge import _kernels
+from entwedge.states import unfold
 from conftest import random_state
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(_kernels, "swap_term_sum"), reason="kernel module incomplete"
-)
 
 
 def brute_swap_sum(amps: np.ndarray, dims: tuple[int, ...]) -> float:
@@ -49,7 +49,7 @@ class TestNumpyBackend:
     )
     def test_swap_matches_bruteforce(self, rng, dims):
         state = random_state(rng, dims)
-        got = _kernels.swap_term_sum(state.amplitudes, dims)
+        got = multipartite_measure(state).term_sum
         want = brute_swap_sum(np.asarray(state.amplitudes), dims)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -68,11 +68,29 @@ class TestNumpyBackend:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+class TestUnfold:
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 2, 2, 2)])
+    def test_every_split_matches_matricize(self, rng, dims):
+        # every nonempty proper left side, canonical or not; each stack
+        # row is unfolded on its own
+        m = len(dims)
+        states = [random_state(rng, dims) for _ in range(3)]
+        rows = np.stack([s.amplitudes for s in states])
+        for size in range(1, m):
+            for left in itertools.combinations(range(1, m + 1), size):
+                stack = unfold(rows, dims, [j - 1 for j in left])
+                assert stack.flags.c_contiguous
+                for state, mat in zip(states, stack):
+                    want = matricize(state, Bipartition(left, m))
+                    assert mat.shape == want.shape
+                    assert np.array_equal(mat, want)
+
+
 class TestSelection:
     def test_repeat_calls_bitwise_stable(self, rng):
         state = random_state(rng, (3, 2, 2))
-        first = _kernels.swap_term_sum(state.amplitudes, state.dims)
-        second = _kernels.swap_term_sum(state.amplitudes, state.dims)
+        first = multipartite_measure(state).term_sum
+        second = multipartite_measure(state).term_sum
         assert first == second
         mat = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         assert _kernels.minor_pair_sum(mat) == _kernels.minor_pair_sum(mat)

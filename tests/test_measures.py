@@ -3,25 +3,31 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entwedge import (
+    Bipartition,
     MeasureConfig,
     MeasureKind,
     PureState,
     bipartite_concurrence,
+    evaluate,
     multipartite_measure,
     normalize,
     pair_coefficient,
     pair_qubit_concurrence,
+    parse_ket,
     partial_trace,
+    partition_residual,
     purity,
     resolve_measure,
     swapped_wedge_coefficient,
     tripartite_measure,
 )
+from entwedge.measures import DEFAULT_CONFIG, measure_rows
 from entwedge.errors import (
     IndexOutOfRangeError,
     NotNormalizedError,
@@ -267,6 +273,55 @@ class TestMultipartite:
         single = PureState((4,), np.array([1, 0, 0, 0], dtype=np.complex128))
         with pytest.raises(WrongArityError):
             multipartite_measure(single)
+
+
+class TestMeasureRows:
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (1, 3, 2), (3, 2, 2, 2)])
+    def test_stack_rows_equal_public_measures(self, rng, dims):
+        # one unfolding per split of the whole stack, row results bitwise
+        # those of the public measure on each state alone
+        states = [random_state(rng, dims) for _ in range(4)]
+        rows = np.stack([s.amplitudes for s in states])
+        measures = [multipartite_measure]
+        if len(dims) == 2:
+            measures.append(bipartite_concurrence)
+        for measure in measures:
+            want = [measure(s) for s in states]
+            got = measure_rows(want[0].kind, rows, dims, DEFAULT_CONFIG)
+            assert got == want
+
+
+class TestNearProductExact:
+    """``|0..0> + e |1..1>`` with ``e = 10^-k``, written as a ket decimal.
+
+    Normalized, every singleton split residual is exactly
+    ``2 e^2 / (1 + e^2)^2`` and E's term sum is ``2 m`` times that, so
+    the floats can be held to exact fractions.  The kernel keeps these
+    residuals to a few ulps; the bound leaves room for rounding, not for
+    cancellation.
+    """
+
+    REL = Fraction(1, 10**14)
+
+    @staticmethod
+    def _rel(got: float, want: Fraction) -> Fraction:
+        return abs(Fraction(got) - want) / want
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_residuals_keep_their_digits(self, m, k):
+        zeros = ",".join("0" * m)
+        ones = ",".join("1" * m)
+        text = f"|{zeros}> + 0.{'0' * (k - 1)}1|{ones}>"
+        state = normalize(evaluate(parse_ket(text)))
+        e = Fraction(1, 10**k)
+        exact = 2 * e**2 / (1 + e**2) ** 2
+        for j in range(1, m + 1):
+            residual = partition_residual(state, Bipartition((j,), m))
+            assert self._rel(residual, exact) <= self.REL
+        assert self._rel(multipartite_measure(state).term_sum, 2 * m * exact) <= self.REL
+        if m == 2:
+            assert self._rel(bipartite_concurrence(state).term_sum, exact) <= self.REL
 
 
 class TestTripartite:
