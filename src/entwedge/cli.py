@@ -148,6 +148,7 @@ def cmd_separability(args) -> int:
         "threshold": report.threshold,
         "partitions": partitions,
         "fully_separable": report.fully_separable,
+        "genuinely_entangled": report.genuinely_entangled,
         "certificate": certificate,
         "certificate_error": report.certificate_error,
     }
@@ -156,6 +157,7 @@ def cmd_separability(args) -> int:
         word = "separable" if verdict.separable else "entangled"
         lines.append(f"split {part}: residual={verdict.residual!r} {word}")
     lines.append(f"fully separable: {'yes' if report.fully_separable else 'no'}")
+    lines.append(f"genuinely entangled: {'yes' if report.genuinely_entangled else 'no'}")
     if report.certificate_error is not None:
         lines.append(f"certificate reconstruction error: {report.certificate_error!r}")
     _emit(doc, args.output, lines)

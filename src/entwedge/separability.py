@@ -14,6 +14,7 @@ the input up to a global phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -44,6 +45,7 @@ class SeparabilityReport:
     order (singletons first).  ``certificate`` holds one unit vector per
     subsystem when the state is fully separable, otherwise ``None``;
     ``certificate_error`` is the phase-aligned reconstruction distance.
+    ``genuinely_entangled`` is true when no split passes the threshold.
     """
 
     threshold: float
@@ -51,6 +53,7 @@ class SeparabilityReport:
     fully_separable: bool
     certificate: tuple | None
     certificate_error: float | None
+    genuinely_entangled: bool
 
 
 def partition_residual(state: PureState, part: Bipartition) -> float:
@@ -79,11 +82,27 @@ def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> 
     m = state.num_subsystems
     if m < 2:
         return True  # nothing to split
-    # checked once above, so each split calls the kernel directly
-    return all(
-        _kernels.minor_pair_sum(matricize(state, Bipartition((j,), m))) <= threshold
-        for j in range(1, m + 1)
-    )
+    singletons = [Bipartition((j,), m) for j in range(1, m + 1)]
+    return all(r <= threshold for r in _split_residuals(state, singletons))
+
+
+def _split_residuals(state: PureState, parts) -> list[float]:
+    """Residuals of ``parts``, in order, from one kernel call per
+    matricized shape.  A split's shape follows from the dims alone, so
+    each group is matricized into its stack only when its turn comes.
+    Trusts a checked state."""
+    groups = {}
+    for k, part in enumerate(parts):
+        rows = math.prod(state.dims[j - 1] for j in part.left)
+        groups.setdefault((rows, state.total_dim // rows), []).append(k)
+    residuals = [0.0] * len(parts)
+    for shape, members in groups.items():
+        stack = np.empty((len(members),) + shape, dtype=np.complex128)
+        for slot, k in enumerate(members):
+            stack[slot] = matricize(state, parts[k])
+        for k, residual in zip(members, _kernels.minor_pair_sum(stack)):
+            residuals[k] = float(residual)
+    return residuals
 
 
 def separability_report(
@@ -102,10 +121,11 @@ def separability_report(
     m = state.num_subsystems
     if m < 2:
         raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
-    per = {}
-    for part in enumerate_bipartitions(m):
-        residual = _kernels.minor_pair_sum(matricize(state, part))
-        per[part] = PartitionVerdict(residual, residual <= threshold)
+    parts = enumerate_bipartitions(m)
+    per = {
+        part: PartitionVerdict(residual, residual <= threshold)
+        for part, residual in zip(parts, _split_residuals(state, parts))
+    }
     # Singleton splits decide full separability; on two subsystems the
     # {2} split canonicalizes to {1}, so look keys up in canonical form.
     fully = all(
@@ -120,7 +140,8 @@ def separability_report(
         )
         certificate = factors
         error = _reconstruction_error(state, factors)
-    return SeparabilityReport(float(threshold), per, fully, certificate, error)
+    genuine = not any(verdict.separable for verdict in per.values())
+    return SeparabilityReport(float(threshold), per, fully, certificate, error, genuine)
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:

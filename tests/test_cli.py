@@ -133,6 +133,18 @@ class TestSeparability:
             p["residual"] == pytest.approx(0.5, abs=1e-12) for p in doc["partitions"]
         )
 
+    def test_genuinely_entangled_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "separability", "--expr", GHZ4_EXPR, "--output", "machine"
+        )
+        assert code == 0
+        assert json.loads(out)["genuinely_entangled"] is True
+        code, out, _ = run_cli(capsys, "separability", "--expr", "|0> |1>")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("fully separable: yes")
+        assert lines[at + 1] == "genuinely entangled: no"
+
     def test_threshold_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "separability", "--expr", GHZ3_EXPR, "--threshold", "0.6",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entwedge import Bipartition, matricize, multipartite_measure
+from entwedge import Bipartition, matricize, multipartite_measure, separability_report
 from entwedge import _kernels
+from entwedge.multilinear import grid_norm_sq, wedge_pair
 from entwedge.states import unfold
 from conftest import random_state
 
@@ -66,6 +68,92 @@ class TestNumpyBackend:
         a = _kernels.minor_pair_sum(mat)
         b = _kernels.minor_pair_sum(mat.T.copy())
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def random_stack(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def wedge_sum(mat: np.ndarray) -> float:
+    """The paper's own route: the squared norm of the wedge of every row
+    pair, added over ``mu < nu``."""
+    return sum(
+        grid_norm_sq(wedge_pair(mat[mu], mat[nu]))
+        for mu, nu in itertools.combinations(range(len(mat)), 2)
+    )
+
+
+WEDGE_SHAPES = [(2, 2), (3, 8), (8, 3), (16, 16), (2, 128)]
+
+
+class TestWedgeIdentity:
+    @pytest.mark.parametrize("shape", WEDGE_SHAPES)
+    def test_matrix_is_sum_of_row_wedges(self, rng, shape):
+        mat = random_stack(rng, shape)
+        assert _kernels.minor_pair_sum(mat) == pytest.approx(wedge_sum(mat), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", WEDGE_SHAPES)
+    def test_stack_is_sum_of_row_wedges(self, rng, shape):
+        stack = random_stack(rng, (3,) + shape)
+        got = _kernels.minor_pair_sum(stack)
+        assert got.shape == (3,)
+        for value, mat in zip(got, stack):
+            assert value == pytest.approx(wedge_sum(mat), rel=1e-12)
+
+
+class TestStack:
+    @staticmethod
+    def assert_bitwise_singles(stack):
+        got = _kernels.minor_pair_sum(stack)
+        want = [_kernels.minor_pair_sum(mat) for mat in stack]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+    def test_longer_than_one_run(self, rng):
+        # one 32x32 pair product per matrix: the 40 cannot share one run
+        stack = random_stack(rng, (40, 8, 32))
+        assert 40 * 32 * 32 > _kernels._BLOCK_ENTRIES
+        self.assert_bitwise_singles(stack)
+
+    def test_tall_stack_is_transposed(self, rng):
+        self.assert_bitwise_singles(random_stack(rng, (12, 32, 4)))
+
+    def test_wide_pair_spans_row_blocks(self, rng):
+        # 256 columns: each pair product is summed in several row blocks
+        assert 256 * 256 > _kernels._BLOCK_ENTRIES
+        self.assert_bitwise_singles(random_stack(rng, (3, 2, 256)))
+
+    def test_one_row_reads_zero(self, rng):
+        assert _kernels.minor_pair_sum(random_stack(rng, (1, 7))) == 0.0
+        assert list(_kernels.minor_pair_sum(random_stack(rng, (4, 1, 7)))) == [0.0] * 4
+
+    def test_real_stack_matches_complex(self, rng):
+        stack = rng.standard_normal((5, 3, 6))
+        got = _kernels.minor_pair_sum(stack)
+        want = _kernels.minor_pair_sum(stack.astype(np.complex128))
+        assert np.array_equal(got, want)
+
+
+class TestMemoryBound:
+    # The parent block cap let one wide pair product hold 32 MB per
+    # temporary; these inputs then peaked at about 96 MB.
+    LIMIT = 2 * 1024 * 1024
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_wide_matrix(self, rng):
+        mat = random_stack(rng, (2, 2048))
+        assert self.peak_bytes(lambda: _kernels.minor_pair_sum(mat)) < self.LIMIT
+
+    def test_separability_report(self, rng):
+        state = random_state(rng, (2, 2, 1024))
+        assert self.peak_bytes(lambda: separability_report(state)) < self.LIMIT
 
 
 class TestUnfold:

@@ -35,6 +35,7 @@ from conftest import (
     ghz_state,
     random_product_state,
     random_state,
+    w3_state,
 )
 
 
@@ -259,13 +260,65 @@ class TestValidateOnce:
         assert is_product_state(state)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2), (2, 2, 2, 2), (1, 3, 2, 2)])
+    @pytest.mark.parametrize(
+        "dims",
+        [(3, 4), (2, 3, 2), (2, 2, 2, 2), (1, 3, 2, 2), (2,) * 8, (4, 4, 4, 4),
+         (8, 8, 8), (2, 3, 4)],
+    )
     def test_residuals_match_checked_route(self, rng, dims):
         # bitwise the residual partition_residual computes, checks and all
         state = random_state(rng, dims)
         report = separability_report(state)
         for part, verdict in report.per_partition.items():
             assert verdict.residual == partition_residual(state, part)
+
+
+class TestGrouping:
+    @staticmethod
+    def count_kernel(monkeypatch) -> list:
+        shapes = []
+        real = separability._kernels.minor_pair_sum
+
+        def counted(mat):
+            shapes.append(np.shape(mat))
+            return real(mat)
+
+        monkeypatch.setattr(separability._kernels, "minor_pair_sum", counted)
+        return shapes
+
+    def test_one_kernel_call_per_split_shape(self, monkeypatch, rng):
+        # (2,)^8 has 127 splits of four shapes: 8 of 2x128, 28 of 4x64,
+        # 56 of 8x32 and 35 of 16x16
+        state = random_state(rng, (2,) * 8)
+        shapes = self.count_kernel(monkeypatch)
+        separability_report(state)
+        assert shapes == [(8, 2, 128), (28, 4, 64), (56, 8, 32), (35, 16, 16)]
+
+    def test_is_product_state_groups_singletons(self, monkeypatch, rng):
+        state = random_product_state(rng, (2, 3, 2, 2))
+        shapes = self.count_kernel(monkeypatch)
+        assert is_product_state(state)
+        assert shapes == [(3, 2, 12), (1, 3, 8)]
+
+
+class TestGenuinelyEntangled:
+    @pytest.mark.parametrize("state", [ghz_state(4), w3_state()], ids=["ghz4", "w3"])
+    def test_entangled_across_every_split(self, state):
+        report = separability_report(state)
+        assert report.genuinely_entangled
+        assert not any(v.separable for v in report.per_partition.values())
+
+    def test_bell_x_bell_is_not(self):
+        # separable across {1,2}|{3,4} although every singleton marginal
+        # is maximally mixed
+        report = separability_report(bell_x_bell_state())
+        assert not report.genuinely_entangled
+        assert not report.fully_separable
+
+    def test_product_is_not(self, rng):
+        report = separability_report(random_product_state(rng, (2, 3, 2)))
+        assert not report.genuinely_entangled
+        assert report.fully_separable
 
 
 class TestMeasureConsistency:
