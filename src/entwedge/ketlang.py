@@ -32,8 +32,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArityMismatchError, DimTooSmallError, KetSyntaxError, ValidationError
-from .states import PureState, check_size_guards
+from .errors import (
+    ArityMismatchError,
+    DimTooSmallError,
+    InvalidPartitionError,
+    KetSyntaxError,
+    ValidationError,
+)
+from .states import PureState, check_size_guards, require_int
 
 # Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
 # off its square part trial-divides up to the cube root, about 2*10^5
@@ -521,7 +527,7 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
     if dims is None:
         dims = needed
     else:
-        dims = tuple(int(n) for n in dims)
+        dims = tuple(require_int(n, InvalidPartitionError, "dims") for n in dims)
         if len(dims) != arity:
             raise ArityMismatchError(
                 f"expression has {arity} slots but {len(dims)} dims were supplied"

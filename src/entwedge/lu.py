@@ -39,7 +39,7 @@ from .measures import (
     measure_rows,
     resolve_measure,
 )
-from .states import PureState, check_unit_norms, validate
+from .states import PureState, check_unit_norms, require_int, validate
 
 UNITARITY_TOL = 1e-10
 
@@ -59,7 +59,7 @@ class UnitaryGate:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = require_int(self.dim, DimensionMismatchError, "dim")
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
             raise DimensionMismatchError(
@@ -87,12 +87,14 @@ class InvarianceRun:
 
 def _trial_bits(seed: int, trial: int) -> np.random.PCG64:
     """PCG64 for one trial's substream, independent of all others."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     return np.random.PCG64(seq)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Generator for one trial's substream, independent of all others."""
+    seed = require_int(seed, ValidationError, "seed")
+    trial = require_int(trial, ValidationError, "trial")
     return np.random.Generator(_trial_bits(seed, trial))
 
 
@@ -243,9 +245,11 @@ def invariance_experiment(
     trials; beyond that only the running maximum is kept.  The maximum
     is always present.
     """
+    trials = require_int(trials, ValidationError, "trials")
+    seed = require_int(seed, ValidationError, "seed")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
-    if not 0 <= int(seed) < 2 ** 64:
+    if not 0 <= seed < 2 ** 64:
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
     check_measure_size(state)
     validate(state, cfg.tol)
@@ -272,8 +276,8 @@ def invariance_experiment(
                 deviations.append(d)
     kept = tuple(deviations) if keep else None
     return InvarianceRun(
-        seed=int(seed),
-        trials=int(trials),
+        seed=seed,
+        trials=trials,
         measure_kind=baseline.kind.value,
         norm_constant=baseline.norm_constant,
         baseline_value=baseline.value,

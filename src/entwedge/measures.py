@@ -7,7 +7,8 @@ split {1}.  For m subsystems it runs over every pair of multi-indices
 ``K, L`` and every slot ``j``, comparing ``a_K a_L`` against the product
 with the j-th slot entries exchanged; each such difference is a minor of
 the slot-j unfolding, met once from each side, so the sum is twice the
-singleton residuals.
+singleton residuals.  All of them come from
+:func:`entwedge._kernels.split_residuals`.
 
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
@@ -29,7 +30,7 @@ from .errors import (
     WrongArityError,
     WrongDimsError,
 )
-from .states import PureState, is_finite, unfold, validate
+from .states import PureState, is_finite, require_int, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -117,9 +118,10 @@ def measure_rows(
         slots, weight = [0], 1.0
     else:
         slots, weight = range(len(dims)), 2.0
+    residuals = _kernels.split_residuals(rows, dims, [[j] for j in slots])
     sums = np.zeros(len(rows))
-    for j in slots:
-        sums += [_kernels.minor_pair_sum(mat) for mat in unfold(rows, dims, [j])]
+    for column in residuals.T:
+        sums += column
     return [_finish(kind, cfg, weight * float(total)) for total in sums]
 
 
@@ -197,6 +199,7 @@ def swapped_wedge_coefficient(state: PureState, K, L, j: int) -> complex:
     """
     K = _checked_index(state, K)
     L = _checked_index(state, L)
+    j = require_int(j, IndexOutOfRangeError, "slot")
     if not 1 <= j <= state.num_subsystems:
         raise IndexOutOfRangeError(f"slot {j} not in 1..{state.num_subsystems}")
     ax = j - 1
@@ -207,7 +210,7 @@ def swapped_wedge_coefficient(state: PureState, K, L, j: int) -> complex:
 
 
 def _checked_index(state: PureState, K) -> tuple[int, ...]:
-    K = tuple(int(x) for x in K)
+    K = tuple(require_int(x, IndexOutOfRangeError, "multi-index") for x in K)
     if len(K) != state.num_subsystems:
         raise IndexOutOfRangeError(
             f"multi-index {K} has {len(K)} entries for {state.num_subsystems} subsystems"

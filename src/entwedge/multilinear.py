@@ -17,6 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, LengthMismatchError, TooManyFactorsError
+from .states import require_int
 
 # Alternation sums over all m! slot permutations; past this many factors
 # the sum is no longer a desk-scale computation.
@@ -34,7 +35,7 @@ class TensorGrid:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(require_int(n, LengthMismatchError, "dims") for n in self.dims)
         entries = np.asarray(self.entries, dtype=np.complex128).reshape(-1)
         if entries.size != math.prod(dims):
             raise LengthMismatchError(
@@ -60,7 +61,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(x) for x in self.image)
+        image = tuple(require_int(x, LengthMismatchError, "image") for x in self.image)
         if sorted(image) != list(range(len(image))):
             raise LengthMismatchError(f"{image} is not a permutation of 0..{len(image) - 1}")
         object.__setattr__(self, "image", image)

@@ -2,9 +2,11 @@
 
 A normalized state is separable across a split exactly when its
 matricization across that split has rank one, i.e. when every 2x2 minor
-vanishes.  The residual computed here is the sum of all squared minor
-moduli (each counted twice); it equals ``1 - purity`` of either side's
-reduced density matrix, which the tests verify as an independent route.
+vanishes.  The residual is the sum of all squared minor moduli (each
+counted twice), read for all splits at once from
+:func:`entwedge._kernels.split_residuals`; it equals ``1 - purity`` of
+either side's reduced density matrix, which the tests verify as an
+independent route.
 
 For a fully separable state the per-subsystem factors are recovered as
 the top eigenvectors of the subsystem Gram matrices, from a Hermitian
@@ -14,7 +16,6 @@ the input up to a global phase.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -65,7 +66,8 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     """
     check_measure_size(state)
     validate(state)
-    return _kernels.minor_pair_sum(matricize(state, part))
+    lefts = [part.left_axes(state.num_subsystems)]
+    return float(_kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0, 0])
 
 
 def _check_threshold(threshold: float) -> None:
@@ -82,27 +84,9 @@ def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> 
     m = state.num_subsystems
     if m < 2:
         return True  # nothing to split
-    singletons = [Bipartition((j,), m) for j in range(1, m + 1)]
-    return all(r <= threshold for r in _split_residuals(state, singletons))
-
-
-def _split_residuals(state: PureState, parts) -> list[float]:
-    """Residuals of ``parts``, in order, from one kernel call per
-    matricized shape.  A split's shape follows from the dims alone, so
-    each group is matricized into its stack only when its turn comes.
-    Trusts a checked state."""
-    groups = {}
-    for k, part in enumerate(parts):
-        rows = math.prod(state.dims[j - 1] for j in part.left)
-        groups.setdefault((rows, state.total_dim // rows), []).append(k)
-    residuals = [0.0] * len(parts)
-    for shape, members in groups.items():
-        stack = np.empty((len(members),) + shape, dtype=np.complex128)
-        for slot, k in enumerate(members):
-            stack[slot] = matricize(state, parts[k])
-        for k, residual in zip(members, _kernels.minor_pair_sum(stack)):
-            residuals[k] = float(residual)
-    return residuals
+    lefts = [[j] for j in range(m)]
+    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)
+    return all(r <= threshold for r in residuals[0].tolist())
 
 
 def separability_report(
@@ -122,9 +106,11 @@ def separability_report(
     if m < 2:
         raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
     parts = enumerate_bipartitions(m)
+    lefts = [part.left_axes(m) for part in parts]
+    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)
     per = {
         part: PartitionVerdict(residual, residual <= threshold)
-        for part, residual in zip(parts, _split_residuals(state, parts))
+        for part, residual in zip(parts, residuals[0].tolist())
     }
     # Singleton splits decide full separability; on two subsystems the
     # {2} split canonicalizes to {1}, so look keys up in canonical form.

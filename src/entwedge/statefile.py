@@ -21,13 +21,7 @@ import math
 import numpy as np
 
 from .errors import IoError, SchemaError
-from .states import PureState, check_size_guards, is_finite
-
-
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
-    return value
+from .states import PureState, check_size_guards, is_finite, require_int
 
 
 def _require_number(value, where: str) -> float:
@@ -53,7 +47,7 @@ def _parse_document(doc) -> PureState:
         raise SchemaError("dims: expected a nonempty list")
     dims = []
     for pos, raw in enumerate(doc["dims"]):
-        n = _require_int(raw, f"dims[{pos}]")
+        n = require_int(raw, SchemaError, f"dims[{pos}]")
         if n < 1:
             raise SchemaError(f"dims[{pos}]: must be at least 1, got {n}")
         dims.append(n)
@@ -81,7 +75,7 @@ def _parse_document(doc) -> PureState:
                 f"{where}.idx: has {len(raw['idx'])} entries for {len(dims)} dims"
             )
         for slot, value in enumerate(raw["idx"]):
-            x = _require_int(value, f"{where}.idx[{slot}]")
+            x = require_int(value, SchemaError, f"{where}.idx[{slot}]")
             if not 0 <= x < dims[slot]:
                 raise SchemaError(
                     f"{where}.idx[{slot}]: index {x} out of range for dim {dims[slot]}"

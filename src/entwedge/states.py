@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +64,20 @@ def check_size_guards(dims) -> None:
 
 def is_finite(value) -> bool:
     """True for a finite real number.  An integer past the float range
-    counts as infinite, where ``math.isfinite`` would raise on it."""
+    counts as infinite, and a non-real value as not finite, where
+    ``math.isfinite`` would raise on either."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
+
+
+def require_int(value, error: type[Exception], where: str) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer other
+    than a bool.  Anything else, a float included, raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{where}: expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _frozen_complex_array(values, shape=None) -> np.ndarray:
@@ -104,7 +114,7 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(require_int(n, InvalidPartitionError, "dims") for n in self.dims)
         if len(dims) == 0 or any(n < 1 for n in dims):
             raise InvalidPartitionError(f"dims must be positive, got {dims}")
         check_size_guards(dims)
@@ -150,7 +160,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = require_int(self.dim, DimensionMismatchError, "dim")
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.shape != (dim, dim):
             raise DimensionMismatchError(
@@ -181,8 +191,8 @@ class Bipartition:
     total: int
 
     def __post_init__(self):
-        total = int(self.total)
-        left = tuple(sorted(int(x) for x in self.left))
+        total = require_int(self.total, InvalidPartitionError, "total")
+        left = tuple(sorted(require_int(x, InvalidPartitionError, "left") for x in self.left))
         if total < 2:
             raise InvalidPartitionError(f"need at least 2 subsystems, got {total}")
         if len(left) == 0 or len(left) >= total:
@@ -207,6 +217,12 @@ class Bipartition:
         if len(self.left) != len(other):
             return len(self.left) < len(other)
         return self.left < other
+
+    def left_axes(self, m: int) -> list[int]:
+        """The left side's 0-based slots in a state of ``m`` subsystems."""
+        if self.total != m:
+            raise InvalidPartitionError(f"partition of {self.total} subsystems applied to {m}")
+        return [j - 1 for j in self.left]
 
     def canonical(self) -> "Bipartition":
         if self.is_canonical:
@@ -291,12 +307,7 @@ def matricize(state: PureState, part: Bipartition) -> np.ndarray:
     row-major) and column ``c`` the complementary subsystems' joint index,
     so entry ``(r, c)`` is the amplitude at the reassembled multi-index.
     """
-    if part.total != state.num_subsystems:
-        raise InvalidPartitionError(
-            f"partition of {part.total} subsystems applied to {state.num_subsystems}"
-        )
-    left_axes = [j - 1 for j in part.left]
-    return unfold(state.amplitudes[None], state.dims, left_axes)[0]
+    return unfold(state.amplitudes[None], state.dims, part.left_axes(state.num_subsystems))[0]
 
 
 def partial_trace(state: PureState, keep: int) -> DensityMatrix:
@@ -308,10 +319,7 @@ def partial_trace(state: PureState, keep: int) -> DensityMatrix:
         raise InvalidPartitionError(
             f"subsystem {keep} not in 1..{state.num_subsystems}"
         )
-    if state.num_subsystems == 1:
-        vec = state.amplitudes
-        return DensityMatrix(state.dims[0], np.outer(vec, vec.conj()))
-    m = matricize(state, Bipartition((keep,), state.num_subsystems))
+    m = unfold(state.amplitudes[None], state.dims, [keep - 1])[0]
     return DensityMatrix(state.dims[keep - 1], m @ m.conj().T)
 
 

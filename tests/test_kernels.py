@@ -10,6 +10,7 @@ import pytest
 
 from entwedge import Bipartition, matricize, multipartite_measure, separability_report
 from entwedge import _kernels
+from entwedge.measures import DEFAULT_CONFIG, MeasureKind, measure_rows
 from entwedge.multilinear import grid_norm_sq, wedge_pair
 from entwedge.states import unfold
 from conftest import random_state
@@ -172,6 +173,48 @@ class TestUnfold:
                     want = matricize(state, Bipartition(left, m))
                     assert mat.shape == want.shape
                     assert np.array_equal(mat, want)
+
+
+class TestSplitResiduals:
+    # splits out of order, mixed row counts, one split asked for twice
+    SPLITS = {
+        (2, 3, 4): [[2], [0, 1], [1], [0], [2], [1, 2], [0, 2]],
+        (2, 2, 2, 2): [[1, 3], [3], [0], [0, 1, 2], [3], [2, 0], [1]],
+        (1, 3, 2): [[2], [0], [1, 2], [1], [0]],
+        (5, 7): [[1], [0], [1]],
+    }
+
+    @pytest.mark.parametrize("dims", list(SPLITS))
+    def test_entries_are_one_matrix_calls(self, rng, dims):
+        lefts = self.SPLITS[dims]
+        rows = np.stack([random_state(rng, dims).amplitudes for _ in range(5)])
+        got = _kernels.split_residuals(rows, dims, lefts)
+        assert got.shape == (5, len(lefts))
+        for s, left in enumerate(lefts):
+            for t, mat in enumerate(unfold(rows, dims, left)):
+                assert float(got[t, s]).hex() == _kernels.minor_pair_sum(mat).hex()
+
+    @staticmethod
+    def count_kernel(monkeypatch) -> list:
+        shapes = []
+        real = _kernels.minor_pair_sum
+
+        def counted(mat):
+            shapes.append(np.shape(mat))
+            return real(mat)
+
+        monkeypatch.setattr(_kernels, "minor_pair_sum", counted)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "dims, want",
+        [((2, 2, 2), [(3, 2, 4)] * 4), ((2, 3, 4), [(1, 2, 12), (1, 3, 8), (1, 4, 6)] * 4)],
+    )
+    def test_one_call_per_row_and_shape(self, monkeypatch, rng, dims, want):
+        rows = np.stack([random_state(rng, dims).amplitudes for _ in range(4)])
+        shapes = self.count_kernel(monkeypatch)
+        measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims, DEFAULT_CONFIG)
+        assert sorted(shapes) == sorted(want)
 
 
 class TestSelection:

@@ -27,7 +27,9 @@ from entwedge import (
     swapped_wedge_coefficient,
     tripartite_measure,
 )
+from entwedge import _kernels
 from entwedge.measures import DEFAULT_CONFIG, measure_rows
+from entwedge.states import unfold
 from entwedge.errors import (
     IndexOutOfRangeError,
     NotNormalizedError,
@@ -289,6 +291,19 @@ class TestMeasureRows:
             want = [measure(s) for s in states]
             got = measure_rows(want[0].kind, rows, dims, DEFAULT_CONFIG)
             assert got == want
+
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 2, 2, 2), (2, 2, 2, 2, 2)])
+    def test_term_sum_adds_slots_in_order(self, rng, dims):
+        # E's term sum is bitwise twice the singleton residuals added one
+        # at a time from slot 1, the order every earlier output has used
+        rows = np.stack([random_state(rng, dims).amplitudes for _ in range(6)])
+        got = measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims, DEFAULT_CONFIG)
+        for t, result in enumerate(got):
+            want = 0.0
+            for j in range(len(dims)):
+                want += _kernels.minor_pair_sum(unfold(rows, dims, [j])[t])
+            assert result.term_sum.hex() == (2.0 * want).hex()
 
 
 class TestNearProductExact:

@@ -1,27 +1,50 @@
 """Non-finite numbers are refused on every input path, with typed errors.
 
 The values are NaN, both infinities, ``1e999`` (which reads as infinity)
-and integers of 400 digits, which no float can hold.
+and integers of 400 digits, which no float can hold.  Where the library
+takes an integer, NaN, infinity, fractions, strings and booleans are
+refused too, rather than truncated.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwedge import (
+    Bipartition,
+    DensityMatrix,
     MeasureConfig,
+    Permutation,
     PureState,
+    TensorGrid,
+    UnitaryGate,
+    evaluate,
+    invariance_experiment,
     is_product_state,
     load_state,
     normalize,
+    pair_coefficient,
+    parse_ket,
     separability_report,
+    swapped_wedge_coefficient,
+    trial_rng,
     validate,
 )
-from entwedge.errors import NotNormalizedError, SchemaError, ValidationError, WrongDimsError
+from entwedge.errors import (
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    InvalidPartitionError,
+    LengthMismatchError,
+    NotNormalizedError,
+    SchemaError,
+    ValidationError,
+    WrongDimsError,
+)
 from conftest import bell_state
 
 HUGE = st.integers(10 ** 399, 10 ** 400 - 1)
@@ -118,3 +141,62 @@ def test_validate_negative_tolerance(tol):
 def test_validate_infinite_tolerance_does_not_pass_any_norm():
     with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
         validate(PureState((2,), [5, 0]), tol=math.inf)
+
+
+# Each place the library turns a caller's value into an integer, with
+# the error class that place raises for a bad value.
+INTEGER_SITES = {
+    "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), InvalidPartitionError),
+    "DensityMatrix.dim": (lambda v: DensityMatrix(v, np.eye(2) / 2), DimensionMismatchError),
+    "Bipartition.total": (lambda v: Bipartition((1,), v), InvalidPartitionError),
+    "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
+    "evaluate.dims": (lambda v: evaluate(parse_ket("|0>|1>"), dims=(2, v)), InvalidPartitionError),
+    "UnitaryGate.dim": (lambda v: UnitaryGate(v, np.eye(2)), DimensionMismatchError),
+    "trial_rng.seed": (lambda v: trial_rng(v, 0), ValidationError),
+    "trial_rng.trial": (lambda v: trial_rng(0, v), ValidationError),
+    "invariance.trials": (lambda v: invariance_experiment(bell_state(), trials=v), ValidationError),
+    "invariance.seed": (
+        lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
+    ),
+    "pair_coefficient": (
+        lambda v: pair_coefficient(bell_state(), (v, 0), (0, 0)), IndexOutOfRangeError
+    ),
+    "swapped_wedge_coefficient.slot": (
+        lambda v: swapped_wedge_coefficient(bell_state(), (0, 0), (1, 1), v),
+        IndexOutOfRangeError,
+    ),
+    "TensorGrid.dims": (lambda v: TensorGrid((2, v), np.zeros(4)), LengthMismatchError),
+    "Permutation.image": (lambda v: Permutation((v, 0)), LengthMismatchError),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, "2", True], ids=repr)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_are_checked(site, value):
+    call, error = INTEGER_SITES[site]
+    with pytest.raises(error, match="expected an integer"):
+        call(value)
+
+
+def test_numpy_integers_are_accepted():
+    two = np.int64(2)
+    state = PureState((two, np.int64(1)), [1, 0])
+    assert state.dims == (2, 1)
+    assert all(type(n) is int for n in state.dims)
+    assert evaluate(parse_ket("|0>|1>"), dims=(two, two)).dims == (2, 2)
+    assert Bipartition((np.int64(1),), np.int64(3)) == Bipartition((1,), 3)
+    run = invariance_experiment(bell_state(), trials=np.int64(2), seed=np.uint64(7))
+    assert (run.trials, run.seed) == (2, 7)
+    assert type(run.seed) is int
+
+
+@pytest.mark.parametrize("value", ["1e-3", 1j, None], ids=repr)
+def test_non_real_numbers_are_refused(value):
+    with pytest.raises(ValidationError):
+        separability_report(bell_state(), threshold=value)
+    with pytest.raises(ValidationError):
+        is_product_state(bell_state(), threshold=value)
+    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
+        validate(bell_state(), tol=value)
+    with pytest.raises(WrongDimsError):
+        MeasureConfig(norm_constant=value)

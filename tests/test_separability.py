@@ -96,6 +96,10 @@ class TestPartitionResidual:
         with pytest.raises(NotNormalizedError):
             partition_residual(PureState((2, 2), amps), Bipartition((1,), 2))
 
+    def test_partition_of_other_arity(self):
+        with pytest.raises(InvalidPartitionError, match="partition of 3 subsystems applied to 2"):
+            partition_residual(bell_state(), Bipartition((1,), 3))
+
 
 class TestIsProductState:
     def test_product_true(self, rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ class TestRoundTrip:
     def test_save_writes_every_entry_in_row_major_order(self, tmp_path):
         path = str(tmp_path / "bell.json")
         save_state(bell_state(), path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text.endswith("\n")
         doc = json.loads(text)
         assert doc["dims"] == [2, 2]
@@ -58,7 +59,7 @@ class TestRoundTrip:
         b = str(tmp_path / "b.json")
         save_state(state, a)
         save_state(state, b)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 class TestLoad:

@@ -185,6 +185,14 @@ class TestPartialTrace:
         with pytest.raises(InvalidPartitionError):
             partial_trace(bell_state(), 3)
 
+    def test_single_subsystem_is_the_projector(self, rng):
+        # the one-slot unfolding is an n x 1 matrix, so its Gram matrix
+        # is the outer product up to rounding
+        state = random_state(rng, (3,))
+        vec = state.amplitudes
+        rho = partial_trace(state, 1)
+        np.testing.assert_allclose(rho.entries, np.outer(vec, vec.conj()), rtol=0, atol=1e-15)
+
 
 class TestPurity:
     def test_pure_and_mixed(self):
