@@ -93,8 +93,8 @@ def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:
     whole stack: ``k * T * D`` entries, at most ``m * 2**16`` (8 MB at
     m = 8) for a ``lu.CHUNK_AMPLITUDES`` chunk.  The kernel runs once per
     row and group.  One call per group on the whole stack is a one-line
-    change, left out because it costs about 8% more peak memory on
-    small-state invariance runs."""
+    change with bitwise equal results; it waits on the benchmark harness,
+    whose peak memory grows with the op rate (ROADMAP item 1)."""
     groups = {}
     for s, left in enumerate(lefts):
         groups.setdefault(math.prod(dims[ax] for ax in left), []).append(s)

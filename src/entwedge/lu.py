@@ -1,27 +1,26 @@
 """Haar-random local unitaries and the invariance experiment.
 
-Randomness contract: every trial draws from its own substream, derived
-from ``SeedSequence(entropy=seed, spawn_key=(trial,))`` feeding a PCG64
-generator, so trial k is reproducible in isolation and independent of
-how many trials run around it.  Normal variates come from an explicit
+Randomness contract: an experiment reads one stream, PCG64 seeded with
+``SeedSequence(seed)``.  Trial k on dims ``n_1 .. n_m`` takes raw words
+``[k W, (k + 1) W)`` with ``W = sum_j 2 n_j^2``, slot j's gate the next
+``2 n_j^2`` of them, and ``trial_rng(seed, k, dims)`` rebuilds trial k
+alone by advancing ``k W`` words.  Normal variates come from an explicit
 Box-Muller transform of uniform doubles rather than the generator's own
 normal method, pinning the exact variate stream to this module instead
 of to numpy internals.  A uniform double is ``(w >> 11) * 2**-53`` for a
-raw 64-bit PCG64 word ``w``, which is what ``Generator.random`` returns
-on PCG64.
+raw word ``w``, which is what ``Generator.random`` returns on PCG64.
 
 The experiment itself applies one independent Haar unitary per
 subsystem and reports how far the measure moves.  It asserts nothing
-about the deviations; it only reports them.  Trials run in chunks.  The
-only per-trial step is the seeding: each trial's PCG64 fills one row of
-the chunk's raw-word buffer.  Everything after that runs once over the
-chunk's stack of trials: the conversion to uniforms, Box-Muller per
-slot, the QR factorization with its phase fix, the unitarity check, the
-rotation, the norm check of the rotated states and the re-measure,
-which unfolds the rotated stack once per split.  Every step works
-within one trial's numbers, so a trial's deviation is bitwise the same
-whatever the chunk size, and equal to the single-trial path through
-``haar_unitary``, ``apply_local`` and the public measure.
+about the deviations; it only reports them.  Trials run in chunks: a
+chunk reads its trials' words in one call, and the conversion to
+uniforms, Box-Muller per slot, the QR factorization with its phase fix,
+the unitarity check, the rotation, the norm check of the rotated states
+and the re-measure, which unfolds the rotated stack once per split, all
+run once over the chunk's stack of trials.  Every step works within one
+trial's numbers, so a trial's deviation is bitwise the same whatever
+the chunk size, and equal to the single-trial path through
+``trial_rng``, ``haar_unitary``, ``apply_local`` and the public measure.
 """
 
 from __future__ import annotations
@@ -85,17 +84,16 @@ class InvarianceRun:
     deviations: tuple | None
 
 
-def _trial_bits(seed: int, trial: int) -> np.random.PCG64:
-    """PCG64 for one trial's substream, independent of all others."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.PCG64(seq)
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Generator for one trial's substream, independent of all others."""
+def trial_rng(seed: int, trial: int, dims) -> np.random.Generator:
+    """Generator at the first word of trial ``trial`` in the stream of an
+    experiment with ``seed`` on subsystem dims ``dims``."""
     seed = require_int(seed, ValidationError, "seed")
     trial = require_int(trial, ValidationError, "trial")
-    return np.random.Generator(_trial_bits(seed, trial))
+    if not 0 <= seed < 2 ** 64 or trial < 0:
+        raise ValidationError(f"need 0 <= seed < 2**64 and trial >= 0, got {seed}, {trial}")
+    words = sum(2 * require_int(n, ValidationError, "dims") ** 2 for n in dims)
+    bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(trial * words)
+    return np.random.Generator(bits)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -118,19 +116,17 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return _box_muller(u1, u2)[:n]
 
 
-def _chunk_normals(seed: int, lo: int, count: int, dims) -> list:
-    """The normals of trials ``lo .. lo + count - 1``, one ``(count, 2 n^2)``
-    array per slot.
+def _chunk_normals(bits: np.random.PCG64, count: int, dims) -> list:
+    """The normals of the next ``count`` trials in ``bits``, one
+    ``(count, 2 n^2)`` array per slot.
 
     Row t of slot j's array is bitwise ``standard_normals(rng, 2 n_j^2)``
-    for ``rng = trial_rng(seed, lo + t)`` after the earlier slots' draws:
+    for ``rng`` at trial t's first word, after the earlier slots' draws:
     each slot uses ``n_j^2`` uniforms for the radii, then ``n_j^2`` for
     the angles.
     """
     total = sum(2 * n * n for n in dims)
-    raw = np.empty((count, total), dtype=np.uint64)
-    for t in range(count):
-        raw[t] = _trial_bits(seed, lo + t).random_raw(total)
+    raw = bits.random_raw(count * total).reshape(count, total)
     uniforms = (raw >> np.uint64(11)) * 2.0 ** -53
     normals = []
     start = 0
@@ -181,6 +177,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
     of Q is multiplied by the phase of the matching diagonal entry of R,
     which makes the factorization unique and the sample Haar.
     """
+    dim = require_int(dim, DimensionMismatchError, "dim")
     if dim < 1:
         raise DimensionMismatchError(f"dim must be positive, got {dim}")
     normals = standard_normals(rng, 2 * dim * dim)
@@ -236,7 +233,7 @@ def invariance_experiment(
     """Measure drift under per-subsystem Haar unitaries.
 
     Runs ``trials`` independent rounds; round k rotates every subsystem
-    by a fresh Haar unitary drawn from substream k and records the
+    by a fresh Haar unitary drawn from trial k's words and records the
     difference from the untouched state's value.  Output is a report of
     the observed deviations, bitwise reproducible for fixed inputs; no
     judgement about invariance is baked in.
@@ -249,8 +246,7 @@ def invariance_experiment(
     seed = require_int(seed, ValidationError, "seed")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    bits = trial_rng(seed, 0, state.dims).bit_generator
     check_measure_size(state)
     validate(state, cfg.tol)
     baseline = resolve_measure(measure, state.num_subsystems)(state, cfg)
@@ -261,7 +257,7 @@ def invariance_experiment(
     step = _chunk_trials(dims)
     for lo in range(0, trials, step):
         count = min(step, trials - lo)
-        normals = _chunk_normals(seed, lo, count, dims)
+        normals = _chunk_normals(bits, count, dims)
         stacks = [_haar_stack(slot, n) for slot, n in zip(normals, dims)]
         for gates in stacks:
             _check_unitary(gates)

@@ -70,15 +70,16 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     return float(_kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0, 0])
 
 
-def _check_threshold(threshold: float) -> None:
-    # NaN would call every split entangled, and inf every split separable
+def _as_threshold(threshold: float) -> float:
+    # NaN or inf would decide every split; float() keeps verdicts plain bools
     if not is_finite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
+    return float(threshold)
 
 
 def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True when every single-subsystem split passes the threshold."""
-    _check_threshold(threshold)
+    threshold = _as_threshold(threshold)
     check_measure_size(state)
     validate(state)
     m = state.num_subsystems
@@ -99,7 +100,7 @@ def separability_report(
     reconstruction is verified up to a global phase.  A non-finite
     threshold raises :class:`ValidationError`.
     """
-    _check_threshold(threshold)
+    threshold = _as_threshold(threshold)
     check_measure_size(state)
     validate(state)
     m = state.num_subsystems
@@ -127,7 +128,7 @@ def separability_report(
         certificate = factors
         error = _reconstruction_error(state, factors)
     genuine = not any(verdict.separable for verdict in per.values())
-    return SeparabilityReport(float(threshold), per, fully, certificate, error, genuine)
+    return SeparabilityReport(threshold, per, fully, certificate, error, genuine)
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:

@@ -315,6 +315,7 @@ def partial_trace(state: PureState, keep: int) -> DensityMatrix:
 
     For a normalized input the result is Hermitian with unit trace.
     """
+    keep = require_int(keep, InvalidPartitionError, "keep")
     if not 1 <= keep <= state.num_subsystems:
         raise InvalidPartitionError(
             f"subsystem {keep} not in 1..{state.num_subsystems}"
@@ -334,6 +335,7 @@ def enumerate_bipartitions(m: int) -> list[Bipartition]:
     Ordered by left-side size, then lexicographically, e.g. for m = 4:
     {1}, {2}, {3}, {4}, {1,2}, {1,3}, {1,4}.
     """
+    m = require_int(m, InvalidPartitionError, "m")
     if m < 2:
         raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
     out = []

@@ -38,44 +38,44 @@ from conftest import bell_state, ghz_state, random_state
 
 class TestStandardNormals:
     def test_moments(self):
-        rng = trial_rng(7, 0)
+        rng = trial_rng(7, 0, (2,))
         x = standard_normals(rng, 200000)
         assert abs(float(np.mean(x))) < 0.02
         assert abs(float(np.var(x)) - 1.0) < 0.02
 
     def test_odd_count(self):
-        rng = trial_rng(7, 1)
+        rng = trial_rng(7, 1, (2,))
         assert standard_normals(rng, 7).shape == (7,)
 
     def test_deterministic(self):
-        a = standard_normals(trial_rng(3, 5), 16)
-        b = standard_normals(trial_rng(3, 5), 16)
+        a = standard_normals(trial_rng(3, 5, (2,)), 16)
+        b = standard_normals(trial_rng(3, 5, (2,)), 16)
         np.testing.assert_array_equal(a, b)
 
     def test_all_finite(self):
         # log1p(-u) keeps the radius finite even if u comes out 0
-        x = standard_normals(trial_rng(11, 2), 100000)
+        x = standard_normals(trial_rng(11, 2, (2,)), 100000)
         assert np.all(np.isfinite(x))
 
 
 class TestHaarUnitary:
     def test_dim_one_is_a_phase(self):
         for trial in range(20):
-            gate = haar_unitary(1, trial_rng(0, trial))
+            gate = haar_unitary(1, trial_rng(0, trial, (1,)))
             assert abs(abs(gate.entries[0, 0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_unitary_within_tolerance(self, dim):
         for trial in range(10):
-            gate = haar_unitary(dim, trial_rng(1, trial))
+            gate = haar_unitary(dim, trial_rng(1, trial, (dim,)))
             defect = np.max(
                 np.abs(gate.entries.conj().T @ gate.entries - np.eye(dim))
             )
             assert defect <= 1e-10
 
     def test_deterministic(self):
-        a = haar_unitary(3, trial_rng(9, 4))
-        b = haar_unitary(3, trial_rng(9, 4))
+        a = haar_unitary(3, trial_rng(9, 4, (3,)))
+        b = haar_unitary(3, trial_rng(9, 4, (3,)))
         np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_corner_moment(self):
@@ -83,26 +83,26 @@ class TestHaarUnitary:
         total = 0.0
         samples = 4000
         for trial in range(samples):
-            gate = haar_unitary(2, trial_rng(42, trial))
+            gate = haar_unitary(2, trial_rng(42, trial, (2,)))
             total += abs(gate.entries[0, 0]) ** 2
         assert total / samples == pytest.approx(0.5, abs=0.02)
 
     def test_bad_dim(self):
         with pytest.raises(DimensionMismatchError):
-            haar_unitary(0, trial_rng(0, 0))
+            haar_unitary(0, trial_rng(0, 0, (1,)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 64])
     def test_matches_column_loop_reference(self, dim):
         # textbook modified Gram-Schmidt, one column at a time, on the
         # same draws; summation order differs, so agree to rounding
         for trial in range(5):
-            flat = standard_normals(trial_rng(13, trial), 2 * dim * dim)
+            flat = standard_normals(trial_rng(13, trial, (dim,)), 2 * dim * dim)
             q = (flat[: dim * dim] + 1j * flat[dim * dim:]).reshape(dim, dim)
             for k in range(dim):
                 for i in range(k):
                     q[:, k] -= np.vdot(q[:, i], q[:, k]) * q[:, i]
                 q[:, k] /= np.linalg.norm(q[:, k])
-            gate = haar_unitary(dim, trial_rng(13, trial))
+            gate = haar_unitary(dim, trial_rng(13, trial, (dim,)))
             np.testing.assert_allclose(gate.entries, q, rtol=0, atol=1e-12)
 
 
@@ -136,13 +136,15 @@ class TestApplyLocal:
 
     def test_norm_preserved(self, rng):
         state = random_state(rng, (2, 3, 2))
-        gates = [haar_unitary(n, trial_rng(5, j)) for j, n in enumerate(state.dims)]
+        rng_0 = trial_rng(5, 0, state.dims)
+        gates = [haar_unitary(n, rng_0) for n in state.dims]
         rotated = apply_local(state, gates)
         assert abs(rotated.norm() - 1.0) <= 1e-10
 
     def test_marginal_purity_preserved(self, rng):
         state = random_state(rng, (2, 2, 3))
-        gates = [haar_unitary(n, trial_rng(6, j)) for j, n in enumerate(state.dims)]
+        rng_0 = trial_rng(6, 0, state.dims)
+        gates = [haar_unitary(n, rng_0) for n in state.dims]
         rotated = apply_local(state, gates)
         for j in (1, 2, 3):
             before = purity(partial_trace(state, j))
@@ -152,7 +154,7 @@ class TestApplyLocal:
     def test_single_subsystem_rotation(self, rng):
         # acting on one slot only, with identities elsewhere
         state = random_state(rng, (2, 2))
-        gates = [haar_unitary(2, trial_rng(8, 0)), UnitaryGate(2, np.eye(2))]
+        gates = [haar_unitary(2, trial_rng(8, 0, (2, 2))), UnitaryGate(2, np.eye(2))]
         rotated = apply_local(state, gates)
         c0 = bipartite_concurrence(state).value
         c1 = bipartite_concurrence(normalize(rotated)).value
@@ -160,7 +162,8 @@ class TestApplyLocal:
 
     def test_matches_tensordot_reference(self, rng):
         state = random_state(rng, (2, 3, 1, 4))
-        gates = [haar_unitary(n, trial_rng(12, j)) for j, n in enumerate(state.dims)]
+        rng_0 = trial_rng(12, 0, state.dims)
+        gates = [haar_unitary(n, rng_0) for n in state.dims]
         tensor = state.tensor
         for j, gate in enumerate(gates):
             tensor = np.moveaxis(np.tensordot(gate.entries, tensor, axes=([1], [j])), 0, j)
@@ -180,18 +183,24 @@ class TestApplyLocal:
 class TestTrialRng:
     def test_reconstructible_substreams(self):
         for trial in (0, 1, 17):
-            a = trial_rng(123, trial).random(4)
-            b = trial_rng(123, trial).random(4)
+            a = trial_rng(123, trial, (2, 3)).random(4)
+            b = trial_rng(123, trial, (2, 3)).random(4)
             np.testing.assert_array_equal(a, b)
 
     def test_trials_are_distinct(self):
-        draws = [tuple(trial_rng(123, t).random(2)) for t in range(6)]
+        draws = [tuple(trial_rng(123, t, (2,)).random(2)) for t in range(6)]
         assert len(set(draws)) == len(draws)
 
     def test_seeds_are_distinct(self):
-        a = trial_rng(1, 0).random(4)
-        b = trial_rng(2, 0).random(4)
+        a = trial_rng(1, 0, (2,)).random(4)
+        b = trial_rng(2, 0, (2,)).random(4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1)])
+    def test_out_of_range_refused(self, seed, trial):
+        # a negative trial would wrap to the end of the PCG64 period
+        with pytest.raises(ValidationError):
+            trial_rng(seed, trial, (2,))
 
 
 class TestInvarianceExperiment:
@@ -219,7 +228,7 @@ class TestInvarianceExperiment:
         assert a == b
 
     def test_prefix_property(self):
-        # substreams make trial k independent of the total trial count
+        # trial k reads the same words whatever the total trial count
         short = invariance_experiment(bell_state(), trials=6, seed=7)
         long = invariance_experiment(bell_state(), trials=10, seed=7)
         assert short.deviations == long.deviations[:6]
@@ -276,16 +285,33 @@ class TestBatchedTrials:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (1, 3)])
     def test_trial_matches_public_single_trial_path(self, rng, dims):
-        # trial k is haar_unitary per slot from trial k's substream, then
+        # trial k is haar_unitary per slot from trial k's words, then
         # apply_local and the measure, bit for bit
         state = random_state(rng, dims)
         run = invariance_experiment(state, trials=12, seed=8)
         fn = resolve_measure("auto", state.num_subsystems)
         baseline = fn(state).value
         for k, deviation in enumerate(run.deviations):
-            rng_k = trial_rng(8, k)
+            rng_k = trial_rng(8, k, dims)
             gates = [haar_unitary(n, rng_k) for n in dims]
             assert fn(apply_local(state, gates)).value - baseline == deviation
+
+    @pytest.mark.parametrize("per_chunk", [100, 7])
+    def test_one_seed_sequence_per_experiment(self, monkeypatch, per_chunk):
+        # seeding once per trial cost more than the rest of a small trial
+        state = bell_state()
+        monkeypatch.setattr(lu, "CHUNK_AMPLITUDES", chunk_budget(state, per_chunk))
+        made = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        run = invariance_experiment(state, trials=100, seed=5)
+        assert len(run.deviations) == 100
+        assert made == [(5,)]
 
     def test_dim_one_slot(self):
         # a dim-1 slot rotates by a phase and leaves the measure alone
@@ -330,10 +356,13 @@ class TestChunkDraws:
         count=st.integers(1, 4),
     )
     def test_rows_match_per_trial_draws(self, dims, seed, lo, count):
-        normals = lu._chunk_normals(seed, lo, count, dims)
+        normals = lu._chunk_normals(trial_rng(seed, lo, dims).bit_generator, count, dims)
         assert [slot.shape for slot in normals] == [(count, 2 * n * n) for n in dims]
+        words = sum(2 * n * n for n in dims)
         for t in range(count):
-            rng = trial_rng(seed, lo + t)
+            bits = np.random.PCG64(np.random.SeedSequence(seed))
+            bits.advance((lo + t) * words)
+            rng = np.random.Generator(bits)
             for slot, n in zip(normals, dims):
                 np.testing.assert_array_equal(slot[t], standard_normals(rng, 2 * n * n))
 
@@ -379,39 +408,39 @@ def numerics_fingerprint():
 
 
 # (dims, seed, measure, trials) -> baseline_value, then per platform
-# fingerprint: deviations, max_abs_deviation.  Recorded before the draws
-# and the re-measure ran as chunk stacks, on x86-64 with numpy 2.4 and its
-# bundled OpenBLAS 0.3.31: "70d3..." with the AVX-512 (SkylakeX) kernels,
-# "f00e..." with the Haswell/Zen ones.
+# fingerprint: deviations, max_abs_deviation.  Recorded with one random
+# stream per experiment, on x86-64 with numpy 2.4 and its bundled OpenBLAS
+# 0.3.31: "70d3..." with the AVX-512 (SkylakeX) kernels, "f00e..." with
+# the Haswell/Zen ones.
 GOLDEN = [
     (((2, 3), 7, "auto", 6), "0x1.1b7da6e39dc63p-1", {
         "70d30828638ee746": (
-            ["0x1.0000000000000p-53", "0x1.8000000000000p-52", "0x1.0000000000000p-53",
-             "-0x1.0000000000000p-51", "-0x1.0000000000000p-52", "0x1.0000000000000p-53"],
-            "0x1.0000000000000p-51"),
+            ["0x0.0p+0", "-0x1.0000000000000p-52", "-0x1.0000000000000p-53",
+             "-0x1.0000000000000p-53", "0x1.0000000000000p-52", "0x0.0p+0"],
+            "0x1.0000000000000p-52"),
         "f00eac3ca9446df2": (
-            ["0x1.0000000000000p-53", "0x1.8000000000000p-52", "0x0.0p+0",
-             "-0x1.0000000000000p-51", "-0x1.0000000000000p-52", "-0x1.0000000000000p-53"],
+            ["0x0.0p+0", "-0x1.0000000000000p-51", "-0x1.0000000000000p-52",
+             "-0x1.8000000000000p-52", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53"],
             "0x1.0000000000000p-51"),
     }),
     (((2, 2, 2), 2**64 - 1, "auto", 5), "0x1.2925937802c27p+0", {
         "70d30828638ee746": (
-            ["-0x1.0000000000000p-52", "0x1.0000000000000p-51", "-0x1.0000000000000p-52",
-             "-0x1.0000000000000p-50", "-0x1.4000000000000p-50"],
-            "0x1.4000000000000p-50"),
-        "f00eac3ca9446df2": (
-            ["-0x1.0000000000000p-52", "0x1.8000000000000p-51", "0x1.0000000000000p-52",
-             "-0x1.0000000000000p-50", "-0x1.8000000000000p-51"],
+            ["0x1.0000000000000p-50", "0x1.0000000000000p-52", "0x1.0000000000000p-51",
+             "-0x1.0000000000000p-51", "0x1.0000000000000p-52"],
             "0x1.0000000000000p-50"),
+        "f00eac3ca9446df2": (
+            ["0x1.8000000000000p-51", "0x0.0p+0", "0x1.0000000000000p-51",
+             "-0x1.0000000000000p-52", "0x1.0000000000000p-51"],
+            "0x1.8000000000000p-51"),
     }),
     (((1, 3, 2), 2**63 + 5, "multipartite", 4), "0x1.cb8070f59d8bcp-1", {
         "70d30828638ee746": (
-            ["-0x1.0000000000000p-52", "-0x1.0000000000000p-51", "-0x1.0000000000000p-53",
-             "-0x1.8000000000000p-52"],
-            "0x1.0000000000000p-51"),
+            ["-0x1.4000000000000p-51", "-0x1.0000000000000p-53", "0x1.0000000000000p-52",
+             "-0x1.0000000000000p-51"],
+            "0x1.4000000000000p-51"),
         "f00eac3ca9446df2": (
-            ["-0x1.8000000000000p-51", "-0x1.8000000000000p-52", "-0x1.8000000000000p-52",
-             "-0x1.0000000000000p-53"],
+            ["-0x1.0000000000000p-52", "-0x1.0000000000000p-52", "-0x1.0000000000000p-52",
+             "-0x1.8000000000000p-51"],
             "0x1.8000000000000p-51"),
     }),
 ]

@@ -23,13 +23,16 @@ from entwedge import (
     PureState,
     TensorGrid,
     UnitaryGate,
+    enumerate_bipartitions,
     evaluate,
+    haar_unitary,
     invariance_experiment,
     is_product_state,
     load_state,
     normalize,
     pair_coefficient,
     parse_ket,
+    partial_trace,
     separability_report,
     swapped_wedge_coefficient,
     trial_rng,
@@ -152,8 +155,10 @@ INTEGER_SITES = {
     "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
     "evaluate.dims": (lambda v: evaluate(parse_ket("|0>|1>"), dims=(2, v)), InvalidPartitionError),
     "UnitaryGate.dim": (lambda v: UnitaryGate(v, np.eye(2)), DimensionMismatchError),
-    "trial_rng.seed": (lambda v: trial_rng(v, 0), ValidationError),
-    "trial_rng.trial": (lambda v: trial_rng(0, v), ValidationError),
+    "haar_unitary.dim": (lambda v: haar_unitary(v, trial_rng(0, 0, (2,))), DimensionMismatchError),
+    "trial_rng.seed": (lambda v: trial_rng(v, 0, (2,)), ValidationError),
+    "trial_rng.trial": (lambda v: trial_rng(0, v, (2,)), ValidationError),
+    "trial_rng.dims": (lambda v: trial_rng(0, 1, (2, v)), ValidationError),
     "invariance.trials": (lambda v: invariance_experiment(bell_state(), trials=v), ValidationError),
     "invariance.seed": (
         lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
@@ -165,6 +170,8 @@ INTEGER_SITES = {
         lambda v: swapped_wedge_coefficient(bell_state(), (0, 0), (1, 1), v),
         IndexOutOfRangeError,
     ),
+    "partial_trace.keep": (lambda v: partial_trace(bell_state(), v), InvalidPartitionError),
+    "enumerate_bipartitions": (enumerate_bipartitions, InvalidPartitionError),
     "TensorGrid.dims": (lambda v: TensorGrid((2, v), np.zeros(4)), LengthMismatchError),
     "Permutation.image": (lambda v: Permutation((v, 0)), LengthMismatchError),
 }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from functools import reduce
 
@@ -210,6 +212,15 @@ class TestReport:
     def test_threshold_recorded(self):
         report = separability_report(bell_state(), threshold=1e-6)
         assert report.threshold == 1e-6
+
+    @pytest.mark.parametrize("threshold", [1e-3, np.float64(1e-3), np.float32(1e-3), 1])
+    def test_verdicts_are_json_values(self, threshold):
+        # a numpy threshold must not turn the verdicts into numpy bools
+        report = separability_report(bell_x_bell_state(), threshold=threshold)
+        for verdict in report.per_partition.values():
+            assert type(verdict.separable) is bool
+            json.dumps(dataclasses.asdict(verdict))
+        json.dumps([report.threshold, report.fully_separable, report.genuinely_entangled])
 
 
 class TestSizeGuard:
