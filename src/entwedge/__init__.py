@@ -1,15 +1,7 @@
 """Wedge-product entanglement measures for pure multipartite states."""
 
 from .ketlang import KetExpr, evaluate, parse_ket, pretty
-from .lu import (
-    InvarianceRun,
-    UnitaryGate,
-    apply_local,
-    haar_unitary,
-    invariance_experiment,
-    standard_normals,
-    trial_rng,
-)
+from .lu import InvarianceRun, invariance_experiment, trial_rng
 from .measures import (
     MeasureConfig,
     MeasureKind,
@@ -22,7 +14,6 @@ from .measures import (
     swapped_wedge_coefficient,
     tripartite_measure,
 )
-from .multilinear import Permutation, TensorGrid, alt, grid_norm_sq, signature, wedge_pair
 from .separability import (
     PartitionVerdict,
     SeparabilityReport,
@@ -53,21 +44,13 @@ __all__ = [
     "MeasureConfig",
     "MeasureKind",
     "MeasureResult",
-    "Permutation",
     "PureState",
     "SeparabilityReport",
     "PartitionVerdict",
-    "TensorGrid",
-    "UnitaryGate",
-    "alt",
-    "apply_local",
     "bipartite_concurrence",
     "enumerate_bipartitions",
     "evaluate",
-    "grid_norm_sq",
-    "haar_unitary",
     "invariance_experiment",
-    "standard_normals",
     "is_product_state",
     "load_state",
     "matricize",
@@ -83,10 +66,8 @@ __all__ = [
     "purity",
     "save_state",
     "separability_report",
-    "signature",
     "swapped_wedge_coefficient",
     "trial_rng",
     "tripartite_measure",
     "validate",
-    "wedge_pair",
 ]

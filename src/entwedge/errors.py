@@ -72,10 +72,6 @@ class TooLargeError(SizeGuardError):
     """Total dimension exceeds the operation's size guard."""
 
 
-class TooManyFactorsError(SizeGuardError):
-    """Factor count exceeds the factorial guard for alternation."""
-
-
 # --- text and file errors ----------------------------------------------
 
 class ParseError(EntwedgeError):

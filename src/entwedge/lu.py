@@ -19,18 +19,20 @@ the unitarity check, the rotation, the norm check of the rotated states
 and the re-measure, which unfolds the rotated stack once per split, all
 run once over the chunk's stack of trials.  Every step works within one
 trial's numbers, so a trial's deviation is bitwise the same whatever
-the chunk size, and equal to the single-trial path through
-``trial_rng``, ``haar_unitary``, ``apply_local`` and the public measure.
+the chunk size.  The tests check that equality, bit for bit, against
+an oracle that runs one trial at a time from ``trial_rng``: uniform
+doubles from ``Generator.random``, then these same Box-Muller, QR and
+rotation helpers on a batch of one, then the public measure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .measures import (
     DEFAULT_CONFIG,
     MeasureConfig,
@@ -48,27 +50,6 @@ PER_TRIAL_CAP = 10000
 # Trials run in chunks holding at most this many complex entries (rotated
 # states plus gates), so memory stays flat however large the state.
 CHUNK_AMPLITUDES = 1 << 16
-
-
-@dataclass(frozen=True)
-class UnitaryGate:
-    """Square matrix checked to be unitary within 1e-10 componentwise."""
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dim = require_int(self.dim, DimensionMismatchError, "dim")
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"expected a {dim}x{dim} matrix, got shape {entries.shape}"
-            )
-        _check_unitary(entries[None])
-        arr = entries.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", arr)
 
 
 @dataclass(frozen=True)
@@ -108,22 +89,14 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on uniform doubles."""
-    pairs = (n + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    return _box_muller(u1, u2)[:n]
-
-
 def _chunk_normals(bits: np.random.PCG64, count: int, dims) -> list:
     """The normals of the next ``count`` trials in ``bits``, one
     ``(count, 2 n^2)`` array per slot.
 
-    Row t of slot j's array is bitwise ``standard_normals(rng, 2 n_j^2)``
-    for ``rng`` at trial t's first word, after the earlier slots' draws:
-    each slot uses ``n_j^2`` uniforms for the radii, then ``n_j^2`` for
-    the angles.
+    Row t of slot j's array is bitwise the Box-Muller normals of the
+    next ``2 n_j^2`` uniform doubles from a ``Generator`` at trial t's
+    first word, after the earlier slots' draws: each slot uses ``n_j^2``
+    uniforms for the radii, then ``n_j^2`` for the angles.
     """
     total = sum(2 * n * n for n in dims)
     raw = bits.random_raw(count * total).reshape(count, total)
@@ -142,14 +115,13 @@ def _haar_stack(normals: np.ndarray, dim: int) -> np.ndarray:
     """Haar unitaries, one per row of ``normals``.
 
     Row t of ``normals`` (shape ``(T, 2 dim^2)``) holds the real parts
-    and then the imaginary parts of a row-major complex Gaussian matrix,
-    as drawn by :func:`haar_unitary`.  The ``(T, dim, dim)`` stack is
-    factored as ``Z = QR`` in one call, and column k of each Q is
-    multiplied by the phase ``r_kk / |r_kk|`` so that R's diagonal
-    becomes real and positive; without this phase fix Q is not Haar
-    distributed (Mezzadri, Notices AMS 54, 592 (2007)).  LAPACK
-    factors each matrix on its own, so a matrix's result does not
-    depend on what else is in the stack.
+    and then the imaginary parts of a row-major complex Gaussian matrix.
+    The ``(T, dim, dim)`` stack is factored as ``Z = QR`` in one call,
+    and column k of each Q is multiplied by the phase ``r_kk / |r_kk|``
+    so that R's diagonal becomes real and positive; without this phase
+    fix Q is not Haar distributed (Mezzadri, Notices AMS 54, 592
+    (2007)).  LAPACK factors each matrix on its own, so a matrix's
+    result does not depend on what else is in the stack.
     """
     sq = dim * dim
     z = (normals[:, :sq] + 1j * normals[:, sq:]).reshape(-1, dim, dim)
@@ -169,21 +141,6 @@ def _check_unitary(stack: np.ndarray) -> None:
         )
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryGate:
-    """Haar-distributed unitary from the QR factorization of a Gaussian
-    matrix.
-
-    An iid complex Gaussian matrix is factored as ``QR`` and each column
-    of Q is multiplied by the phase of the matching diagonal entry of R,
-    which makes the factorization unique and the sample Haar.
-    """
-    dim = require_int(dim, DimensionMismatchError, "dim")
-    if dim < 1:
-        raise DimensionMismatchError(f"dim must be positive, got {dim}")
-    normals = standard_normals(rng, 2 * dim * dim)
-    return UnitaryGate(dim, _haar_stack(normals[None], dim)[0])
-
-
 def _rotate(amps: np.ndarray, dims, stacks) -> np.ndarray:
     """Rotate one state by T gate sets: copy t gets ``stacks[j][t]`` on
     slot j, for every slot.
@@ -198,22 +155,6 @@ def _rotate(amps: np.ndarray, dims, stacks) -> np.ndarray:
         trail = math.prod(dims[j + 1:])
         psi = np.matmul(gates[:, None], psi.reshape(count, lead, n, trail))
     return psi.reshape(count, -1)
-
-
-def apply_local(state: PureState, gates) -> PureState:
-    """Apply one gate per subsystem, gate j acting on slot j alone."""
-    gates = list(gates)
-    if len(gates) != state.num_subsystems:
-        raise DimensionMismatchError(
-            f"got {len(gates)} gates for {state.num_subsystems} subsystems"
-        )
-    for j, gate in enumerate(gates):
-        if gate.dim != state.dims[j]:
-            raise DimensionMismatchError(
-                f"gate {j + 1} has dim {gate.dim}, subsystem has dim {state.dims[j]}"
-            )
-    stacks = [gate.entries[None] for gate in gates]
-    return PureState(state.dims, _rotate(state.amplitudes, state.dims, stacks)[0])
 
 
 def _chunk_trials(dims) -> int:

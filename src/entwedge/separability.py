@@ -71,9 +71,10 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
 
 
 def _as_threshold(threshold: float) -> float:
-    # NaN or inf would decide every split; float() keeps verdicts plain bools
-    if not is_finite(threshold):
-        raise ValidationError(f"threshold must be finite, got {threshold!r}")
+    # NaN or inf would decide every split, and a negative threshold would
+    # call a product state entangled; float() keeps verdicts plain bools
+    if not is_finite(threshold) or threshold < 0:
+        raise ValidationError(f"threshold must be finite and nonnegative, got {threshold!r}")
     return float(threshold)
 
 
@@ -97,8 +98,8 @@ def separability_report(
 
     Full separability is decided by the single-subsystem splits alone;
     when they all pass, the per-subsystem factors are extracted and the
-    reconstruction is verified up to a global phase.  A non-finite
-    threshold raises :class:`ValidationError`.
+    reconstruction is verified up to a global phase.  A non-finite or
+    negative threshold raises :class:`ValidationError`.
     """
     threshold = _as_threshold(threshold)
     check_measure_size(state)

@@ -1,0 +1,70 @@
+"""Independent references that the tests check entwedge against.
+
+Plain functions with no input checks.  The paper's wedge product works
+on numpy arrays: ``alt`` carries the 1/m! prefactor, so it is a
+projection, while ``wedge_pair`` deliberately does NOT divide by 2.
+With that convention the squared norm of the wedge of two qubit rows is
+twice the squared 2x2 determinant, which is what the concurrence
+normalization expects.
+
+The single-trial path draws one invariance trial at a time: uniform
+doubles from ``Generator.random``, then the library's own Box-Muller,
+QR and rotation helpers on a batch of one.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from functools import reduce
+
+import numpy as np
+
+from entwedge import PureState, lu
+
+
+def signature(image) -> int:
+    """Sign of the permutation ``i -> image[i]``, by inversion count."""
+    inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+    return -1 if inversions % 2 else 1
+
+
+def alt(factors) -> np.ndarray:
+    """``(1/m!) sum_p sign(p) (slot permutation p)`` over every axis of an
+    array, or over the tensor product of a sequence of vectors."""
+    if not isinstance(factors, np.ndarray):
+        factors = reduce(np.multiply.outer, factors)
+    tensor = np.asarray(factors, dtype=np.complex128)
+    total = sum(
+        signature(image) * np.transpose(tensor, image)
+        for image in itertools.permutations(range(tensor.ndim))
+    )
+    return total / math.factorial(tensor.ndim)
+
+
+def wedge_pair(v, w) -> np.ndarray:
+    """Two-slot wedge ``v (x) w - w (x) v`` with no 1/2 factor."""
+    return np.outer(v, w) - np.outer(w, v)
+
+
+def grid_norm_sq(grid) -> float:
+    """Sum of squared moduli of all entries."""
+    grid = np.asarray(grid)
+    return float(np.sum(grid.real ** 2 + grid.imag ** 2))
+
+
+def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n standard normals via Box-Muller on ``rng``'s next uniform doubles."""
+    pairs = (n + 1) // 2
+    return lu._box_muller(rng.random(pairs), rng.random(pairs))[:n]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary from ``rng``'s next ``2 dim^2`` normals."""
+    return lu._haar_stack(standard_normals(rng, 2 * dim * dim)[None], dim)[0]
+
+
+def apply_local(state: PureState, gates) -> PureState:
+    """``state`` with ``gates[j]`` applied to slot j alone."""
+    stacks = [np.asarray(gate, dtype=np.complex128)[None] for gate in gates]
+    return PureState(state.dims, lu._rotate(state.amplitudes, state.dims, stacks)[0])

@@ -283,6 +283,15 @@ class TestExitCodes:
         assert out == ""
         assert "threshold must be finite" in err
 
+    def test_negative_threshold_is_two(self, capsys):
+        # a product state would otherwise be reported entangled
+        code, out, err = run_cli(
+            capsys, "separability", "--expr", "|0,0>", "--threshold", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite and nonnegative, got -1.0" in err
+
     def test_non_finite_norm_constant_is_two(self, capsys):
         for bad in ("nan", "inf"):
             code, _, err = run_cli(

@@ -11,9 +11,9 @@ import pytest
 from entwedge import Bipartition, matricize, multipartite_measure, separability_report
 from entwedge import _kernels
 from entwedge.measures import DEFAULT_CONFIG, MeasureKind, measure_rows
-from entwedge.multilinear import grid_norm_sq, wedge_pair
 from entwedge.states import unfold
 from conftest import random_state
+from oracles import grid_norm_sq, wedge_pair
 
 
 def brute_swap_sum(amps: np.ndarray, dims: tuple[int, ...]) -> float:

@@ -19,13 +19,9 @@ from entwedge import (
     Bipartition,
     DensityMatrix,
     MeasureConfig,
-    Permutation,
     PureState,
-    TensorGrid,
-    UnitaryGate,
     enumerate_bipartitions,
     evaluate,
-    haar_unitary,
     invariance_experiment,
     is_product_state,
     load_state,
@@ -42,7 +38,6 @@ from entwedge.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidPartitionError,
-    LengthMismatchError,
     NotNormalizedError,
     SchemaError,
     ValidationError,
@@ -154,8 +149,6 @@ INTEGER_SITES = {
     "Bipartition.total": (lambda v: Bipartition((1,), v), InvalidPartitionError),
     "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
     "evaluate.dims": (lambda v: evaluate(parse_ket("|0>|1>"), dims=(2, v)), InvalidPartitionError),
-    "UnitaryGate.dim": (lambda v: UnitaryGate(v, np.eye(2)), DimensionMismatchError),
-    "haar_unitary.dim": (lambda v: haar_unitary(v, trial_rng(0, 0, (2,))), DimensionMismatchError),
     "trial_rng.seed": (lambda v: trial_rng(v, 0, (2,)), ValidationError),
     "trial_rng.trial": (lambda v: trial_rng(0, v, (2,)), ValidationError),
     "trial_rng.dims": (lambda v: trial_rng(0, 1, (2, v)), ValidationError),
@@ -172,8 +165,6 @@ INTEGER_SITES = {
     ),
     "partial_trace.keep": (lambda v: partial_trace(bell_state(), v), InvalidPartitionError),
     "enumerate_bipartitions": (enumerate_bipartitions, InvalidPartitionError),
-    "TensorGrid.dims": (lambda v: TensorGrid((2, v), np.zeros(4)), LengthMismatchError),
-    "Permutation.image": (lambda v: Permutation((v, 0)), LengthMismatchError),
 }
 
 

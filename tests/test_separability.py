@@ -40,6 +40,9 @@ from conftest import (
     w3_state,
 )
 
+# |0,0>: every residual is exactly 0
+PRODUCT = PureState((2, 2), [1, 0, 0, 0])
+
 
 def svd_residual(state: PureState, part: Bipartition) -> float:
     """Independent route: 1 - sum of fourth powers of singular values."""
@@ -208,6 +211,19 @@ class TestReport:
             separability_report(bell_state(), threshold=bad)
         with pytest.raises(ValidationError):
             is_product_state(bell_state(), threshold=bad)
+
+    @pytest.mark.parametrize("bad", [-1, -1e-300, np.float64(-0.5)])
+    def test_negative_threshold_refused(self, bad):
+        # residuals are never negative, so a negative threshold would call
+        # every split of a product state entangled
+        with pytest.raises(ValidationError, match="nonnegative"):
+            separability_report(PRODUCT, threshold=bad)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            is_product_state(PRODUCT, threshold=bad)
+
+    def test_negative_zero_threshold_accepted(self):
+        assert separability_report(PRODUCT, threshold=-0.0).fully_separable
+        assert is_product_state(PRODUCT, threshold=-0.0)
 
     def test_threshold_recorded(self):
         report = separability_report(bell_state(), threshold=1e-6)
