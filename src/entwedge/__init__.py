@@ -24,7 +24,6 @@ from .separability import (
 from .statefile import load_state, save_state
 from .states import (
     Bipartition,
-    DensityMatrix,
     PureState,
     enumerate_bipartitions,
     matricize,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition",
-    "DensityMatrix",
     "InvarianceRun",
     "KetExpr",
     "MeasureConfig",

@@ -50,10 +50,6 @@ class WrongDimsError(ValidationError):
     """Operation requires specific subsystem dimensions."""
 
 
-class DimensionMismatchError(ValidationError):
-    """Vector or gate dimensions are incompatible."""
-
-
 class ArityMismatchError(ValidationError):
     """Kets combined in a sum have different slot counts."""
 

@@ -104,10 +104,6 @@ class ExactScalar:
         return ExactScalar(re * scale, im * scale, Fraction(free))
 
     @staticmethod
-    def integer(n: int) -> "ExactScalar":
-        return ExactScalar.make(n)
-
-    @staticmethod
     def imaginary_unit() -> "ExactScalar":
         return ExactScalar.make(0, 1)
 

@@ -70,9 +70,13 @@ def trial_rng(seed: int, trial: int, dims) -> np.random.Generator:
     experiment with ``seed`` on subsystem dims ``dims``."""
     seed = require_int(seed, ValidationError, "seed")
     trial = require_int(trial, ValidationError, "trial")
+    dims = [require_int(n, ValidationError, "dims") for n in dims]
     if not 0 <= seed < 2 ** 64 or trial < 0:
         raise ValidationError(f"need 0 <= seed < 2**64 and trial >= 0, got {seed}, {trial}")
-    words = sum(2 * require_int(n, ValidationError, "dims") ** 2 for n in dims)
+    # a dim below 1 would shift or collapse the trials' word ranges
+    if not dims or min(dims) < 1:
+        raise ValidationError(f"dims must be positive, got {tuple(dims)}")
+    words = sum(2 * n * n for n in dims)
     bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(trial * words)
     return np.random.Generator(bits)
 

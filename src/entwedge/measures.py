@@ -12,7 +12,8 @@ singleton residuals.  All of them come from
 
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
-multipartite value on two subsystems is exactly twice the bipartite one.
+multipartite value on two subsystems is exactly twice the bipartite one,
+bit for bit, since both read the one split there.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     WrongArityError,
     WrongDimsError,
 )
-from .states import PureState, is_finite, require_int, validate
+from .states import DEFAULT_NORM_TOL, PureState, is_finite, require_int, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -55,7 +56,7 @@ class MeasureConfig:
     """
 
     norm_constant: float = 2.0
-    tol: float = 1e-9
+    tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
         if not (is_finite(self.norm_constant) and self.norm_constant > 0):
@@ -108,7 +109,10 @@ def measure_rows(
 
     The bipartite term sum is the residual of split {1}; the
     multipartite one is ``2 * sum_j`` of the singleton residuals, added
-    in slot order.  Each split is unfolded once for the whole stack.
+    in slot order.  On two subsystems split {2} is split {1} seen from
+    the other side, so it is read once and counted twice, which makes
+    the multipartite value bitwise twice the bipartite one.  Each split
+    is unfolded once for the whole stack.
     Trusts its input: the caller has already checked the arity, the size
     guard and the norms.  :func:`bipartite_concurrence`,
     :func:`multipartite_measure` and the invariance experiment's
@@ -116,6 +120,8 @@ def measure_rows(
     """
     if kind is MeasureKind.BIPARTITE_CONCURRENCE:
         slots, weight = [0], 1.0
+    elif len(dims) == 2:
+        slots, weight = [0], 4.0
     else:
         slots, weight = range(len(dims)), 2.0
     residuals = _kernels.split_residuals(rows, dims, [[j] for j in slots])

@@ -86,7 +86,8 @@ def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> 
     m = state.num_subsystems
     if m < 2:
         return True  # nothing to split
-    lefts = [[j] for j in range(m)]
+    # on two subsystems split {2} is split {1} from the other side
+    lefts = [[j] for j in range(m if m > 2 else 1)]
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)
     return all(r <= threshold for r in residuals[0].tolist())
 

@@ -10,7 +10,11 @@ Conventions used across the package:
   over ``(0, 0) .. (1, 1)``;
 * subsystem labels are 1-based, so a three-party state has subsystems
   1, 2, 3.  Labels appear in :class:`Bipartition`, ``partial_trace`` and
-  everywhere a caller names a subsystem.
+  everywhere a caller names a subsystem;
+* a marginal is a plain read-only ``(n, n)`` complex128 array.
+  ``partial_trace`` validates the state's norm before it unfolds
+  anything, and ``purity`` refuses a matrix that is not square or not
+  finite, so no wrapper type carries the checks.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InvalidPartitionError,
     LengthMismatchError,
     NotNormalizedError,
@@ -38,10 +41,6 @@ MAX_SUBSYSTEMS = 8
 MAX_TOTAL_DIM = 2 ** 20
 
 DEFAULT_NORM_TOL = 1e-9
-
-# Componentwise tolerances for the reduced-density-matrix invariants.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-9
 
 
 def check_size_guards(dims) -> None:
@@ -78,14 +77,6 @@ def require_int(value, error: type[Exception], where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{where}: expected an integer, got {value!r}")
     return operator.index(value)
-
-
-def _frozen_complex_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -127,8 +118,10 @@ class PureState:
             raise LengthMismatchError(
                 f"got {amps.size} amplitudes for dims {dims} (need {total})"
             )
+        amps = amps.copy()
+        amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", _frozen_complex_array(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def num_subsystems(self) -> int:
@@ -145,37 +138,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix of one subsystem.
-
-    Hermiticity is checked componentwise to 1e-12 and the trace to 1e-9
-    on construction; positive semidefiniteness is a property of how the
-    matrix is produced and is exercised in the tests, not re-checked here.
-    """
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dim = require_int(self.dim, DimensionMismatchError, "dim")
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"expected a {dim}x{dim} matrix, got shape {entries.shape}"
-            )
-        skew = float(np.max(np.abs(entries - entries.conj().T)))
-        if skew > HERMITICITY_TOL:
-            raise ValidationError(
-                f"matrix deviates from Hermitian by {skew:.3e} (tol {HERMITICITY_TOL:g})"
-            )
-        tr = complex(np.trace(entries))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotNormalizedError(abs(tr), TRACE_TOL)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", _frozen_complex_array(entries, (dim, dim)))
 
 
 @dataclass(frozen=True)
@@ -310,23 +272,48 @@ def matricize(state: PureState, part: Bipartition) -> np.ndarray:
     return unfold(state.amplitudes[None], state.dims, part.left_axes(state.num_subsystems))[0]
 
 
-def partial_trace(state: PureState, keep: int) -> DensityMatrix:
-    """Reduced density matrix of subsystem ``keep`` (1-based label).
+def partial_trace(state: PureState, keep: int) -> np.ndarray:
+    """Reduced density matrix of subsystem ``keep`` (1-based label), as a
+    read-only ``(n, n)`` complex128 array: Hermitian with unit trace.
 
-    For a normalized input the result is Hermitian with unit trace.
+    Raises
+    ------
+    NotNormalizedError
+        Unless the squared norm is within ``DEFAULT_NORM_TOL`` of 1,
+        checked before anything is unfolded.
+    InvalidPartitionError
+        If ``keep`` is not an integer label in ``1..m``.
     """
+    validate(state)
     keep = require_int(keep, InvalidPartitionError, "keep")
     if not 1 <= keep <= state.num_subsystems:
         raise InvalidPartitionError(
             f"subsystem {keep} not in 1..{state.num_subsystems}"
         )
     m = unfold(state.amplitudes[None], state.dims, [keep - 1])[0]
-    return DensityMatrix(state.dims[keep - 1], m @ m.conj().T)
+    rho = m @ m.conj().T
+    rho.setflags(write=False)
+    return rho
 
 
-def purity(rho: DensityMatrix) -> float:
-    """``tr(rho^2)`` as the squared Frobenius norm of a Hermitian matrix."""
-    return float(np.sum(np.abs(rho.entries) ** 2))
+def purity(rho) -> float:
+    """``tr(rho^2)`` of a density matrix such as :func:`partial_trace`
+    returns, as the squared Frobenius norm of a Hermitian matrix.
+
+    Raises
+    ------
+    ValidationError
+        If ``rho`` is not a square matrix of finite numbers.
+    """
+    try:
+        rho = np.asarray(rho, dtype=np.complex128)
+    except (OverflowError, TypeError, ValueError):
+        raise ValidationError("purity needs a matrix of numbers") from None
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.isfinite(rho).all():
+        raise ValidationError(
+            f"purity needs a square matrix of finite numbers, got shape {rho.shape}"
+        )
+    return float(np.sum(np.abs(rho) ** 2))
 
 
 def enumerate_bipartitions(m: int) -> list[Bipartition]:

@@ -1,0 +1,49 @@
+"""The public API, pinned: adding or removing a name is a one-line diff here."""
+
+from __future__ import annotations
+
+import entwedge
+
+PUBLIC_NAMES = [
+    "Bipartition",
+    "InvarianceRun",
+    "KetExpr",
+    "MeasureConfig",
+    "MeasureKind",
+    "MeasureResult",
+    "PartitionVerdict",
+    "PureState",
+    "SeparabilityReport",
+    "bipartite_concurrence",
+    "enumerate_bipartitions",
+    "evaluate",
+    "invariance_experiment",
+    "is_product_state",
+    "load_state",
+    "matricize",
+    "multipartite_measure",
+    "normalize",
+    "pair_coefficient",
+    "pair_qubit_concurrence",
+    "parse_ket",
+    "partial_trace",
+    "partition_residual",
+    "pretty",
+    "purity",
+    "resolve_measure",
+    "save_state",
+    "separability_report",
+    "swapped_wedge_coefficient",
+    "trial_rng",
+    "tripartite_measure",
+    "validate",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(entwedge.__all__) == PUBLIC_NAMES
+
+
+def test_every_name_resolves():
+    missing = [name for name in entwedge.__all__ if not hasattr(entwedge, name)]
+    assert missing == []

@@ -171,6 +171,13 @@ class TestTrialRng:
         with pytest.raises(ValidationError):
             trial_rng(seed, trial, (2,))
 
+    @pytest.mark.parametrize("trial, dims", [(1, (-2,)), (3, (0,)), (1, (2, 0)), (1, ())])
+    def test_dims_below_one_refused(self, trial, dims):
+        # (-2,) would read trial 1 at word 8, as if dims were (2,), and
+        # (0,) would hand every trial trial 0's words
+        with pytest.raises(ValidationError, match="dims must be positive"):
+            trial_rng(0, trial, dims)
+
 
 class TestInvarianceExperiment:
     def test_bell_invariant(self):

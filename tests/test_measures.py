@@ -242,6 +242,17 @@ class TestMultipartite:
             c = bipartite_concurrence(state).value
             assert e == pytest.approx(2.0 * c, abs=1e-9)
 
+    @pytest.mark.parametrize("dims, count", [((3, 3), 20), ((16, 16), 20), ((64, 64), 4)])
+    def test_exactly_twice_bipartite_on_square_dims(self, rng, dims, count):
+        # split {2} read as a second unfolding, the transpose of split
+        # {1}'s, is summed in another order on square dims
+        for _ in range(count):
+            state = random_state(rng, dims)
+            e = multipartite_measure(state)
+            c = bipartite_concurrence(state)
+            assert e.value == 2.0 * c.value
+            assert e.term_sum == 4.0 * c.term_sum
+
     def test_product_states_vanish(self, rng):
         for dims in [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]:
             state = random_product_state(rng, dims)

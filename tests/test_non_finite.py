@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from entwedge import (
     Bipartition,
-    DensityMatrix,
     MeasureConfig,
     PureState,
     enumerate_bipartitions,
@@ -29,13 +28,13 @@ from entwedge import (
     pair_coefficient,
     parse_ket,
     partial_trace,
+    purity,
     separability_report,
     swapped_wedge_coefficient,
     trial_rng,
     validate,
 )
 from entwedge.errors import (
-    DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidPartitionError,
     NotNormalizedError,
@@ -122,6 +121,17 @@ def test_amplitudes(value, count, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(value=NON_FINITE, pos=st.integers(0, 3), imaginary=st.booleans())
+def test_purity_entries(value, pos, imaginary):
+    # a NaN fails every comparison, so only an explicit finiteness check
+    # keeps purity from returning nan
+    entries = [0.5, 0.0, 0.0, 0.5]
+    entries[pos] = complex(0.0, value) if imaginary and isinstance(value, float) else value
+    with pytest.raises(ValidationError):
+        purity([entries[:2], entries[2:]])
+
+
+@settings(max_examples=100, deadline=None)
 @given(NON_FINITE)
 def test_validate_tolerance(value):
     # refused as a bad tolerance, whatever the state
@@ -145,7 +155,6 @@ def test_validate_infinite_tolerance_does_not_pass_any_norm():
 # the error class that place raises for a bad value.
 INTEGER_SITES = {
     "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), InvalidPartitionError),
-    "DensityMatrix.dim": (lambda v: DensityMatrix(v, np.eye(2) / 2), DimensionMismatchError),
     "Bipartition.total": (lambda v: Bipartition((1,), v), InvalidPartitionError),
     "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
     "evaluate.dims": (lambda v: evaluate(parse_ket("|0>|1>"), dims=(2, v)), InvalidPartitionError),

@@ -114,6 +114,16 @@ class TestIsProductState:
         assert not is_product_state(bell_state())
         assert not is_product_state(bell_x_zero_state())
 
+    @pytest.mark.parametrize("dims", [(3, 3), (16, 16)])
+    def test_two_subsystems_read_one_split(self, rng, dims):
+        # at a threshold equal to split {1}'s residual the verdict is
+        # product, whichever order split {2}'s transpose would be summed in
+        for _ in range(10):
+            state = random_state(rng, dims)
+            residual = partition_residual(state, Bipartition((1,), 2))
+            assert is_product_state(state, threshold=residual)
+            assert not is_product_state(state, threshold=math.nextafter(residual, 0.0))
+
     def test_single_subsystem(self):
         single = PureState((3,), np.array([1, 0, 0], dtype=np.complex128))
         assert is_product_state(single)

@@ -10,7 +10,6 @@ import pytest
 
 from entwedge import (
     Bipartition,
-    DensityMatrix,
     PureState,
     enumerate_bipartitions,
     matricize,
@@ -19,6 +18,7 @@ from entwedge import (
     purity,
     validate,
 )
+from entwedge import states
 from entwedge.errors import (
     InvalidPartitionError,
     LengthMismatchError,
@@ -157,20 +157,20 @@ class TestMatricize:
 class TestPartialTrace:
     def test_bell_is_maximally_mixed(self):
         rho = partial_trace(bell_state(), 1)
-        np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-15)
 
     def test_basis_state_is_pure(self):
         vec = np.zeros(4, dtype=np.complex128)
         vec[0] = 1.0
         rho = partial_trace(PureState((2, 2), vec), 2)
-        np.testing.assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=0)
+        np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=0)
 
     def test_against_brute_double_sum(self, rng):
         state = random_state(rng, (2, 3, 2))
         for keep in (1, 2, 3):
             rho = partial_trace(state, keep)
             np.testing.assert_allclose(
-                rho.entries, brute_marginal(state, keep), atol=1e-13
+                rho, brute_marginal(state, keep), atol=1e-13
             )
 
     def test_marginal_trace_and_hermiticity(self, rng):
@@ -178,12 +178,29 @@ class TestPartialTrace:
             state = random_state(rng, dims)
             for keep in range(1, len(dims) + 1):
                 rho = partial_trace(state, keep)
-                assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-                assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-14
+                assert abs(np.trace(rho) - 1.0) < 1e-12
+                assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
 
     def test_bad_label(self):
         with pytest.raises(InvalidPartitionError):
             partial_trace(bell_state(), 3)
+
+    def test_read_only_complex_array(self, rng):
+        state = random_state(rng, (2, 3, 2))
+        for keep, n in zip((1, 2, 3), state.dims):
+            rho = partial_trace(state, keep)
+            assert type(rho) is np.ndarray
+            assert rho.dtype == np.complex128 and rho.shape == (n, n)
+            assert not rho.flags.writeable
+
+    @pytest.mark.parametrize("amps", [[1.0, 0.0, 0.0, 1.0], [math.nan, 0.0, 0.0, 0.5]])
+    def test_state_validated_before_unfolding(self, monkeypatch, amps):
+        def unreachable(*args):
+            raise AssertionError("unfolded an unvalidated state")
+
+        monkeypatch.setattr(states, "unfold", unreachable)
+        with pytest.raises(NotNormalizedError):
+            partial_trace(PureState((2, 2), amps), 1)
 
     def test_single_subsystem_is_the_projector(self, rng):
         # the one-slot unfolding is an n x 1 matrix, so its Gram matrix
@@ -191,19 +208,24 @@ class TestPartialTrace:
         state = random_state(rng, (3,))
         vec = state.amplitudes
         rho = partial_trace(state, 1)
-        np.testing.assert_allclose(rho.entries, np.outer(vec, vec.conj()), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), rtol=0, atol=1e-15)
 
 
 class TestPurity:
     def test_pure_and_mixed(self):
-        assert purity(DensityMatrix(2, np.diag([1.0, 0.0]))) == 1.0
-        assert abs(purity(DensityMatrix(2, np.eye(2) / 2)) - 0.5) < 1e-15
+        assert purity(np.diag([1.0, 0.0])) == 1.0
+        assert abs(purity(np.eye(2) / 2) - 0.5) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+    def test_not_square_refused(self, shape):
+        with pytest.raises(ValidationError, match="square matrix"):
+            purity(np.zeros(shape))
 
     def test_w3_marginal_purity(self):
         rho = partial_trace(w3_state(), 1)
         assert abs(purity(rho) - 5 / 9) < 1e-12
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(rho.entries), [1 / 3, 2 / 3], atol=1e-12
+            np.linalg.eigvalsh(rho), [1 / 3, 2 / 3], atol=1e-12
         )
 
     def test_sides_match(self, rng):
