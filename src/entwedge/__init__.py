@@ -3,7 +3,6 @@
 from .ketlang import KetExpr, evaluate, parse_ket, pretty
 from .lu import InvarianceRun, invariance_experiment, trial_rng
 from .measures import (
-    MeasureConfig,
     MeasureKind,
     MeasureResult,
     bipartite_concurrence,
@@ -39,7 +38,6 @@ __all__ = [
     "Bipartition",
     "InvarianceRun",
     "KetExpr",
-    "MeasureConfig",
     "MeasureKind",
     "MeasureResult",
     "PureState",

@@ -21,7 +21,7 @@ import sys
 from .errors import ArityMismatchError, ParseError, SizeGuardError, ValidationError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
-from .measures import MeasureConfig, multipartite_measure, resolve_measure
+from .measures import multipartite_measure, resolve_measure
 from .separability import separability_report
 from .statefile import load_state
 from .states import PureState
@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flags(invariance)
     invariance.add_argument("--trials", type=int, default=1000, help="number of rounds")
     invariance.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    invariance.add_argument("--measure", choices=("auto", "bipartite", "multipartite"),
-                            default="auto", help="which measure to track")
     invariance.add_argument("--norm-constant", type=float, default=2.0,
                             help="prefactor under the square root (default 2)")
     _output_flag(invariance)
@@ -101,9 +99,8 @@ def _emit(doc: dict, output: str, text_lines) -> None:
 
 def cmd_measure(args) -> int:
     state, echo = _load_input(args)
-    cfg = MeasureConfig(norm_constant=args.norm_constant)
     fn = resolve_measure(args.measure, state.num_subsystems)
-    result = fn(state, cfg)
+    result = fn(state, args.norm_constant)
     note = None
     if fn is multipartite_measure and state.num_subsystems == 2:
         note = "on two subsystems the multipartite value is twice the bipartite concurrence"
@@ -166,9 +163,8 @@ def cmd_separability(args) -> int:
 
 def cmd_invariance(args) -> int:
     state, echo = _load_input(args)
-    cfg = MeasureConfig(norm_constant=args.norm_constant)
     run = invariance_experiment(
-        state, trials=args.trials, seed=args.seed, measure=args.measure, cfg=cfg
+        state, trials=args.trials, seed=args.seed, norm_constant=args.norm_constant
     )
     doc = {
         "command": "invariance",

@@ -10,19 +10,20 @@ normal method, pinning the exact variate stream to this module instead
 of to numpy internals.  A uniform double is ``(w >> 11) * 2**-53`` for a
 raw word ``w``, which is what ``Generator.random`` returns on PCG64.
 
-The experiment itself applies one independent Haar unitary per
-subsystem and reports how far the measure moves.  It asserts nothing
+The experiment itself applies one independent Haar unitary per subsystem
+and reports how far the measure moves: the bipartite concurrence on two
+subsystems, the multipartite measure otherwise.  It asserts nothing
 about the deviations; it only reports them.  Trials run in chunks: a
 chunk reads its trials' words in one call, and the conversion to
 uniforms, Box-Muller per slot, the QR factorization with its phase fix,
 the unitarity check, the rotation, the norm check of the rotated states
 and the re-measure, which unfolds the rotated stack once per split, all
 run once over the chunk's stack of trials.  Every step works within one
-trial's numbers, so a trial's deviation is bitwise the same whatever
-the chunk size.  The tests check that equality, bit for bit, against
-an oracle that runs one trial at a time from ``trial_rng``: uniform
-doubles from ``Generator.random``, then these same Box-Muller, QR and
-rotation helpers on a batch of one, then the public measure.
+trial's numbers, so a trial's deviation is bitwise the same whatever the
+chunk size.  The tests check that equality, bit for bit, against an
+oracle that runs one trial at a time from ``trial_rng``: uniform doubles
+from ``Generator.random``, then these same Box-Muller, QR and rotation
+helpers on a batch of one, then the public measure.
 """
 
 from __future__ import annotations
@@ -33,14 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (
-    DEFAULT_CONFIG,
-    MeasureConfig,
-    check_measure_size,
-    measure_rows,
-    resolve_measure,
-)
-from .states import PureState, check_unit_norms, require_int, validate
+from .measures import measure_rows, resolve_measure
+from .states import PureState, check_unit_norms, require_int
 
 UNITARITY_TOL = 1e-10
 
@@ -172,8 +167,7 @@ def invariance_experiment(
     state: PureState,
     trials: int = 1000,
     seed: int = 0,
-    measure: str = "auto",
-    cfg: MeasureConfig = DEFAULT_CONFIG,
+    norm_constant: float = 2.0,
 ) -> InvarianceRun:
     """Measure drift under per-subsystem Haar unitaries.
 
@@ -182,6 +176,9 @@ def invariance_experiment(
     difference from the untouched state's value.  Output is a report of
     the observed deviations, bitwise reproducible for fixed inputs; no
     judgement about invariance is baked in.
+
+    The baseline measure checks the state and ``norm_constant`` once;
+    the rotated states' norms are checked before they are re-measured.
 
     ``deviations`` carries the full per-trial list only up to 10000
     trials; beyond that only the running maximum is kept.  The maximum
@@ -192,9 +189,7 @@ def invariance_experiment(
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     bits = trial_rng(seed, 0, state.dims).bit_generator
-    check_measure_size(state)
-    validate(state, cfg.tol)
-    baseline = resolve_measure(measure, state.num_subsystems)(state, cfg)
+    baseline = resolve_measure("auto", state.num_subsystems)(state, norm_constant)
     dims = state.dims
     keep = trials <= PER_TRIAL_CAP
     deviations = []
@@ -207,8 +202,9 @@ def invariance_experiment(
         for gates in stacks:
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)
-        check_unit_norms(rotated, cfg.tol)
-        for t, result in enumerate(measure_rows(baseline.kind, rotated, dims, cfg)):
+        check_unit_norms(rotated)
+        rows = measure_rows(baseline.kind, rotated, dims, baseline.norm_constant)
+        for t, result in enumerate(rows):
             d = result.value - baseline.value
             # seeded by the first deviation, as max() over the list is,
             # so a NaN there still shows

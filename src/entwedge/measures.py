@@ -10,6 +10,10 @@ the slot-j unfolding, met once from each side, so the sum is twice the
 singleton residuals.  All of them come from
 :func:`entwedge._kernels.split_residuals`.
 
+``norm_constant`` is the measures' one setting: positive and finite, 2
+by default, and reported back in every result.  Input is refused unless
+its squared norm is within ``DEFAULT_NORM_TOL`` of 1.
+
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
 multipartite value on two subsystems is exactly twice the bipartite one,
@@ -31,7 +35,7 @@ from .errors import (
     WrongArityError,
     WrongDimsError,
 )
-from .states import DEFAULT_NORM_TOL, PureState, is_finite, require_int, validate
+from .states import PureState, is_finite, require_int, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -44,30 +48,6 @@ _CHUNK_ENTRIES = 1 << 21
 class MeasureKind(Enum):
     BIPARTITE_CONCURRENCE = "bipartite_concurrence"
     MULTIPARTITE_E = "multipartite_e"
-
-
-@dataclass(frozen=True)
-class MeasureConfig:
-    """Knobs shared by all measures.
-
-    ``norm_constant`` is the prefactor under the square root (2 by
-    default, and always reported back in the result).  ``tol`` bounds
-    how far the squared norm may sit from 1 before input is refused.
-    """
-
-    norm_constant: float = 2.0
-    tol: float = DEFAULT_NORM_TOL
-
-    def __post_init__(self):
-        if not (is_finite(self.norm_constant) and self.norm_constant > 0):
-            raise WrongDimsError(
-                f"norm_constant must be positive and finite, got {self.norm_constant}"
-            )
-        if not (is_finite(self.tol) and self.tol >= 0):
-            raise WrongDimsError(f"tol must be nonnegative and finite, got {self.tol}")
-
-
-DEFAULT_CONFIG = MeasureConfig()
 
 
 @dataclass(frozen=True)
@@ -96,13 +76,22 @@ def check_measure_size(state: PureState) -> None:
         )
 
 
-def _finish(kind: MeasureKind, cfg: MeasureConfig, term_sum: float) -> MeasureResult:
-    value = math.sqrt(cfg.norm_constant * term_sum)
-    return MeasureResult(kind, value, cfg.norm_constant, term_sum)
+def _as_norm_constant(norm_constant: float) -> float:
+    # zero would read every state as a product, a negative prefactor fails
+    # in sqrt and a non-finite one gives nan or inf; float() keeps the
+    # reported constant a plain float
+    if not is_finite(norm_constant) or norm_constant <= 0:
+        raise WrongDimsError(f"norm_constant must be positive and finite, got {norm_constant!r}")
+    return float(norm_constant)
+
+
+def _finish(kind: MeasureKind, term_sum: float, norm_constant: float = 2.0) -> MeasureResult:
+    value = math.sqrt(norm_constant * term_sum)
+    return MeasureResult(kind, value, norm_constant, term_sum)
 
 
 def measure_rows(
-    kind: MeasureKind, rows: np.ndarray, dims, cfg: MeasureConfig
+    kind: MeasureKind, rows: np.ndarray, dims, norm_constant: float = 2.0
 ) -> list[MeasureResult]:
     """The ``kind`` measure of each row of a ``(T, prod(dims))`` stack of
     flat amplitude vectors over ``dims``.
@@ -114,7 +103,7 @@ def measure_rows(
     the multipartite value bitwise twice the bipartite one.  Each split
     is unfolded once for the whole stack.
     Trusts its input: the caller has already checked the arity, the size
-    guard and the norms.  :func:`bipartite_concurrence`,
+    guard, the norms and ``norm_constant``.  :func:`bipartite_concurrence`,
     :func:`multipartite_measure` and the invariance experiment's
     re-measure all end here, so each quantity has one implementation.
     """
@@ -128,13 +117,10 @@ def measure_rows(
     sums = np.zeros(len(rows))
     for column in residuals.T:
         sums += column
-    return [_finish(kind, cfg, weight * float(total)) for total in sums]
+    return [_finish(kind, weight * float(total), norm_constant) for total in sums]
 
 
-def bipartite_concurrence(
-    state: PureState,
-    cfg: MeasureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
     """Concurrence of a two-subsystem pure state.
 
     ``term_sum`` adds the squared moduli of all pairwise row wedges of
@@ -147,35 +133,36 @@ def bipartite_concurrence(
     ----------
     state : PureState
         Two-subsystem state; refused otherwise.
-    cfg : MeasureConfig
-        Norm constant and normalization tolerance.
+    norm_constant : float
+        Prefactor under the square root, positive and finite.
 
     Raises
     ------
+    WrongDimsError
+        If ``norm_constant`` is not positive and finite.
     WrongArityError
         If the state does not have exactly two subsystems.
     TooLargeError
         If the total dimension exceeds 4096 (the minor sum is quadratic
         in it).
     NotNormalizedError
-        If the squared norm is off by more than ``cfg.tol``; rescale
-        with :func:`~entwedge.states.normalize` first to accept it.
+        If the squared norm is off by more than ``DEFAULT_NORM_TOL``;
+        rescale with :func:`~entwedge.states.normalize` first to accept
+        it.
     """
+    norm_constant = _as_norm_constant(norm_constant)
     if state.num_subsystems != 2:
         raise WrongArityError(
             f"bipartite concurrence needs 2 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    validate(state, cfg.tol)
+    validate(state)
     return measure_rows(
-        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes[None], state.dims, cfg
+        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes[None], state.dims, norm_constant
     )[0]
 
 
-def pair_qubit_concurrence(
-    state: PureState,
-    cfg: MeasureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+def pair_qubit_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
     """Two-qubit closed form ``2 |a_00 a_11 - a_10 a_01|`` (at the default
     norm constant).
 
@@ -183,13 +170,14 @@ def pair_qubit_concurrence(
     rounding: the vectorized kernel may contract multiplies differently
     and land one ulp away.
     """
+    norm_constant = _as_norm_constant(norm_constant)
     if state.dims != (2, 2):
         raise WrongDimsError(f"pair-qubit concurrence needs dims (2, 2), got {state.dims}")
-    validate(state, cfg.tol)
+    validate(state)
     a = state.amplitudes
     det = a[0] * a[3] - a[2] * a[1]
     term_sum = 2.0 * (det.real * det.real + det.imag * det.imag)
-    return _finish(MeasureKind.BIPARTITE_CONCURRENCE, cfg, term_sum)
+    return _finish(MeasureKind.BIPARTITE_CONCURRENCE, term_sum, norm_constant)
 
 
 def pair_coefficient(state: PureState, K, L) -> complex:
@@ -227,10 +215,7 @@ def _checked_index(state: PureState, K) -> tuple[int, ...]:
     return K
 
 
-def multipartite_measure(
-    state: PureState,
-    cfg: MeasureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
     """Wedge measure over all multi-index pairs and all slots.
 
     ``term_sum = sum_K sum_L sum_j |a_K a_L - a_K' a_L'|^2`` with the
@@ -243,27 +228,33 @@ def multipartite_measure(
     ----------
     state : PureState
         At least two subsystems, total dimension at most 4096.
-    cfg : MeasureConfig
-        Norm constant and normalization tolerance.
+    norm_constant : float
+        Prefactor under the square root, positive and finite.
 
     Raises
     ------
+    WrongDimsError
+        If ``norm_constant`` is not positive and finite.
     WrongArityError
         On fewer than two subsystems.
     TooLargeError
         If the total dimension exceeds 4096 (the pair sum is quadratic
         in it).
     NotNormalizedError
-        If the squared norm is off by more than ``cfg.tol``; rescale
-        with :func:`~entwedge.states.normalize` first to accept it.
+        If the squared norm is off by more than ``DEFAULT_NORM_TOL``;
+        rescale with :func:`~entwedge.states.normalize` first to accept
+        it.
     """
+    norm_constant = _as_norm_constant(norm_constant)
     if state.num_subsystems < 2:
         raise WrongArityError(
             f"multipartite measure needs at least 2 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    validate(state, cfg.tol)
-    return measure_rows(MeasureKind.MULTIPARTITE_E, state.amplitudes[None], state.dims, cfg)[0]
+    validate(state)
+    return measure_rows(
+        MeasureKind.MULTIPARTITE_E, state.amplitudes[None], state.dims, norm_constant
+    )[0]
 
 
 def resolve_measure(selector: str, num_subsystems: int):
@@ -281,10 +272,7 @@ def resolve_measure(selector: str, num_subsystems: int):
     raise ValueError(f"unknown measure selector {selector!r}")
 
 
-def tripartite_measure(
-    state: PureState,
-    cfg: MeasureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+def tripartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
     """Three-subsystem measure written out as three explicit slot terms.
 
     Organized differently from the generic pair-sum kernel on purpose:
@@ -292,12 +280,13 @@ def tripartite_measure(
     accumulated from broadcast amplitude products, and the result must
     agree with :func:`multipartite_measure` to within 1e-12.
     """
+    norm_constant = _as_norm_constant(norm_constant)
     if state.num_subsystems != 3:
         raise WrongArityError(
             f"tripartite measure needs 3 subsystems, got {state.num_subsystems}"
         )
     check_measure_size(state)
-    validate(state, cfg.tol)
+    validate(state)
     A = state.tensor
     D = A.size
 
@@ -319,4 +308,4 @@ def tripartite_measure(
             diff = prod - prod.transpose(perm)
             term += float(np.sum(diff.real ** 2 + diff.imag ** 2))
         term_sum += term  # the three terms in slot order
-    return _finish(MeasureKind.MULTIPARTITE_E, cfg, term_sum)
+    return _finish(MeasureKind.MULTIPARTITE_E, term_sum, norm_constant)

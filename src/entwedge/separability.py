@@ -61,12 +61,14 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     """Sum of squared 2x2 minor moduli of the split's matricization.
 
     Zero exactly when the state factors across the split; equals
-    ``1 - purity`` of the left side's marginal for normalized input.
-    Refuses total dimension above 4096, like the measures.
+    ``1 - purity`` of either side's marginal for normalized input.  Reads
+    the split's canonical side, as :func:`separability_report` does, so
+    both sides of a split give the same bits.  Refuses total dimension
+    above 4096, like the measures.
     """
     check_measure_size(state)
     validate(state)
-    lefts = [part.left_axes(state.num_subsystems)]
+    lefts = [part.canonical().left_axes(state.num_subsystems)]
     return float(_kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0, 0])
 
 

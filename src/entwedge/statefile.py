@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import IoError, SchemaError
+from .errors import IoError, SchemaError, ValidationError
 from .states import PureState, check_size_guards, is_finite, require_int
 
 
@@ -117,7 +117,19 @@ def load_state(path: str) -> PureState:
 
 
 def save_state(state: PureState, path: str) -> None:
-    """Write every amplitude of ``state`` to ``path`` in row-major order."""
+    """Write every amplitude of ``state`` to ``path`` in row-major order.
+
+    Raises
+    ------
+    ValidationError
+        If an amplitude is not finite, before ``path`` is opened: JSON
+        has no finite spelling for it, and :func:`load_state` refuses
+        the token that would be written.
+    IoError
+        If the file cannot be written.
+    """
+    if not np.isfinite(state.amplitudes).all():
+        raise ValidationError("cannot save a state with a non-finite amplitude")
     indices = np.ndindex(*state.dims)
     amplitudes = [
         {"idx": list(idx), "re": float(a.real), "im": float(a.imag)}

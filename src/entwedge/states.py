@@ -195,37 +195,34 @@ class Bipartition:
         return "{" + ",".join(str(j) for j in self.left) + "}"
 
 
-def validate(state: PureState, tol: float = DEFAULT_NORM_TOL) -> None:
-    """Check that the squared norm is within ``tol`` of 1.
+def validate(state: PureState) -> None:
+    """Check that the squared norm is within ``DEFAULT_NORM_TOL`` of 1.
 
     The amplitude-count invariant is enforced by the ``PureState``
     constructor itself, so only normalization remains to verify here.
 
     Raises
     ------
-    ValidationError
-        If ``tol`` is negative or not finite, before the norm is read.
     NotNormalizedError
-        Carrying the actual norm unless ``|sum |a|^2 - 1| <= tol``, so a
-        non-finite amplitude is refused too.
+        Carrying the actual norm unless ``|sum |a|^2 - 1|`` is at most
+        ``DEFAULT_NORM_TOL``, so a non-finite amplitude is refused too.
     """
-    if not (is_finite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be nonnegative and finite, got {tol!r}")
-    check_unit_norms(state.amplitudes[None], tol)
+    check_unit_norms(state.amplitudes[None])
 
 
-def check_unit_norms(rows: np.ndarray, tol: float) -> None:
+def check_unit_norms(rows: np.ndarray) -> None:
     """Refuse a ``(T, D)`` stack of amplitude rows unless every row's
-    squared norm is within ``tol`` of 1, in one reduction over the stack.
+    squared norm is within ``DEFAULT_NORM_TOL`` of 1, in one reduction
+    over the stack.
 
     The first failing row raises :class:`NotNormalizedError` with its
-    norm.  ``tol`` is trusted here; :func:`validate` checks it.
+    norm.
     """
     sq = np.sum(np.abs(rows) ** 2, axis=1)
     # written as "not <=" because every comparison with NaN is False
-    bad = np.flatnonzero(~(np.abs(sq - 1.0) <= tol))
+    bad = np.flatnonzero(~(np.abs(sq - 1.0) <= DEFAULT_NORM_TOL))
     if bad.size:
-        raise NotNormalizedError(math.sqrt(sq[bad[0]]), tol)
+        raise NotNormalizedError(math.sqrt(sq[bad[0]]), DEFAULT_NORM_TOL)
 
 
 def normalize(state: PureState) -> PureState:

@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "Bipartition",
     "InvarianceRun",
     "KetExpr",
-    "MeasureConfig",
     "MeasureKind",
     "MeasureResult",
     "PartitionVerdict",

@@ -293,12 +293,13 @@ class TestExitCodes:
         assert "threshold must be finite and nonnegative, got -1.0" in err
 
     def test_non_finite_norm_constant_is_two(self, capsys):
-        for bad in ("nan", "inf"):
-            code, _, err = run_cli(
-                capsys, "measure", "--expr", BELL_EXPR, "--norm-constant", bad
-            )
-            assert code == 2
-            assert "norm_constant" in err
+        for command in ("measure", "invariance"):
+            for bad in ("nan", "inf"):
+                code, _, err = run_cli(
+                    capsys, command, "--expr", BELL_EXPR, "--norm-constant", bad
+                )
+                assert code == 2
+                assert "norm_constant" in err
 
     def test_nan_state_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -352,6 +353,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             cli_main(["measure", "--expr", BELL_EXPR, "--measure", "spectral"])
         capsys.readouterr()
+
+    def test_invariance_has_no_measure_flag(self, capsys):
+        # invariance always tracks the auto measure
+        with pytest.raises(SystemExit) as info:
+            cli_main(["invariance", "--expr", BELL_EXPR, "--measure", "multipartite"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --measure" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

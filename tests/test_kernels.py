@@ -10,7 +10,7 @@ import pytest
 
 from entwedge import Bipartition, matricize, multipartite_measure, separability_report
 from entwedge import _kernels
-from entwedge.measures import DEFAULT_CONFIG, MeasureKind, measure_rows
+from entwedge.measures import MeasureKind, measure_rows
 from entwedge.states import unfold
 from conftest import random_state
 from oracles import grid_norm_sq, wedge_pair
@@ -213,7 +213,7 @@ class TestSplitResiduals:
     def test_one_call_per_row_and_shape(self, monkeypatch, rng, dims, want):
         rows = np.stack([random_state(rng, dims).amplitudes for _ in range(4)])
         shapes = self.count_kernel(monkeypatch)
-        measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims, DEFAULT_CONFIG)
+        measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims)
         assert sorted(shapes) == sorted(want)
 
 

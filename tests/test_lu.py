@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from entwedge import (
     resolve_measure,
     trial_rng,
 )
-from entwedge import lu
+from entwedge import lu, states
 from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
 from conftest import bell_state, ghz_state, random_state
 from oracles import apply_local, haar_unitary, standard_normals
@@ -223,13 +224,25 @@ class TestInvarianceExperiment:
         # above the cap only the running max is kept; it is the same max
         assert run == dataclasses.replace(full, deviations=None)
 
-    def test_forced_multipartite_on_two_subsystems(self):
-        run = invariance_experiment(
-            bell_state(), trials=5, seed=2, measure="multipartite"
-        )
-        assert run.measure_kind == "multipartite_e"
-        assert run.baseline_value == pytest.approx(2.0, abs=1e-12)
-        assert run.max_abs_deviation <= 1e-9
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+    def test_validates_state_once(self, monkeypatch, rng, dims):
+        # the baseline measure checks the state; the experiment does not
+        # check it again.  Every entwedge namespace holding validate is
+        # patched, so a call through any of them is counted.
+        calls = []
+        real = states.validate
+
+        def counted(state):
+            calls.append(state)
+            return real(state)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("entwedge") and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counted)
+        state = random_state(rng, dims)
+        run = invariance_experiment(state, trials=5, seed=2)
+        assert len(run.deviations) == 5
+        assert calls == [state]
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -358,7 +371,7 @@ class TestStackNormCheck:
             invariance_experiment(ghz_state(3), trials=5, seed=0)
         # the first failing trial is the one reported
         assert info.value.norm == pytest.approx(1.0 + 1e-6, rel=1e-12)
-        assert info.value.tol == lu.DEFAULT_CONFIG.tol
+        assert info.value.tol == states.DEFAULT_NORM_TOL
 
 
 def golden_state(dims):
@@ -383,13 +396,13 @@ def numerics_fingerprint():
     return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()[:16]
 
 
-# (dims, seed, measure, trials) -> baseline_value, then per platform
+# (dims, seed, trials) -> baseline_value, then per platform
 # fingerprint: deviations, max_abs_deviation.  Recorded with one random
 # stream per experiment, on x86-64 with numpy 2.4 and its bundled OpenBLAS
 # 0.3.31: "70d3..." with the AVX-512 (SkylakeX) kernels, "f00e..." with
 # the Haswell/Zen ones.
 GOLDEN = [
-    (((2, 3), 7, "auto", 6), "0x1.1b7da6e39dc63p-1", {
+    (((2, 3), 7, 6), "0x1.1b7da6e39dc63p-1", {
         "70d30828638ee746": (
             ["0x0.0p+0", "-0x1.0000000000000p-52", "-0x1.0000000000000p-53",
              "-0x1.0000000000000p-53", "0x1.0000000000000p-52", "0x0.0p+0"],
@@ -399,7 +412,7 @@ GOLDEN = [
              "-0x1.8000000000000p-52", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53"],
             "0x1.0000000000000p-51"),
     }),
-    (((2, 2, 2), 2**64 - 1, "auto", 5), "0x1.2925937802c27p+0", {
+    (((2, 2, 2), 2**64 - 1, 5), "0x1.2925937802c27p+0", {
         "70d30828638ee746": (
             ["0x1.0000000000000p-50", "0x1.0000000000000p-52", "0x1.0000000000000p-51",
              "-0x1.0000000000000p-51", "0x1.0000000000000p-52"],
@@ -409,7 +422,7 @@ GOLDEN = [
              "-0x1.0000000000000p-52", "0x1.0000000000000p-51"],
             "0x1.8000000000000p-51"),
     }),
-    (((1, 3, 2), 2**63 + 5, "multipartite", 4), "0x1.cb8070f59d8bcp-1", {
+    (((1, 3, 2), 2**63 + 5, 4), "0x1.cb8070f59d8bcp-1", {
         "70d30828638ee746": (
             ["-0x1.4000000000000p-51", "-0x1.0000000000000p-53", "0x1.0000000000000p-52",
              "-0x1.0000000000000p-51"],
@@ -425,8 +438,8 @@ GOLDEN = [
 class TestGoldenRuns:
     @pytest.mark.parametrize("case, baseline, per_platform", GOLDEN)
     def test_matches_recorded_run(self, case, baseline, per_platform):
-        dims, seed, measure, trials = case
-        run = invariance_experiment(golden_state(dims), trials=trials, seed=seed, measure=measure)
+        dims, seed, trials = case
+        run = invariance_experiment(golden_state(dims), trials=trials, seed=seed)
         # the baseline runs no QR, matmul or libm call, so it holds to
         # rounding everywhere and bitwise on the recording platforms
         assert run.baseline_value == pytest.approx(float.fromhex(baseline), rel=1e-15, abs=0)

@@ -10,7 +10,6 @@ import pytest
 
 from entwedge import (
     Bipartition,
-    MeasureConfig,
     MeasureKind,
     PureState,
     bipartite_concurrence,
@@ -28,7 +27,7 @@ from entwedge import (
     tripartite_measure,
 )
 from entwedge import _kernels
-from entwedge.measures import DEFAULT_CONFIG, measure_rows
+from entwedge.measures import measure_rows
 from entwedge.states import unfold
 from entwedge.errors import (
     IndexOutOfRangeError,
@@ -300,7 +299,7 @@ class TestMeasureRows:
             measures.append(bipartite_concurrence)
         for measure in measures:
             want = [measure(s) for s in states]
-            got = measure_rows(want[0].kind, rows, dims, DEFAULT_CONFIG)
+            got = measure_rows(want[0].kind, rows, dims)
             assert got == want
 
 
@@ -309,7 +308,7 @@ class TestMeasureRows:
         # E's term sum is bitwise twice the singleton residuals added one
         # at a time from slot 1, the order every earlier output has used
         rows = np.stack([random_state(rng, dims).amplitudes for _ in range(6)])
-        got = measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims, DEFAULT_CONFIG)
+        got = measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims)
         for t, result in enumerate(got):
             want = 0.0
             for j in range(len(dims)):
@@ -382,26 +381,18 @@ class TestConfig:
     def test_norm_constant_scales_value(self, rng):
         state = random_state(rng, (2, 3))
         base = bipartite_concurrence(state)
-        half = bipartite_concurrence(state, MeasureConfig(norm_constant=1.0))
+        half = bipartite_concurrence(state, norm_constant=1.0)
         assert half.value == pytest.approx(base.value / math.sqrt(2.0), rel=1e-12)
         assert half.term_sum == base.term_sum
         assert half.norm_constant == 1.0
 
     def test_invalid_config(self):
-        with pytest.raises(WrongDimsError):
-            MeasureConfig(norm_constant=0.0)
-        with pytest.raises(WrongDimsError):
-            MeasureConfig(tol=-1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(WrongDimsError):
-                MeasureConfig(norm_constant=bad)
-            with pytest.raises(WrongDimsError):
-                MeasureConfig(tol=bad)
-
-    def test_loose_tolerance_accepts(self):
-        amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) * math.sqrt(0.5005)
-        cfg = MeasureConfig(tol=1e-2)
-        assert bipartite_concurrence(PureState((2, 2), amps), cfg).value > 0
+        measures = [(bipartite_concurrence, bell_state()), (pair_qubit_concurrence, bell_state()),
+                    (multipartite_measure, ghz_state(3)), (tripartite_measure, ghz_state(3))]
+        for measure, state in measures:
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(WrongDimsError, match="norm_constant must be positive"):
+                    measure(state, norm_constant=bad)
 
 
 class TestResolve:

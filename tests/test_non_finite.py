@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from entwedge import (
     Bipartition,
-    MeasureConfig,
     PureState,
+    bipartite_concurrence,
     enumerate_bipartitions,
     evaluate,
     invariance_experiment,
@@ -37,7 +37,6 @@ from entwedge import (
 from entwedge.errors import (
     IndexOutOfRangeError,
     InvalidPartitionError,
-    NotNormalizedError,
     SchemaError,
     ValidationError,
     WrongDimsError,
@@ -86,9 +85,9 @@ def test_state_file_components(tmp_path_factory, literal, count, data):
 @given(NON_FINITE)
 def test_measure_config(value):
     with pytest.raises(WrongDimsError):
-        MeasureConfig(norm_constant=value)
+        bipartite_concurrence(bell_state(), norm_constant=value)
     with pytest.raises(WrongDimsError):
-        MeasureConfig(tol=value)
+        invariance_experiment(bell_state(), trials=1, norm_constant=value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,26 +128,6 @@ def test_purity_entries(value, pos, imaginary):
     entries[pos] = complex(0.0, value) if imaginary and isinstance(value, float) else value
     with pytest.raises(ValidationError):
         purity([entries[:2], entries[2:]])
-
-
-@settings(max_examples=100, deadline=None)
-@given(NON_FINITE)
-def test_validate_tolerance(value):
-    # refused as a bad tolerance, whatever the state
-    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
-        validate(bell_state(), tol=value)
-
-
-@pytest.mark.parametrize("tol", [-1, -1e-12])
-def test_validate_negative_tolerance(tol):
-    with pytest.raises(ValidationError, match="tol must be nonnegative and finite") as info:
-        validate(bell_state(), tol=tol)
-    assert not isinstance(info.value, NotNormalizedError)
-
-
-def test_validate_infinite_tolerance_does_not_pass_any_norm():
-    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
-        validate(PureState((2,), [5, 0]), tol=math.inf)
 
 
 # Each place the library turns a caller's value into an integer, with
@@ -203,7 +182,5 @@ def test_non_real_numbers_are_refused(value):
         separability_report(bell_state(), threshold=value)
     with pytest.raises(ValidationError):
         is_product_state(bell_state(), threshold=value)
-    with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
-        validate(bell_state(), tol=value)
     with pytest.raises(WrongDimsError):
-        MeasureConfig(norm_constant=value)
+        bipartite_concurrence(bell_state(), norm_constant=value)

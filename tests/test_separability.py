@@ -87,9 +87,18 @@ class TestPartitionResidual:
         for left in [(1,), (1, 2), (1, 3), (2,)]:
             part = Bipartition(left, 4)
             comp = Bipartition(part.right, 4)
-            a = partition_residual(state, part)
-            b = partition_residual(state, comp)
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+            assert partition_residual(state, part) == partition_residual(state, comp)
+
+    def test_either_side_of_a_square_split_gives_the_report_bits(self, rng):
+        # on square dims the two sides unfold to transposed matrices,
+        # which the kernel would sum in different orders; both sides read
+        # the canonical one, as the report does
+        for _ in range(20):
+            state = random_state(rng, (16, 16))
+            first = partition_residual(state, Bipartition((1,), 2))
+            second = partition_residual(state, Bipartition((2,), 2))
+            report = separability_report(state).per_partition[Bipartition((1,), 2)]
+            assert first.hex() == second.hex() == report.residual.hex()
 
     def test_product_state_vanishes(self, rng):
         state = random_product_state(rng, (3, 2, 2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entwedge import PureState, load_state, save_state
-from entwedge.errors import IoError, SchemaError, TooLargeError
+from entwedge.errors import IoError, SchemaError, TooLargeError, ValidationError
 from conftest import bell_state, random_state
 
 
@@ -60,6 +60,16 @@ class TestRoundTrip:
         save_state(state, a)
         save_state(state, b)
         assert Path(a).read_text() == Path(b).read_text()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)],
+                             ids=["nan-re", "inf-re", "nan-im", "inf-im"])
+    def test_save_refuses_non_finite(self, tmp_path, bad):
+        # JSON has no finite spelling for these, and load_state refuses
+        # the bare NaN or Infinity token json.dump would write
+        path = tmp_path / "state.json"
+        with pytest.raises(ValidationError, match="non-finite amplitude"):
+            save_state(PureState((2,), [bad, 1.0]), str(path))
+        assert not path.exists()
 
 
 class TestLoad:
