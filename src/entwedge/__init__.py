@@ -9,7 +9,6 @@ from .measures import (
     multipartite_measure,
     pair_coefficient,
     pair_qubit_concurrence,
-    resolve_measure,
     swapped_wedge_coefficient,
     tripartite_measure,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "normalize",
     "pair_coefficient",
     "pair_qubit_concurrence",
-    "resolve_measure",
     "parse_ket",
     "partial_trace",
     "partition_residual",

@@ -21,7 +21,7 @@ import sys
 from .errors import ArityMismatchError, ParseError, SizeGuardError, ValidationError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
-from .measures import multipartite_measure, resolve_measure
+from .measures import _auto_measure
 from .separability import separability_report
 from .statefile import load_state
 from .states import PureState
@@ -50,12 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    measure = subs.add_parser("measure", help="compute an entanglement measure")
+    measure = subs.add_parser("measure", help="concurrence on two subsystems, E otherwise")
     _input_flags(measure)
     measure.add_argument("--norm-constant", type=float, default=2.0,
                          help="prefactor under the square root (default 2)")
-    measure.add_argument("--measure", choices=("auto", "bipartite", "multipartite"),
-                         default="auto", help="which measure to run")
     _output_flag(measure)
     measure.set_defaults(func=cmd_measure)
 
@@ -99,11 +97,7 @@ def _emit(doc: dict, output: str, text_lines) -> None:
 
 def cmd_measure(args) -> int:
     state, echo = _load_input(args)
-    fn = resolve_measure(args.measure, state.num_subsystems)
-    result = fn(state, args.norm_constant)
-    note = None
-    if fn is multipartite_measure and state.num_subsystems == 2:
-        note = "on two subsystems the multipartite value is twice the bipartite concurrence"
+    result = _auto_measure(state, args.norm_constant)
     doc = {
         "command": "measure",
         "input": echo,
@@ -111,7 +105,7 @@ def cmd_measure(args) -> int:
         "norm_constant": result.norm_constant,
         "value": result.value,
         "term_sum": result.term_sum,
-        "note": note,
+        "note": None,  # kept, always null, so the document keeps its keys
     }
     lines = [
         f"kind: {result.kind.value}",
@@ -119,8 +113,6 @@ def cmd_measure(args) -> int:
         f"value: {result.value!r}",
         f"term sum: {result.term_sum!r}",
     ]
-    if note:
-        lines.append(f"note: {note}")
     _emit(doc, args.output, lines)
     return 0
 

@@ -19,8 +19,11 @@ A ``sqrt(p/q)`` radicand is capped: ``p*q``, in lowest terms, may not
 exceed ``MAX_RADICAND``, and neither may the radicand of any scalar's
 printed form.  Parentheses nest at most ``MAX_NESTING`` deep.  Size
 guards run on the syntax tree, so an expression naming too many slots
-or too large a total dimension is refused before any product is
-expanded or any amplitude allocated.
+or too large a total dimension, or one whose expansion would take more
+than ``MAX_EXPANSION`` exact steps, is refused before any product is
+expanded or any amplitude allocated.  Each two-term factor doubles the
+expansion, so twenty ``(1+sqrt(p))`` factors, 255 bytes, would otherwise
+run for tens of minutes.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     DimTooSmallError,
     InvalidPartitionError,
     KetSyntaxError,
+    TooLargeError,
     ValidationError,
 )
 from .states import PureState, check_size_guards, require_int
@@ -50,6 +54,13 @@ MAX_RADICAND = 2 ** 53
 # evaluator each recurse once per level, so without a cap a short input
 # could exhaust the interpreter's stack.
 MAX_NESTING = 64
+
+# Most exact-arithmetic steps expanding an expression may take, as
+# _expansion_size counts them.  Twelve (1+sqrt(p)) factors, 12333 steps
+# in 143 bytes, took 0.4 s on a 2-CPU x86-64 host; eight two-term
+# factors, the largest expansions the tests and the benchmark use, take
+# 540 to 553.
+MAX_EXPANSION = 2 ** 14
 
 
 # --- exact scalars -------------------------------------------------------
@@ -187,6 +198,31 @@ def _slot_dims(node) -> tuple[int, ...]:
                 f"summed terms have different slot counts: {sorted(arities)}"
             )
         return tuple(map(max, zip(*shapes)))
+    raise TypeError(f"not a ket expression node: {node!r}")
+
+
+def _expansion_size(node) -> tuple[int, int]:
+    """``(terms, steps)`` of expanding ``node``, read off the tree.
+
+    ``terms`` bounds the entries of its amplitude table: a ket or a
+    scalar counts 1, a product multiplies, a sum adds.  ``steps`` bounds
+    the exact products and additions :func:`_walk` makes: a leaf counts
+    1, and every partial product and every sum adds its terms to the
+    steps of its parts.
+    """
+    if isinstance(node, (KetNode, ScalarNode)):
+        return 1, 1
+    if isinstance(node, ProductNode):
+        terms, steps = _expansion_size(node.factors[0])
+        for factor in node.factors[1:]:
+            f_terms, f_steps = _expansion_size(factor)
+            terms *= f_terms
+            steps += f_steps + terms
+        return terms, steps
+    if isinstance(node, SumNode):
+        sizes = [_expansion_size(term) for _, term in node.terms]
+        terms = sum(t for t, _ in sizes)
+        return terms, terms + sum(s for _, s in sizes)
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -510,8 +546,9 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
     DimTooSmallError
         If a ket index does not fit inside the supplied dims.
     TooLargeError
-        If the expression has more than ``MAX_SUBSYSTEMS`` slots or the
-        dims multiply to more than ``MAX_TOTAL_DIM``.
+        If the expression has more than ``MAX_SUBSYSTEMS`` slots, the
+        dims multiply to more than ``MAX_TOTAL_DIM`` or expanding it
+        takes more than ``MAX_EXPANSION`` steps.
     ValidationError
         If an amplitude is too large for a float.
     """
@@ -534,6 +571,8 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
                     f"slot {slot + 1} uses index {need - 1} but its dim is {have}"
                 )
     check_size_guards(dims)
+    if _expansion_size(node)[1] > MAX_EXPANSION:
+        raise TooLargeError(f"expression takes more than {MAX_EXPANSION} steps to expand")
     vector = np.zeros(math.prod(dims), dtype=np.complex128)
     amps = _walk(node)
     totals = []

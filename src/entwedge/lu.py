@@ -12,8 +12,12 @@ raw word ``w``, which is what ``Generator.random`` returns on PCG64.
 
 The experiment itself applies one independent Haar unitary per subsystem
 and reports how far the measure moves: the bipartite concurrence on two
-subsystems, the multipartite measure otherwise.  It asserts nothing
-about the deviations; it only reports them.  Trials run in chunks: a
+subsystems, the multipartite measure otherwise, as ``entwedge measure``
+picks them.  It asserts nothing about the deviations; it only reports
+them.  A run is priced before anything is validated or drawn: trials
+times one trial's work, each gate's ``n^3`` plus the row pairs times
+columns squared of every split the re-measure reads, may not pass
+``MAX_INVARIANCE_WORK``.  Trials run in chunks: a
 chunk reads its trials' words in one call, and the conversion to
 uniforms, Box-Muller per slot, the QR factorization with its phase fix,
 the unitarity check, the rotation, the norm check of the rotated states
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .measures import measure_rows, resolve_measure
+from .errors import TooLargeError, ValidationError
+from .measures import _auto_measure, check_measure_size, measure_rows
 from .states import PureState, check_unit_norms, require_int
 
 UNITARITY_TOL = 1e-10
@@ -45,6 +49,14 @@ PER_TRIAL_CAP = 10000
 # Trials run in chunks holding at most this many complex entries (rotated
 # states plus gates), so memory stays flat however large the state.
 CHUNK_AMPLITUDES = 1 << 16
+
+# Work units one experiment may cost: trials times _trial_work(dims).
+# The slowest accepted runs, about 4800 trials on (16, 16) and 55000 on
+# (2, 3, 4), took about 10 s on a 2-CPU x86-64 host.
+MAX_INVARIANCE_WORK = 2 * 10 ** 8
+
+# Units a trial costs however small its state: its own kernel calls.
+_TRIAL_FLOOR = 3000
 
 
 @dataclass(frozen=True)
@@ -163,6 +175,19 @@ def _chunk_trials(dims) -> int:
     return max(1, CHUNK_AMPLITUDES // per_trial)
 
 
+def _trial_work(dims) -> int:
+    """Work units of one trial on ``dims``: ``_TRIAL_FLOOR``, ``n^3`` per
+    slot for its gate's QR and unitarity check, and for each split the
+    re-measure reads, the row pairs times columns squared that the minor
+    sum loops over, pairing along the shorter side."""
+    total = math.prod(dims)
+    work = _TRIAL_FLOOR + sum(n ** 3 for n in dims)
+    for r in dims[:1] if len(dims) == 2 else dims:
+        short, long = sorted((r, total // r))
+        work += short * (short - 1) // 2 * long * long
+    return work
+
+
 def invariance_experiment(
     state: PureState,
     trials: int = 1000,
@@ -177,8 +202,12 @@ def invariance_experiment(
     the observed deviations, bitwise reproducible for fixed inputs; no
     judgement about invariance is baked in.
 
-    The baseline measure checks the state and ``norm_constant`` once;
-    the rotated states' norms are checked before they are re-measured.
+    Before the state is validated or anything is drawn, the run is
+    refused with ``TooLargeError`` when the state passes the measure
+    guard or trials times :func:`_trial_work` passes
+    ``MAX_INVARIANCE_WORK``.  The baseline measure then checks the state
+    and ``norm_constant`` once; the rotated states' norms are checked
+    before they are re-measured.
 
     ``deviations`` carries the full per-trial list only up to 10000
     trials; beyond that only the running maximum is kept.  The maximum
@@ -188,8 +217,16 @@ def invariance_experiment(
     seed = require_int(seed, ValidationError, "seed")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
+    check_measure_size(state)
+    per_trial = _trial_work(state.dims)
+    if trials * per_trial > MAX_INVARIANCE_WORK:
+        raise TooLargeError(
+            f"the invariance guard of {MAX_INVARIANCE_WORK} work units allows at most "
+            f"{MAX_INVARIANCE_WORK // per_trial} trials on dims {state.dims} "
+            f"({per_trial} a trial)"
+        )
     bits = trial_rng(seed, 0, state.dims).bit_generator
-    baseline = resolve_measure("auto", state.num_subsystems)(state, norm_constant)
+    baseline = _auto_measure(state, norm_constant)
     dims = state.dims
     keep = trials <= PER_TRIAL_CAP
     deviations = []

@@ -17,7 +17,10 @@ its squared norm is within ``DEFAULT_NORM_TOL`` of 1.
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
 multipartite value on two subsystems is exactly twice the bipartite one,
-bit for bit, since both read the one split there.
+bit for bit, since both read the one split there.  So there is no
+measure selector: the command line and the invariance experiment both
+take C on two subsystems and E otherwise, from one private helper, and
+E's doubling on two subsystems is ``norm_constant = 8``.
 """
 
 from __future__ import annotations
@@ -257,19 +260,11 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
     )[0]
 
 
-def resolve_measure(selector: str, num_subsystems: int):
-    """Map a selector string to a measure function.
-
-    ``auto`` picks the bipartite concurrence on two subsystems and the
-    multipartite measure otherwise.
-    """
-    if selector == "auto":
-        selector = "bipartite" if num_subsystems == 2 else "multipartite"
-    if selector == "bipartite":
-        return bipartite_concurrence
-    if selector == "multipartite":
-        return multipartite_measure
-    raise ValueError(f"unknown measure selector {selector!r}")
+def _auto_measure(state: PureState, norm_constant: float) -> MeasureResult:
+    """C on two subsystems, E otherwise.  On two subsystems E would
+    only double C, so there is no choice to make there."""
+    measure = bipartite_concurrence if state.num_subsystems == 2 else multipartite_measure
+    return measure(state, norm_constant)
 
 
 def tripartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:

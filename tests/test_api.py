@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "partition_residual",
     "pretty",
     "purity",
-    "resolve_measure",
     "save_state",
     "separability_report",
     "swapped_wedge_coefficient",

@@ -62,20 +62,6 @@ class TestMeasure:
         assert doc["measure_kind"] == "multipartite_e"
         assert doc["value"] == pytest.approx(math.sqrt(6.0), abs=1e-12)
 
-    def test_forced_multipartite_notes_doubling(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "--expr", BELL_EXPR, "--measure", "multipartite",
-            "--output", "machine",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["value"] == pytest.approx(2.0, abs=1e-12)
-        assert "twice the bipartite" in doc["note"]
-        _, text_out, _ = run_cli(
-            capsys, "measure", "--expr", BELL_EXPR, "--measure", "multipartite"
-        )
-        assert "note: " in text_out
-
     def test_norm_constant_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "measure", "--expr", BELL_EXPR, "--norm-constant", "1",
@@ -85,6 +71,20 @@ class TestMeasure:
         doc = json.loads(out)
         assert doc["norm_constant"] == 1.0
         assert doc["value"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+
+    def test_norm_constant_eight_is_e_on_two_subsystems(self, capsys, tmp_path, rng):
+        # E on two subsystems is 2C, so there is no measure to pick there
+        state = random_state(rng, (3, 4))
+        path = str(tmp_path / "state.json")
+        save_state(state, path)
+        code, out, _ = run_cli(
+            capsys, "measure", "--state", path, "--norm-constant", "8", "--output", "machine"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["measure_kind"] == "bipartite_concurrence"
+        assert doc["value"] == entwedge.multipartite_measure(state).value
+        assert doc["note"] is None
 
     def test_state_file_input(self, capsys, tmp_path):
         path = str(tmp_path / "bell.json")
@@ -275,6 +275,30 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the measure guard" in err
 
+    @pytest.mark.parametrize("command", ["parse", "measure", "separability", "invariance"])
+    def test_exponential_expansion_is_three(self, capsys, command):
+        # 2**20 terms from 255 bytes: each two-term factor doubles the work
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        text = "".join(f"(1+sqrt({p}))" for p in primes) + "|0>"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "steps to expand" in err
+
+    @pytest.mark.parametrize("expr, trials", [
+        (BELL_EXPR, "1000000000"),
+        ("|63,63>", "1000"),  # about 0.25 s a trial on the current kernel
+    ])
+    def test_oversized_invariance_run_is_three(self, capsys, expr, trials):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariance", "--expr", expr, "--trials", trials)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "the invariance guard" in err
+
     def test_nan_threshold_is_two(self, capsys):
         code, out, err = run_cli(
             capsys, "separability", "--expr", BELL_EXPR, "--threshold", "nan"
@@ -350,9 +374,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_argparse_rejects_unknown_measure(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             cli_main(["measure", "--expr", BELL_EXPR, "--measure", "spectral"])
-        capsys.readouterr()
+        assert info.value.code == 2
+        assert "unrecognized arguments: --measure" in capsys.readouterr().err
+
+    def test_measure_has_no_measure_flag(self, capsys):
+        # measure picks C on two subsystems and E otherwise
+        with pytest.raises(SystemExit) as info:
+            cli_main(["measure", "--expr", BELL_EXPR, "--measure", "multipartite"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --measure" in capsys.readouterr().err
 
     def test_invariance_has_no_measure_flag(self, capsys):
         # invariance always tracks the auto measure

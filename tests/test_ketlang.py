@@ -20,6 +20,7 @@ from entwedge.errors import (
     TooLargeError,
     ValidationError,
 )
+from entwedge import ketlang
 from entwedge.ketlang import (
     MAX_NESTING,
     MAX_RADICAND,
@@ -503,6 +504,36 @@ class TestGuardsBeforeExpansion:
         state = evaluate(parse_ket("(|0>+|1>)" * 8))
         assert state.dims == (2,) * 8
         assert np.all(state.amplitudes == 1.0)
+
+    def test_exponential_expansion(self):
+        # one slot, so no state guard sees it; every factor doubles the
+        # terms, so twenty of them would run for tens of minutes
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        expr = parse_ket("".join(f"(1+sqrt({p}))" for p in primes) + "|0>")
+        peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
+        assert peak < 1 << 20
+        assert seconds < 0.1
+
+    @pytest.mark.parametrize("text", [
+        # a flat chain of unit factors re-multiplies the expanded terms
+        "(|0>+|1>)" * 11 + " 1" * 6,
+        # and so does each nesting level
+        "(" * 6 + "(|0>+|1>)" * 11 + ") 1" * 6,
+    ])
+    def test_unit_factors_count(self, text):
+        assert ketlang._expansion_size(parse_ket(text).root)[0] == 2 ** 11
+        peak, _ = peak_bytes_and_seconds(lambda: evaluate(parse_ket(text)))
+        assert peak < 1 << 20
+
+    def test_expansion_cap_boundary(self, monkeypatch):
+        # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms
+        expr = parse_ket("(|0>+|1>)" * 8)
+        assert ketlang._expansion_size(expr.root) == (256, 8 * 4 + 508)
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION", 540)
+        assert evaluate(expr).dims == (2,) * 8
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION", 539)
+        with pytest.raises(TooLargeError, match="more than 539 steps"):
+            evaluate(expr)
 
     @settings(max_examples=60, deadline=None)
     @given(

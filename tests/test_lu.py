@@ -17,10 +17,10 @@ from entwedge import (
     PureState,
     bipartite_concurrence,
     invariance_experiment,
+    multipartite_measure,
     normalize,
     partial_trace,
     purity,
-    resolve_measure,
     trial_rng,
 )
 from entwedge import lu, states
@@ -244,6 +244,40 @@ class TestInvarianceExperiment:
         assert len(run.deviations) == 5
         assert calls == [state]
 
+    def test_work_guard_fires_before_validation_and_draws(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the stream was built before the guard")
+
+        monkeypatch.setattr(lu, "trial_rng", no_draw)
+        # unnormalized on purpose: the guard fires before validation
+        for dims, trials in (((64, 64), 1000), ((2, 2), 10 ** 9), ((1, 4096), 1)):
+            state = PureState(dims, np.zeros(math.prod(dims), dtype=np.complex128))
+            with pytest.raises(TooLargeError, match="the invariance guard"):
+                invariance_experiment(state, trials=trials)
+
+    def test_work_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(lu, "MAX_INVARIANCE_WORK", 10 * lu._trial_work((2, 2)))
+        assert len(invariance_experiment(bell_state(), trials=10).deviations) == 10
+        with pytest.raises(TooLargeError):
+            invariance_experiment(bell_state(), trials=11)
+
+    def test_trial_work(self):
+        floor = lu._TRIAL_FLOOR
+        # one split on two subsystems: its row pairs times columns squared
+        assert lu._trial_work((2, 2)) == floor + 2 * 2 ** 3 + 1 * 2 ** 2
+        assert lu._trial_work((64, 64)) == floor + 2 * 64 ** 3 + 2016 * 64 ** 2
+        # every singleton split otherwise, paired along its shorter side
+        assert lu._trial_work((2, 3, 4)) == floor + 99 + 1 * 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
+        # a gate costs its cube even where the re-measure pairs nothing
+        assert lu._trial_work((1, 512)) == floor + 1 + 512 ** 3
+
+    @pytest.mark.parametrize("dims, trials", [
+        ((2, 2), 1000), ((2, 2, 2), 1000),  # README
+        ((2, 3, 4), 100), ((2, 2, 2, 2), 100),  # the benchmark's invariance runs
+    ])
+    def test_documented_runs_are_accepted(self, dims, trials):
+        assert trials * lu._trial_work(dims) <= lu.MAX_INVARIANCE_WORK
+
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             invariance_experiment(bell_state(), trials=-1)
@@ -278,7 +312,7 @@ class TestBatchedTrials:
         # words, then its apply_local and the public measure, bit for bit
         state = random_state(rng, dims)
         run = invariance_experiment(state, trials=12, seed=8)
-        fn = resolve_measure("auto", state.num_subsystems)
+        fn = bipartite_concurrence if len(dims) == 2 else multipartite_measure
         baseline = fn(state).value
         for k, deviation in enumerate(run.deviations):
             rng_k = trial_rng(8, k, dims)

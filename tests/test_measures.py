@@ -22,7 +22,6 @@ from entwedge import (
     partial_trace,
     partition_residual,
     purity,
-    resolve_measure,
     swapped_wedge_coefficient,
     tripartite_measure,
 )
@@ -393,17 +392,3 @@ class TestConfig:
             for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(WrongDimsError, match="norm_constant must be positive"):
                     measure(state, norm_constant=bad)
-
-
-class TestResolve:
-    def test_auto(self):
-        assert resolve_measure("auto", 2) is bipartite_concurrence
-        assert resolve_measure("auto", 3) is multipartite_measure
-
-    def test_explicit(self):
-        assert resolve_measure("bipartite", 5) is bipartite_concurrence
-        assert resolve_measure("multipartite", 2) is multipartite_measure
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_measure("spectral", 2)
