@@ -7,9 +7,7 @@ from .measures import (
     MeasureResult,
     bipartite_concurrence,
     multipartite_measure,
-    pair_coefficient,
     pair_qubit_concurrence,
-    swapped_wedge_coefficient,
     tripartite_measure,
 )
 from .separability import (
@@ -51,7 +49,6 @@ __all__ = [
     "matricize",
     "multipartite_measure",
     "normalize",
-    "pair_coefficient",
     "pair_qubit_concurrence",
     "parse_ket",
     "partial_trace",
@@ -60,7 +57,6 @@ __all__ = [
     "purity",
     "save_state",
     "separability_report",
-    "swapped_wedge_coefficient",
     "trial_rng",
     "tripartite_measure",
     "validate",

@@ -38,10 +38,6 @@ class InvalidPartitionError(ValidationError):
     """Bipartition side is empty, full, or names an unknown subsystem."""
 
 
-class IndexOutOfRangeError(ValidationError):
-    """A multi-index component or subsystem label is out of range."""
-
-
 class WrongArityError(ValidationError):
     """Operation requires a specific number of subsystems."""
 

@@ -20,10 +20,11 @@ exceed ``MAX_RADICAND``, and neither may the radicand of any scalar's
 printed form.  Parentheses nest at most ``MAX_NESTING`` deep.  Size
 guards run on the syntax tree, so an expression naming too many slots
 or too large a total dimension, or one whose expansion would take more
-than ``MAX_EXPANSION`` exact steps, is refused before any product is
-expanded or any amplitude allocated.  Each two-term factor doubles the
-expansion, so twenty ``(1+sqrt(p))`` factors, 255 bytes, would otherwise
-run for tens of minutes.
+than ``MAX_EXPANSION`` exact steps or more than ``MAX_EXPANSION_BITS``
+steps times bits of the numbers they work on, is refused before any
+product is expanded or any amplitude allocated.  Each two-term factor
+doubles the expansion, so twenty ``(1+sqrt(p))`` factors, 255 bytes,
+would otherwise run for tens of minutes.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ MAX_NESTING = 64
 # factors, the largest expansions the tests and the benchmark use, take
 # 540 to 553.
 MAX_EXPANSION = 2 ** 14
+
+# Most steps times bits an expansion may cost, as _expansion_size prices
+# them, since a step costs more as its numbers grow.  Eleven factors
+# (0.77...7 + sqrt(p)) with 1000-digit decimals, 6185 steps on 73118
+# bits, took 1.2 s; at the cap, 35 juxtaposed 4000-digit decimals take
+# 0.4 s and twelve such factors with 67-digit decimals 0.3 s on a 2-CPU
+# x86-64 host.  The tests and the benchmark price at most 33153.
+MAX_EXPANSION_BITS = 2 ** 26
 
 
 # --- exact scalars -------------------------------------------------------
@@ -201,28 +210,35 @@ def _slot_dims(node) -> tuple[int, ...]:
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
-def _expansion_size(node) -> tuple[int, int]:
-    """``(terms, steps)`` of expanding ``node``, read off the tree.
+def _expansion_size(node) -> tuple[int, int, int]:
+    """``(terms, steps, bits)`` of expanding ``node``, read off the tree.
 
     ``terms`` bounds the entries of its amplitude table: a ket or a
     scalar counts 1, a product multiplies, a sum adds.  ``steps`` bounds
     the exact products and additions :func:`_walk` makes: a leaf counts
     1, and every partial product and every sum adds its terms to the
-    steps of its parts.
+    steps of its parts.  ``bits`` prices the size of the numbers those
+    steps work on: a leaf counts the bits of its rational parts'
+    numerators and denominators and of its radicand, a product adds its
+    factors' bits and a sum takes their max plus one.
     """
-    if isinstance(node, (KetNode, ScalarNode)):
-        return 1, 1
+    if isinstance(node, KetNode):
+        return 1, 1, 1
+    if isinstance(node, ScalarNode):
+        v = node.value
+        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad.numerator)
+        return 1, 1, sum(x.bit_length() for x in ints)
     if isinstance(node, ProductNode):
-        terms, steps = _expansion_size(node.factors[0])
+        terms, steps, bits = _expansion_size(node.factors[0])
         for factor in node.factors[1:]:
-            f_terms, f_steps = _expansion_size(factor)
+            f_terms, f_steps, f_bits = _expansion_size(factor)
             terms *= f_terms
             steps += f_steps + terms
-        return terms, steps
+            bits += f_bits
+        return terms, steps, bits
     if isinstance(node, SumNode):
-        sizes = [_expansion_size(term) for _, term in node.terms]
-        terms = sum(t for t, _ in sizes)
-        return terms, terms + sum(s for _, s in sizes)
+        terms, steps, bits = zip(*(_expansion_size(term) for _, term in node.terms))
+        return sum(terms), sum(terms) + sum(steps), max(bits) + 1
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -548,7 +564,8 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
     TooLargeError
         If the expression has more than ``MAX_SUBSYSTEMS`` slots, the
         dims multiply to more than ``MAX_TOTAL_DIM`` or expanding it
-        takes more than ``MAX_EXPANSION`` steps.
+        takes more than ``MAX_EXPANSION`` steps or ``MAX_EXPANSION_BITS``
+        steps times bits.
     ValidationError
         If an amplitude is too large for a float.
     """
@@ -571,8 +588,14 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
                     f"slot {slot + 1} uses index {need - 1} but its dim is {have}"
                 )
     check_size_guards(dims)
-    if _expansion_size(node)[1] > MAX_EXPANSION:
+    _, steps, bits = _expansion_size(node)
+    if steps > MAX_EXPANSION:
         raise TooLargeError(f"expression takes more than {MAX_EXPANSION} steps to expand")
+    if steps * bits > MAX_EXPANSION_BITS:
+        raise TooLargeError(
+            f"expanding the expression costs {steps} steps times {bits} bits, "
+            f"beyond the guard of {MAX_EXPANSION_BITS}"
+        )
     vector = np.zeros(math.prod(dims), dtype=np.complex128)
     amps = _walk(node)
     totals = []

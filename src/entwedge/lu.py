@@ -21,10 +21,11 @@ columns squared of every split the re-measure reads, may not pass
 chunk reads its trials' words in one call, and the conversion to
 uniforms, Box-Muller per slot, the QR factorization with its phase fix,
 the unitarity check, the rotation, the norm check of the rotated states
-and the re-measure, which unfolds the rotated stack once per split, all
-run once over the chunk's stack of trials.  Every step works within one
-trial's numbers, so a trial's deviation is bitwise the same whatever the
-chunk size.  The tests check that equality, bit for bit, against an
+and the re-measure, which unfolds the rotated stack once per split and
+returns the chunk's term sums as one array, all run once over the
+chunk's stack of trials, and so do the values and deviations.  Every
+step works within one trial's numbers, so a trial's deviation is
+bitwise the same whatever the chunk size.  The tests check that equality, bit for bit, against an
 oracle that runs one trial at a time from ``trial_rng``: uniform doubles
 from ``Generator.random``, then these same Box-Muller, QR and rotation
 helpers on a batch of one, then the public measure.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError, ValidationError
-from .measures import _auto_measure, check_measure_size, measure_rows
+from .measures import _auto_measure, _values, check_measure_size, measure_rows
 from .states import PureState, check_unit_norms, require_int
 
 UNITARITY_TOL = 1e-10
@@ -211,7 +212,7 @@ def invariance_experiment(
 
     ``deviations`` carries the full per-trial list only up to 10000
     trials; beyond that only the running maximum is kept.  The maximum
-    is always present.
+    is always present, and NaN when any trial's deviation is.
     """
     trials = require_int(trials, ValidationError, "trials")
     seed = require_int(seed, ValidationError, "seed")
@@ -240,14 +241,12 @@ def invariance_experiment(
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)
         check_unit_norms(rotated)
-        rows = measure_rows(baseline.kind, rotated, dims, baseline.norm_constant)
-        for t, result in enumerate(rows):
-            d = result.value - baseline.value
-            # seeded by the first deviation, as max() over the list is,
-            # so a NaN there still shows
-            max_abs = max(max_abs, abs(d)) if lo + t else abs(d)
-            if keep:
-                deviations.append(d)
+        values = _values(measure_rows(baseline.kind, rotated, dims), baseline.norm_constant)
+        chunk = values - baseline.value
+        # np.max propagates a NaN from any trial, the running max included
+        max_abs = float(np.max(np.abs(chunk), initial=max_abs))
+        if keep:
+            deviations.extend(chunk.tolist())
     kept = tuple(deviations) if keep else None
     return InvarianceRun(
         seed=seed,

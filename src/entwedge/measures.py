@@ -1,14 +1,19 @@
-"""Entanglement measures built from pairwise wedge coefficients.
+"""Entanglement measures built from split residuals.
 
 Every measure here has the shape ``value = sqrt(norm_constant * term_sum)``
 where ``term_sum`` is a sum of split residuals: squared 2x2 minors of the
-state unfolded across a split.  For two subsystems it is the residual of
-split {1}.  For m subsystems it runs over every pair of multi-indices
-``K, L`` and every slot ``j``, comparing ``a_K a_L`` against the product
-with the j-th slot entries exchanged; each such difference is a minor of
-the slot-j unfolding, met once from each side, so the sum is twice the
-singleton residuals.  All of them come from
-:func:`entwedge._kernels.split_residuals`.
+state unfolded across a split, the purity form ``1 - tr rho^2`` of
+Rungta et al. (PRA 64, 042315 (2001)).  For two subsystems it is the
+residual of split {1}.  For m subsystems it runs over every pair of
+multi-indices ``K, L`` and every slot ``j``, comparing ``a_K a_L``
+against the product with the j-th slot entries exchanged; each such
+difference is a minor of the slot-j unfolding, met once from each side,
+so the sum is twice the singleton residuals.  All of them come from
+:func:`entwedge._kernels.split_residuals` through :func:`measure_rows`,
+which returns the term sums of a stack of states as plain numbers; both
+public measures read it through one private path (arity, size guard,
+validation, term sum, result), and the invariance experiment reads it
+directly for each chunk of rotated states.
 
 ``norm_constant`` is the measures' one setting: positive and finite, 2
 by default, and reported back in every result.  Input is refused unless
@@ -25,20 +30,14 @@ E's doubling on two subsystems is ``norm_constant = 8``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    IndexOutOfRangeError,
-    TooLargeError,
-    WrongArityError,
-    WrongDimsError,
-)
-from .states import PureState, is_finite, require_int, validate
+from .errors import TooLargeError, WrongArityError, WrongDimsError
+from .states import PureState, is_finite, validate
 
 # Beyond this total dimension the quadratic pair sum stops being a
 # desk-scale computation.
@@ -88,16 +87,20 @@ def _as_norm_constant(norm_constant: float) -> float:
     return float(norm_constant)
 
 
-def _finish(kind: MeasureKind, term_sum: float, norm_constant: float = 2.0) -> MeasureResult:
-    value = math.sqrt(norm_constant * term_sum)
-    return MeasureResult(kind, value, norm_constant, term_sum)
+def _values(term_sums, norm_constant: float):
+    """``sqrt(norm_constant * term_sum)`` of one term sum or elementwise
+    over an array of them: one IEEE multiply and one correctly rounded
+    sqrt, so an array entry is bitwise the scalar result."""
+    return np.sqrt(norm_constant * term_sums)
 
 
-def measure_rows(
-    kind: MeasureKind, rows: np.ndarray, dims, norm_constant: float = 2.0
-) -> list[MeasureResult]:
-    """The ``kind`` measure of each row of a ``(T, prod(dims))`` stack of
-    flat amplitude vectors over ``dims``.
+def _finish(kind: MeasureKind, term_sum: float, norm_constant: float) -> MeasureResult:
+    return MeasureResult(kind, float(_values(term_sum, norm_constant)), norm_constant, term_sum)
+
+
+def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
+    """The ``(T,)`` term sums of the ``kind`` measure of each row of a
+    ``(T, prod(dims))`` stack of flat amplitude vectors over ``dims``.
 
     The bipartite term sum is the residual of split {1}; the
     multipartite one is ``2 * sum_j`` of the singleton residuals, added
@@ -106,9 +109,9 @@ def measure_rows(
     the multipartite value bitwise twice the bipartite one.  Each split
     is unfolded once for the whole stack.
     Trusts its input: the caller has already checked the arity, the size
-    guard, the norms and ``norm_constant``.  :func:`bipartite_concurrence`,
-    :func:`multipartite_measure` and the invariance experiment's
-    re-measure all end here, so each quantity has one implementation.
+    guard and the norms.  :func:`_measure`, behind both public measures,
+    and the invariance experiment's re-measure both end here, so each
+    quantity has one implementation.
     """
     if kind is MeasureKind.BIPARTITE_CONCURRENCE:
         slots, weight = [0], 1.0
@@ -120,7 +123,23 @@ def measure_rows(
     sums = np.zeros(len(rows))
     for column in residuals.T:
         sums += column
-    return [_finish(kind, weight * float(total), norm_constant) for total in sums]
+    return weight * sums
+
+
+def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> MeasureResult:
+    """The ``kind`` measure of ``state``, refusing in this order a bad
+    ``norm_constant``, the wrong arity, an oversized state and an
+    unnormalized one."""
+    norm_constant = _as_norm_constant(norm_constant)
+    m = state.num_subsystems
+    if kind is MeasureKind.BIPARTITE_CONCURRENCE and m != 2:
+        raise WrongArityError(f"bipartite concurrence needs 2 subsystems, got {m}")
+    if m < 2:
+        raise WrongArityError(f"multipartite measure needs at least 2 subsystems, got {m}")
+    check_measure_size(state)
+    validate(state)
+    term_sum = float(measure_rows(kind, state.amplitudes[None], state.dims)[0])
+    return _finish(kind, term_sum, norm_constant)
 
 
 def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
@@ -153,16 +172,7 @@ def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> Measu
         rescale with :func:`~entwedge.states.normalize` first to accept
         it.
     """
-    norm_constant = _as_norm_constant(norm_constant)
-    if state.num_subsystems != 2:
-        raise WrongArityError(
-            f"bipartite concurrence needs 2 subsystems, got {state.num_subsystems}"
-        )
-    check_measure_size(state)
-    validate(state)
-    return measure_rows(
-        MeasureKind.BIPARTITE_CONCURRENCE, state.amplitudes[None], state.dims, norm_constant
-    )[0]
+    return _measure(MeasureKind.BIPARTITE_CONCURRENCE, state, norm_constant)
 
 
 def pair_qubit_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
@@ -181,41 +191,6 @@ def pair_qubit_concurrence(state: PureState, norm_constant: float = 2.0) -> Meas
     det = a[0] * a[3] - a[2] * a[1]
     term_sum = 2.0 * (det.real * det.real + det.imag * det.imag)
     return _finish(MeasureKind.BIPARTITE_CONCURRENCE, term_sum, norm_constant)
-
-
-def pair_coefficient(state: PureState, K, L) -> complex:
-    """Product ``a_K a_L`` of two amplitudes picked by multi-indices."""
-    return complex(state.tensor[_checked_index(state, K)] * state.tensor[_checked_index(state, L)])
-
-
-def swapped_wedge_coefficient(state: PureState, K, L, j: int) -> complex:
-    """Antisymmetrized product ``a_K a_L - a_K' a_L'`` where the primed
-    multi-indices exchange their entries in slot ``j`` (1-based).
-
-    Zero by construction whenever ``K[j] == L[j]``.
-    """
-    K = _checked_index(state, K)
-    L = _checked_index(state, L)
-    j = require_int(j, IndexOutOfRangeError, "slot")
-    if not 1 <= j <= state.num_subsystems:
-        raise IndexOutOfRangeError(f"slot {j} not in 1..{state.num_subsystems}")
-    ax = j - 1
-    Ks = K[:ax] + (L[ax],) + K[ax + 1:]
-    Ls = L[:ax] + (K[ax],) + L[ax + 1:]
-    t = state.tensor
-    return complex(t[K] * t[L] - t[Ks] * t[Ls])
-
-
-def _checked_index(state: PureState, K) -> tuple[int, ...]:
-    K = tuple(require_int(x, IndexOutOfRangeError, "multi-index") for x in K)
-    if len(K) != state.num_subsystems:
-        raise IndexOutOfRangeError(
-            f"multi-index {K} has {len(K)} entries for {state.num_subsystems} subsystems"
-        )
-    for ax, (x, n) in enumerate(zip(K, state.dims)):
-        if not 0 <= x < n:
-            raise IndexOutOfRangeError(f"index {x} out of range for slot {ax + 1} (dim {n})")
-    return K
 
 
 def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
@@ -248,23 +223,15 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
         rescale with :func:`~entwedge.states.normalize` first to accept
         it.
     """
-    norm_constant = _as_norm_constant(norm_constant)
-    if state.num_subsystems < 2:
-        raise WrongArityError(
-            f"multipartite measure needs at least 2 subsystems, got {state.num_subsystems}"
-        )
-    check_measure_size(state)
-    validate(state)
-    return measure_rows(
-        MeasureKind.MULTIPARTITE_E, state.amplitudes[None], state.dims, norm_constant
-    )[0]
+    return _measure(MeasureKind.MULTIPARTITE_E, state, norm_constant)
 
 
 def _auto_measure(state: PureState, norm_constant: float) -> MeasureResult:
     """C on two subsystems, E otherwise.  On two subsystems E would
     only double C, so there is no choice to make there."""
-    measure = bipartite_concurrence if state.num_subsystems == 2 else multipartite_measure
-    return measure(state, norm_constant)
+    two = state.num_subsystems == 2
+    kind = MeasureKind.BIPARTITE_CONCURRENCE if two else MeasureKind.MULTIPARTITE_E
+    return _measure(kind, state, norm_constant)
 
 
 def tripartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:

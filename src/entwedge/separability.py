@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidPartitionError, ValidationError
+from .errors import ValidationError
 from .measures import check_measure_size
 from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, matricize, validate
 
@@ -57,6 +57,17 @@ class SeparabilityReport:
     genuinely_entangled: bool
 
 
+def _residuals(state: PureState, splits) -> dict:
+    """``{key: residual}`` for the ``{key: 0-based left slots}`` that
+    ``splits(m)`` names.  The size guard and validation run first, so
+    their refusals come before any about the splits."""
+    check_measure_size(state)
+    validate(state)
+    lefts = splits(state.num_subsystems)
+    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, list(lefts.values()))
+    return dict(zip(lefts, residuals[0].tolist()))
+
+
 def partition_residual(state: PureState, part: Bipartition) -> float:
     """Sum of squared 2x2 minor moduli of the split's matricization.
 
@@ -66,10 +77,7 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     both sides of a split give the same bits.  Refuses total dimension
     above 4096, like the measures.
     """
-    check_measure_size(state)
-    validate(state)
-    lefts = [part.canonical().left_axes(state.num_subsystems)]
-    return float(_kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0, 0])
+    return _residuals(state, lambda m: {part: part.canonical().left_axes(m)})[part]
 
 
 def _as_threshold(threshold: float) -> float:
@@ -81,17 +89,14 @@ def _as_threshold(threshold: float) -> float:
 
 
 def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True when every single-subsystem split passes the threshold."""
+    """True when every single-subsystem split passes the threshold.
+
+    On two subsystems split {2} is split {1} from the other side, so one
+    is read; one subsystem unfolds to a single column, whose residual is
+    0, so it is a product."""
     threshold = _as_threshold(threshold)
-    check_measure_size(state)
-    validate(state)
-    m = state.num_subsystems
-    if m < 2:
-        return True  # nothing to split
-    # on two subsystems split {2} is split {1} from the other side
-    lefts = [[j] for j in range(m if m > 2 else 1)]
-    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)
-    return all(r <= threshold for r in residuals[0].tolist())
+    residuals = _residuals(state, lambda m: {j: [j] for j in range(m if m > 2 else 1)})
+    return all(r <= threshold for r in residuals.values())
 
 
 def separability_report(
@@ -102,21 +107,15 @@ def separability_report(
     Full separability is decided by the single-subsystem splits alone;
     when they all pass, the per-subsystem factors are extracted and the
     reconstruction is verified up to a global phase.  A non-finite or
-    negative threshold raises :class:`ValidationError`.
+    negative threshold raises :class:`ValidationError`, and fewer than
+    two subsystems :class:`InvalidPartitionError`.
     """
     threshold = _as_threshold(threshold)
-    check_measure_size(state)
-    validate(state)
+    residuals = _residuals(
+        state, lambda m: {part: part.left_axes(m) for part in enumerate_bipartitions(m)}
+    )
     m = state.num_subsystems
-    if m < 2:
-        raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
-    parts = enumerate_bipartitions(m)
-    lefts = [part.left_axes(m) for part in parts]
-    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)
-    per = {
-        part: PartitionVerdict(residual, residual <= threshold)
-        for part, residual in zip(parts, residuals[0].tolist())
-    }
+    per = {part: PartitionVerdict(r, r <= threshold) for part, r in residuals.items()}
     # Singleton splits decide full separability; on two subsystems the
     # {2} split canonicalizes to {1}, so look keys up in canonical form.
     fully = all(

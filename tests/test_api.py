@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "matricize",
     "multipartite_measure",
     "normalize",
-    "pair_coefficient",
     "pair_qubit_concurrence",
     "parse_ket",
     "partial_trace",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "purity",
     "save_state",
     "separability_report",
-    "swapped_wedge_coefficient",
     "trial_rng",
     "tripartite_measure",
     "validate",

@@ -203,12 +203,48 @@ class TestParse:
         assert len(lines) == 4
 
 
+W3_EXPR = "sqrt(1/3) (|0,0,1> + |0,1,0> + |1,0,0>)"
+
+# The default outputs a change must leave byte-identical: every input
+# through measure and separability (text and machine), invariance and,
+# for the expressions, parse.
+DEFAULT_OUTPUT_INPUTS = {"bell": BELL_EXPR, "ghz3": GHZ3_EXPR, "w3": W3_EXPR, "file234": None}
+DEFAULT_OUTPUT_COMMANDS = {
+    "measure-text": ("measure",),
+    "measure-machine": ("measure", "--output", "machine"),
+    "separability-text": ("separability",),
+    "separability-machine": ("separability", "--output", "machine"),
+    "invariance-machine": ("invariance", "--trials", "200", "--output", "machine"),
+    "parse": ("parse",),
+}
+DEFAULT_OUTPUT_CASES = [
+    pytest.param(name, command, id=f"{name}-{command}")
+    for name in DEFAULT_OUTPUT_INPUTS
+    for command in DEFAULT_OUTPUT_COMMANDS
+    # parse reads expressions only
+    if not (command == "parse" and DEFAULT_OUTPUT_INPUTS[name] is None)
+]
+
+
 class TestDeterminism:
     def repeat(self, capsys, *argv):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
         return first
+
+    @pytest.mark.parametrize("name, command", DEFAULT_OUTPUT_CASES)
+    def test_default_outputs(self, capsys, tmp_path, name, command):
+        expr = DEFAULT_OUTPUT_INPUTS[name]
+        if expr is None:
+            path = str(tmp_path / "state234.json")
+            save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
+            source = ("--state", path)
+        else:
+            source = ("--expr", expr)
+        code, out, err = self.repeat(capsys, *DEFAULT_OUTPUT_COMMANDS[command], *source)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n")
 
     def test_measure(self, capsys, tmp_path, rng):
         path = str(tmp_path / "state.json")
@@ -286,6 +322,20 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "steps to expand" in err
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "separability", "invariance"])
+    def test_long_decimal_expansion_is_three(self, capsys, command):
+        # 6185 steps, under the step cap, but on numbers of 73118 bits:
+        # the expansion took about 1.2 s before the bits were priced
+        decimal = "0." + "7" * 1000
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        text = "".join(f"({decimal}+sqrt({p}))" for p in primes) + "|0>"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "6185 steps times 73118 bits" in err
 
     @pytest.mark.parametrize("expr, trials", [
         (BELL_EXPR, "1000000000"),

@@ -526,14 +526,43 @@ class TestGuardsBeforeExpansion:
         assert peak < 1 << 20
 
     def test_expansion_cap_boundary(self, monkeypatch):
-        # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms
+        # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
+        # each sum of two 1-bit kets prices 2 bits, and the product adds them
         expr = parse_ket("(|0>+|1>)" * 8)
-        assert ketlang._expansion_size(expr.root) == (256, 8 * 4 + 508)
+        assert ketlang._expansion_size(expr.root) == (256, 8 * 4 + 508, 8 * 2)
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 540)
         assert evaluate(expr).dims == (2,) * 8
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 539)
         with pytest.raises(TooLargeError, match="more than 539 steps"):
             evaluate(expr)
+
+    def test_expansion_bits_boundary(self, monkeypatch):
+        expr = parse_ket("(|0>+|1>)" * 8)
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 540 * 16)
+        assert evaluate(expr).dims == (2,) * 8
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 540 * 16 - 1)
+        with pytest.raises(TooLargeError, match="540 steps times 16 bits"):
+            evaluate(expr)
+
+    def test_expansion_bits(self):
+        # a leaf counts the bits of its numerators, denominators and
+        # radicand; a product adds, a sum takes the max plus one
+        size = ketlang._expansion_size
+        assert size(parse_ket("3/4 |0>").root)[2] == 2 + 3 + 0 + 1 + 1 + 1
+        assert size(parse_ket("i sqrt(5) |0>").root)[2] == 4 + 6 + 1
+        assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)").root)[2] == 8 + 1
+        long = parse_ket("(0." + "7" * 1000 + "+sqrt(2)) |0>").root
+        assert size(long)[2] > 2 * 3300
+
+    def test_long_decimals_are_priced(self):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        text = "".join(f"(0.{'7' * 1000}+sqrt({p}))" for p in primes) + "|0>"
+        expr = parse_ket(text)
+        terms, steps, bits = ketlang._expansion_size(expr.root)
+        assert steps <= ketlang.MAX_EXPANSION < steps * bits
+        peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
+        assert peak < 1 << 20
+        assert seconds < 0.1
 
     @settings(max_examples=60, deadline=None)
     @given(

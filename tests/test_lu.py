@@ -224,6 +224,30 @@ class TestInvarianceExperiment:
         # above the cap only the running max is kept; it is the same max
         assert run == dataclasses.replace(full, deviations=None)
 
+    @pytest.mark.parametrize("per_chunk, cap", [(100, 10000), (1, 10000), (1, 5)])
+    def test_nan_deviation_reaches_the_max(self, monkeypatch, per_chunk, cap):
+        # a NaN term sum at trial 3 (in the first chunk, or in a later one
+        # when chunks hold one trial) makes the maximum NaN, with or
+        # without the per-trial list
+        real = lu.measure_rows
+        done = []
+
+        def nan_at_three(kind, rows, dims):
+            sums = real(kind, rows, dims)
+            start = sum(done)
+            done.append(len(sums))
+            if start <= 3 < start + len(sums):
+                sums[3 - start] = math.nan
+            return sums
+
+        monkeypatch.setattr(lu, "measure_rows", nan_at_three)
+        monkeypatch.setattr(lu, "CHUNK_AMPLITUDES", chunk_budget(bell_state(), per_chunk))
+        monkeypatch.setattr(lu, "PER_TRIAL_CAP", cap)
+        run = invariance_experiment(bell_state(), trials=6, seed=1)
+        assert math.isnan(run.max_abs_deviation)
+        if run.deviations is not None:
+            assert [math.isnan(d) for d in run.deviations] == [k == 3 for k in range(6)]
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
     def test_validates_state_once(self, monkeypatch, rng, dims):
         # the baseline measure checks the state; the experiment does not

@@ -16,20 +16,17 @@ from entwedge import (
     evaluate,
     multipartite_measure,
     normalize,
-    pair_coefficient,
     pair_qubit_concurrence,
     parse_ket,
     partial_trace,
     partition_residual,
     purity,
-    swapped_wedge_coefficient,
     tripartite_measure,
 )
 from entwedge import _kernels
-from entwedge.measures import measure_rows
+from entwedge.measures import _values, measure_rows
 from entwedge.states import unfold
 from entwedge.errors import (
-    IndexOutOfRangeError,
     NotNormalizedError,
     TooLargeError,
     WrongArityError,
@@ -163,46 +160,6 @@ class TestBipartite:
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCoefficients:
-    def test_pair_coefficient_ghz(self):
-        z = pair_coefficient(ghz_state(3), (0, 0, 0), (1, 1, 1))
-        assert z == pytest.approx(0.5, abs=1e-12)
-
-    def test_pair_coefficient_random(self, rng):
-        state = random_state(rng, (2, 3, 2))
-        t = state.tensor
-        K, L = (1, 2, 0), (0, 1, 1)
-        assert pair_coefficient(state, K, L) == t[K] * t[L]
-
-    def test_swapped_matching_slot_is_exact_zero(self, rng):
-        state = random_state(rng, (2, 2))
-        assert swapped_wedge_coefficient(state, (0, 1), (0, 0), 1) == 0j
-
-    def test_swapped_bell(self):
-        z = swapped_wedge_coefficient(bell_state(), (0, 0), (1, 1), 1)
-        assert z == pytest.approx(0.5, abs=1e-12)
-        # exchanging the second slot gives the same magnitude
-        z2 = swapped_wedge_coefficient(bell_state(), (0, 0), (1, 1), 2)
-        assert abs(z2) == pytest.approx(0.5, abs=1e-12)
-
-    def test_antisymmetric_in_swap(self, rng):
-        state = random_state(rng, (3, 2))
-        a = swapped_wedge_coefficient(state, (2, 1), (0, 0), 1)
-        b = swapped_wedge_coefficient(state, (0, 1), (2, 0), 1)
-        assert a == pytest.approx(-b, abs=1e-15)
-
-    def test_bad_indices(self):
-        state = bell_state()
-        with pytest.raises(IndexOutOfRangeError):
-            pair_coefficient(state, (0, 2), (0, 0))
-        with pytest.raises(IndexOutOfRangeError):
-            pair_coefficient(state, (0, 0, 0), (0, 0))
-        with pytest.raises(IndexOutOfRangeError):
-            swapped_wedge_coefficient(state, (0, 0), (1, 1), 0)
-        with pytest.raises(IndexOutOfRangeError):
-            swapped_wedge_coefficient(state, (0, 0), (1, 1), 3)
-
-
 class TestMultipartite:
     def test_ghz3(self):
         result = multipartite_measure(ghz_state(3))
@@ -299,7 +256,10 @@ class TestMeasureRows:
         for measure in measures:
             want = [measure(s) for s in states]
             got = measure_rows(want[0].kind, rows, dims)
-            assert got == want
+            assert got.shape == (len(states),)
+            assert [t.hex() for t in got.tolist()] == [w.term_sum.hex() for w in want]
+            values = _values(got, 2.0).tolist()
+            assert [v.hex() for v in values] == [w.value.hex() for w in want]
 
 
     @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 2, 2, 2), (2, 2, 2, 2, 2)])
@@ -308,11 +268,11 @@ class TestMeasureRows:
         # at a time from slot 1, the order every earlier output has used
         rows = np.stack([random_state(rng, dims).amplitudes for _ in range(6)])
         got = measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims)
-        for t, result in enumerate(got):
+        for t, term_sum in enumerate(got.tolist()):
             want = 0.0
             for j in range(len(dims)):
                 want += _kernels.minor_pair_sum(unfold(rows, dims, [j])[t])
-            assert result.term_sum.hex() == (2.0 * want).hex()
+            assert term_sum.hex() == (2.0 * want).hex()
 
 
 class TestNearProductExact:

@@ -25,17 +25,14 @@ from entwedge import (
     is_product_state,
     load_state,
     normalize,
-    pair_coefficient,
     parse_ket,
     partial_trace,
     purity,
     separability_report,
-    swapped_wedge_coefficient,
     trial_rng,
     validate,
 )
 from entwedge.errors import (
-    IndexOutOfRangeError,
     InvalidPartitionError,
     SchemaError,
     ValidationError,
@@ -143,13 +140,6 @@ INTEGER_SITES = {
     "invariance.trials": (lambda v: invariance_experiment(bell_state(), trials=v), ValidationError),
     "invariance.seed": (
         lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
-    ),
-    "pair_coefficient": (
-        lambda v: pair_coefficient(bell_state(), (v, 0), (0, 0)), IndexOutOfRangeError
-    ),
-    "swapped_wedge_coefficient.slot": (
-        lambda v: swapped_wedge_coefficient(bell_state(), (0, 0), (1, 1), v),
-        IndexOutOfRangeError,
     ),
     "partial_trace.keep": (lambda v: partial_trace(bell_state(), v), InvalidPartitionError),
     "enumerate_bipartitions": (enumerate_bipartitions, InvalidPartitionError),
