@@ -50,10 +50,6 @@ class ArityMismatchError(ValidationError):
     """Kets combined in a sum have different slot counts."""
 
 
-class DimTooSmallError(ValidationError):
-    """Supplied dims cannot hold an index used by the expression."""
-
-
 # --- size guards -------------------------------------------------------
 
 class SizeGuardError(EntwedgeError):

@@ -38,13 +38,11 @@ import numpy as np
 
 from .errors import (
     ArityMismatchError,
-    DimTooSmallError,
-    InvalidPartitionError,
     KetSyntaxError,
     TooLargeError,
     ValidationError,
 )
-from .states import PureState, check_size_guards, require_int
+from .states import PureState, check_size_guards
 
 # Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
 # off its square part trial-divides up to the cube root, about 2*10^5
@@ -58,17 +56,18 @@ MAX_NESTING = 64
 
 # Most exact-arithmetic steps expanding an expression may take, as
 # _expansion_size counts them.  Twelve (1+sqrt(p)) factors, 12333 steps
-# in 143 bytes, took 0.4 s on a 2-CPU x86-64 host; eight two-term
-# factors, the largest expansions the tests and the benchmark use, take
-# 540 to 553.
+# in 143 bytes, took 0.17-0.31 s on a shared 2-CPU x86-64 host; eight
+# two-term factors, the largest expansions the tests and the benchmark
+# use, take 540 to 553.
 MAX_EXPANSION = 2 ** 14
 
 # Most steps times bits an expansion may cost, as _expansion_size prices
 # them, since a step costs more as its numbers grow.  Eleven factors
 # (0.77...7 + sqrt(p)) with 1000-digit decimals, 6185 steps on 73118
-# bits, took 1.2 s; at the cap, 35 juxtaposed 4000-digit decimals take
-# 0.4 s and twelve such factors with 67-digit decimals 0.3 s on a 2-CPU
-# x86-64 host.  The tests and the benchmark price at most 33153.
+# bits, took 0.7-1.0 s; at the cap, 35 juxtaposed 4000-digit decimals
+# take 0.5-0.6 s and twelve such factors with 67-digit decimals 0.2-0.4 s
+# on a shared 2-CPU x86-64 host.  The tests and the benchmark price at
+# most 33153.
 MAX_EXPANSION_BITS = 2 ** 26
 
 
@@ -109,7 +108,7 @@ class ExactScalar:
 
     re: Fraction
     im: Fraction
-    rad: Fraction
+    rad: int
 
     @staticmethod
     def make(re, im=0, rad=1) -> "ExactScalar":
@@ -117,18 +116,23 @@ class ExactScalar:
         if rad < 0:
             raise ValueError(f"radicand must be nonnegative, got {rad}")
         if rad == 0 or (re == 0 and im == 0):
-            return ExactScalar(Fraction(0), Fraction(0), Fraction(1))
+            return ExactScalar(Fraction(0), Fraction(0), 1)
         # sqrt(p/q) = sqrt(p*q)/q, then pull the square part out front.
         root, free = _square_split(rad.numerator * rad.denominator)
         scale = Fraction(root, rad.denominator)
-        return ExactScalar(re * scale, im * scale, Fraction(free))
-
-    @staticmethod
-    def imaginary_unit() -> "ExactScalar":
-        return ExactScalar.make(0, 1)
+        return ExactScalar(re * scale, im * scale, free)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        # a sum over two radicands has no (re + im*i) sqrt(rad) form
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        if self.rad != other.rad:
+            raise ValueError(f"cannot add over radicands {self.rad} and {other.rad}")
+        re, im = self.re + other.re, self.im + other.im
+        return ExactScalar(re, im, self.rad) if re or im else ZERO
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         re = self.re * other.re - self.im * other.im
@@ -137,9 +141,9 @@ class ExactScalar:
             return ZERO
         # Both radicands are square-free, so with g = gcd(a, b) the product
         # is a*b = g^2 (a/g)(b/g), and (a/g)(b/g) is square-free again.
-        a, b = self.rad.numerator, other.rad.numerator
+        a, b = self.rad, other.rad
         g = math.gcd(a, b)
-        return ExactScalar(re * g, im * g, Fraction((a // g) * (b // g)))
+        return ExactScalar(re * g, im * g, (a // g) * (b // g))
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         if other.is_zero():
@@ -153,7 +157,7 @@ class ExactScalar:
         return ExactScalar(-self.re, -self.im, self.rad)
 
     def to_complex(self) -> complex:
-        r = math.sqrt(self.rad.numerator / self.rad.denominator)
+        r = math.sqrt(self.rad)
         return complex(float(self.re) * r, float(self.im) * r)
 
 
@@ -226,7 +230,7 @@ def _expansion_size(node) -> tuple[int, int, int]:
         return 1, 1, 1
     if isinstance(node, ScalarNode):
         v = node.value
-        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad.numerator)
+        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)
         return 1, 1, sum(x.bit_length() for x in ints)
     if isinstance(node, ProductNode):
         terms, steps, bits = _expansion_size(node.factors[0])
@@ -309,6 +313,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def number(self, kind: str, convert=int):
+        """Take a ``kind`` token and convert its text with ``convert``."""
+        _, word, col = self.take(kind)
+        try:
+            return convert(word)
+        except ValueError:  # past Python's limit on the digits int() reads
+            message = f"number literal of {len(word)} characters is too long"
+            raise KetSyntaxError(message, col) from None
+
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def expr(self):
         sign = 1
@@ -355,10 +368,10 @@ class _Parser:
     # ket := '|' INT (',' INT)* '>'
     def ket(self):
         self.take("PIPE")
-        indices = [int(self.take("INT")[1])]
+        indices = [self.number("INT")]
         while self.peek()[0] == "COMMA":
             self.take("COMMA")
-            indices.append(int(self.take("INT")[1]))
+            indices.append(self.number("INT"))
         self.take("GT")
         return KetNode(tuple(indices))
 
@@ -385,23 +398,21 @@ class _Parser:
     def atom(self) -> ExactScalar:
         kind, word, col = self.peek()
         if kind == "INT":
-            self.take("INT")
-            return ExactScalar.make(int(word))
+            return ExactScalar.make(self.number("INT"))
         if kind == "DECIMAL":
-            self.take("DECIMAL")
-            return ExactScalar.make(Fraction(word))
+            return ExactScalar.make(self.number("DECIMAL", Fraction))
         if kind == "IDENT" and word == "i":
             self.take("IDENT")
-            return ExactScalar.imaginary_unit()
+            return ExactScalar.make(0, 1)
         if kind == "IDENT" and word == "sqrt":
             self.take("IDENT")
             self.take("LPAREN")
-            num = int(self.take("INT")[1])
+            num = self.number("INT")
             den, den_col = 1, col
             if self.peek()[0] == "SLASH":
                 self.take("SLASH")
-                _, den_word, den_col = self.take("INT")
-                den = int(den_word)
+                den_col = self.peek()[2]
+                den = self.number("INT")
             self.take("RPAREN")
             if den == 0:
                 raise KetSyntaxError("division by zero", den_col)
@@ -443,7 +454,7 @@ def _unfolded_radicand(s: ExactScalar) -> int:
     """``a^2 r`` for ``s = (a/b) sqrt(r)`` up to a unit factor, the
     radicand ``s`` prints with as ``sqrt(a^2 r)/b``."""
     coef = s.re if s.im == 0 else s.im
-    return coef.numerator ** 2 * s.rad.numerator
+    return coef.numerator ** 2 * s.rad
 
 
 def _scalar_text(s: ExactScalar) -> str:
@@ -457,7 +468,7 @@ def _scalar_text(s: ExactScalar) -> str:
     if s.rad == 1:
         body = _fraction_text(magnitude)
     elif magnitude == 1:
-        body = f"sqrt({_fraction_text(s.rad)})"
+        body = f"sqrt({s.rad})"
     elif folded.numerator * folded.denominator <= MAX_RADICAND:
         # fold the rational part under the root: q*sqrt(r) = sqrt(q^2 r)
         body = f"sqrt({_fraction_text(folded)})"
@@ -504,16 +515,14 @@ def pretty(expr) -> str:
 # --- evaluation ------------------------------------------------------------
 
 def _amp_add(table: dict, scalar: ExactScalar) -> None:
-    if scalar.is_zero():
-        return
-    re, im = table.get(scalar.rad, (Fraction(0), Fraction(0)))
-    table[scalar.rad] = (re + scalar.re, im + scalar.im)
+    if not scalar.is_zero():
+        table[scalar.rad] = table.get(scalar.rad, ZERO) + scalar
 
 
 def _walk(node) -> dict:
-    """Exact amplitudes as {multi-index: {radicand: (re, im)}}."""
+    """Exact amplitudes as {multi-index: {radicand: ExactScalar}}."""
     if isinstance(node, KetNode):
-        return {node.indices: {ONE.rad: (ONE.re, ONE.im)}}
+        return {node.indices: {ONE.rad: ONE}}
     if isinstance(node, ScalarNode):
         table = {}
         _amp_add(table, node.value)
@@ -526,12 +535,9 @@ def _walk(node) -> dict:
             for idx_a, table_a in amps.items():
                 for idx_b, table_b in f_amps.items():
                     target = merged.setdefault(idx_a + idx_b, {})
-                    for rad_a, (re_a, im_a) in table_a.items():
-                        for rad_b, (re_b, im_b) in table_b.items():
-                            product = ExactScalar(re_a, im_a, rad_a) * ExactScalar(
-                                re_b, im_b, rad_b
-                            )
-                            _amp_add(target, product)
+                    for a in table_a.values():
+                        for b in table_b.values():
+                            _amp_add(target, a * b)
             amps = merged
         return amps
     if isinstance(node, SumNode):
@@ -539,28 +545,24 @@ def _walk(node) -> dict:
         for sign, term in node.terms:
             for idx, table in _walk(term).items():
                 target = merged.setdefault(idx, {})
-                for rad, (re, im) in table.items():
-                    scalar = ExactScalar(re, im, rad)
+                for scalar in table.values():
                     _amp_add(target, scalar if sign == 1 else -scalar)
         return merged
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
-def evaluate(expr: KetExpr, dims=None) -> PureState:
+def evaluate(expr: KetExpr) -> PureState:
     """Turn an expression into a dense state.
 
-    Dims are inferred as one past the largest index used in each slot
-    unless supplied.  The result is NOT normalized; whatever the
-    expression says is what comes out.  The size guards run on the
-    syntax tree, before any product is expanded.
+    Each slot's dim is one past the largest index the kets use there;
+    a zero term such as ``0|1,1>`` pads a slot.  The result is NOT
+    normalized; whatever the expression says is what comes out.  The
+    size guards run on the syntax tree, before any product is expanded.
 
     Raises
     ------
     ArityMismatchError
-        If the expression has no kets, or supplied dims have the wrong
-        number of entries.
-    DimTooSmallError
-        If a ket index does not fit inside the supplied dims.
+        If the expression has no kets.
     TooLargeError
         If the expression has more than ``MAX_SUBSYSTEMS`` slots, the
         dims multiply to more than ``MAX_TOTAL_DIM`` or expanding it
@@ -570,23 +572,9 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
         If an amplitude is too large for a float.
     """
     node = expr.root if isinstance(expr, KetExpr) else expr
-    needed = _slot_dims(node)
-    arity = len(needed)
-    if arity == 0:
+    dims = _slot_dims(node)
+    if not dims:
         raise ArityMismatchError("expression has no kets, so there is no state")
-    if dims is None:
-        dims = needed
-    else:
-        dims = tuple(require_int(n, InvalidPartitionError, "dims") for n in dims)
-        if len(dims) != arity:
-            raise ArityMismatchError(
-                f"expression has {arity} slots but {len(dims)} dims were supplied"
-            )
-        for slot, (need, have) in enumerate(zip(needed, dims)):
-            if need > have:
-                raise DimTooSmallError(
-                    f"slot {slot + 1} uses index {need - 1} but its dim is {have}"
-                )
     check_size_guards(dims)
     _, steps, bits = _expansion_size(node)
     if steps > MAX_EXPANSION:
@@ -602,14 +590,14 @@ def evaluate(expr: KetExpr, dims=None) -> PureState:
     for idx, table in amps.items():
         total = 0j
         try:
-            for rad, (re, im) in table.items():
-                total += ExactScalar(re, im, rad).to_complex()
+            for scalar in table.values():
+                total += scalar.to_complex()
         except OverflowError:
             total = complex(math.inf)
         if not cmath.isfinite(total):
             label = ",".join(map(str, idx))
             raise ValidationError(f"amplitude of |{label}> overflows a float")
         totals.append(total)
-    multi = np.array(list(amps), dtype=np.intp).reshape(-1, arity)
+    multi = np.array(list(amps), dtype=np.intp).reshape(-1, len(dims))
     vector[np.ravel_multi_index(multi.T, dims)] = totals
     return PureState(dims, vector)

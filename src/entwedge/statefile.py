@@ -101,18 +101,21 @@ def load_state(path: str) -> PureState:
     IoError
         If the file cannot be read.
     SchemaError
-        If the content is not valid JSON or violates the schema; the
+        If the content is not UTF-8 JSON that Python can read (nesting
+        and integer digits are bounded) or violates the schema; the
         message names the offending field.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            doc = json.load(handle)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer past Python's digit limit
+        # or arrays nested past the interpreter's stack
+        raise SchemaError(f"cannot read as JSON: {exc}") from exc
     return _parse_document(doc)
 
 

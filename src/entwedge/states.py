@@ -56,9 +56,11 @@ def check_size_guards(dims) -> None:
         )
     total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
-        raise TooLargeError(
-            f"total dimension {total} exceeds the guard of {MAX_TOTAL_DIM}"
-        )
+        try:
+            shown = str(total)
+        except ValueError:  # past the digits str() prints
+            shown = f"of {total.bit_length()} bits"
+        raise TooLargeError(f"total dimension {shown} exceeds the guard of {MAX_TOTAL_DIM}")
 
 
 def is_finite(value) -> bool:

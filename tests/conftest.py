@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 
 import numpy as np
@@ -59,3 +60,24 @@ def bell_x_bell_state() -> PureState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit of 4300 digits on int() from text, however
+    the interpreter was started."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+# State files Python's own readers give up on, by the fragment of the
+# message each refusal carries: nesting past the decoder's recursion,
+# bytes that are not UTF-8 (a UTF-16 byte-order mark) and an integer
+# past the digit limit.
+HOSTILE_STATE_FILES = {
+    "recursion depth": b"[" * 200000,
+    "can't decode byte 0xff": b"\xff\xfe" + '{"dims": [2]}'.encode("utf-16-le"),
+    "4300 digits": b'{"dims": [' + b"1" * 5000 + b'], "amplitudes": []}',
+}

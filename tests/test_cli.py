@@ -15,7 +15,7 @@ import pytest
 import entwedge
 from entwedge import save_state
 from entwedge.cli import cli_main
-from conftest import bell_state, random_state
+from conftest import HOSTILE_STATE_FILES, bell_state, random_state
 
 BELL_EXPR = "sqrt(1/2) (|0,0> + |1,1>)"
 GHZ3_EXPR = "sqrt(1/2) (|0,0,0> + |1,1,1>)"
@@ -282,6 +282,30 @@ class TestExitCodes:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("fragment", sorted(HOSTILE_STATE_FILES))
+    def test_hostile_state_file_is_one(self, capsys, tmp_path, int_digit_limit, fragment):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(HOSTILE_STATE_FILES[fragment])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "measure", "--state", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read as JSON: ")
+        assert err.count("\n") == 1 and fragment in err
+
+    def test_huge_total_dimension_is_three(self, capsys, tmp_path, int_digit_limit):
+        # two 4300-digit dims multiply past the digits str() prints
+        n = "9" * 4300
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"dims": [{n}, {n}], "amplitudes": []}}', encoding="utf-8")
+        for source in (("--expr", f"|{n},{n}>"), ("--state", str(path))):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "measure", *source)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (3, "")
+            assert err.startswith("error: total dimension of 28569 bits exceeds")
+            assert err.count("\n") == 1
+
     def test_missing_state_file_is_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "measure", "--state", str(tmp_path / "no.json"))
         assert code == 1
@@ -397,6 +421,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("command", ["parse", "measure"])
+    @pytest.mark.parametrize(
+        "text", ["|" + "1" * 5000 + ">", "1" * 5000 + "|0>"], ids=["index", "amplitude"]
+    )
+    def test_overlong_number_is_one(self, capsys, int_digit_limit, command, text):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: number literal of 5000 characters is too long")
+        assert err.count("\n") == 1
 
     def test_deep_nesting_is_one(self, capsys):
         # 400 levels would exhaust the recursive parser's stack without the cap

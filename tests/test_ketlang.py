@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from entwedge import evaluate, multipartite_measure, parse_ket, pretty
 from entwedge.errors import (
     ArityMismatchError,
-    DimTooSmallError,
     KetSyntaxError,
     TooLargeError,
     ValidationError,
@@ -203,9 +202,20 @@ class TestExactScalar:
         assert root2 * root3 == ExactScalar.make(1, 0, 6)
         assert root2 * root2 == ExactScalar.make(2)
 
+    def test_addition(self):
+        root2 = ExactScalar.make(1, 0, 2)
+        assert root2 + ExactScalar.make(Fraction(1, 2), 1, 2) == ExactScalar.make(
+            Fraction(3, 2), 1, 2
+        )
+        # zero adds over any radicand, and a zero sum is the canonical zero
+        assert ExactScalar.make(0) + root2 == root2 + ExactScalar.make(0) == root2
+        assert root2 + -root2 == ExactScalar.make(0)
+        with pytest.raises(ValueError):
+            root2 + ExactScalar.make(1, 0, 3)
+
     def test_division(self):
         one = ExactScalar.make(1)
-        i = ExactScalar.imaginary_unit()
+        i = ExactScalar.make(0, 1)
         assert one / i == ExactScalar.make(0, -1)
         with pytest.raises(ZeroDivisionError):
             one / ExactScalar.make(0)
@@ -315,6 +325,20 @@ class TestParsing:
         assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").root.value == (
             ExactScalar.make(1, 0, 2)
         )
+
+    @pytest.mark.parametrize("text, column", [
+        ("|{}>", 2), ("|0,{}>", 4), ("{} |0>", 1), ("0.{} |0>", 1),
+        ("sqrt({}) |0>", 6), ("sqrt(2/{}) |0>", 8),
+    ])
+    def test_overlong_number_refused(self, int_digit_limit, text, column):
+        # int() and Fraction() raise a bare ValueError past 4300 digits
+        with pytest.raises(KetSyntaxError, match="number literal of 500[02] characters") as info:
+            parse_ket(text.format("1" * 5000))
+        assert info.value.column == column
+
+    def test_number_at_digit_limit_parses(self, int_digit_limit):
+        assert parse_ket(f"|0,{'1' * 4300}>").root.indices[1] == int("1" * 4300)
+        assert parse_ket(f"0.{'1' * 4299} |0>").root.factors[0].value.re < 1
 
     def test_nesting_cap(self):
         assert MAX_NESTING == 64
@@ -450,18 +474,10 @@ class TestEvaluate:
         assert evaluate(parse_ket("|0>|1>")).dims == (1, 2)
         assert evaluate(parse_ket("|2> + |0>")).dims == (3,)
 
-    def test_supplied_dims(self):
-        state = evaluate(parse_ket("|0>|1>"), dims=(2, 2))
+    def test_zero_term_pads_dims(self):
+        state = evaluate(parse_ket("|0,0> + 0|1,1>"))
         assert state.dims == (2, 2)
-        assert state.tensor[0, 1] == 1.0
-
-    def test_dim_too_small(self):
-        with pytest.raises(DimTooSmallError):
-            evaluate(parse_ket("|2>"), dims=(2,))
-
-    def test_wrong_dims_count(self):
-        with pytest.raises(ArityMismatchError):
-            evaluate(parse_ket("|0,1>"), dims=(2, 2, 2))
+        assert list(state.amplitudes) == [1, 0, 0, 0]
 
     def test_no_kets_refused(self):
         with pytest.raises(ArityMismatchError):
@@ -474,7 +490,7 @@ class TestEvaluate:
             evaluate(parse_ket("1" + "0" * 308 + " sqrt(5) |0>"))
 
     def test_distribution_over_sums(self):
-        state = evaluate(parse_ket("(|0> + |1>) (|0> - |1>)"), dims=(2, 2))
+        state = evaluate(parse_ket("(|0> + |1>) (|0> - |1>)"))
         np.testing.assert_allclose(
             state.amplitudes, [1.0, -1.0, 1.0, -1.0], atol=0
         )
@@ -488,11 +504,6 @@ class TestGuardsBeforeExpansion:
         peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
         assert peak < 1 << 20
         assert seconds < 0.1
-
-    def test_huge_supplied_dims(self):
-        expr = parse_ket("|0>")
-        peak, _ = peak_bytes_and_seconds(lambda: evaluate(expr, dims=(10 ** 10,)))
-        assert peak < 1 << 20
 
     def test_too_many_factors(self):
         text = "(|0>+|1>)" * 10

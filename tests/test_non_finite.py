@@ -20,12 +20,10 @@ from entwedge import (
     PureState,
     bipartite_concurrence,
     enumerate_bipartitions,
-    evaluate,
     invariance_experiment,
     is_product_state,
     load_state,
     normalize,
-    parse_ket,
     partial_trace,
     purity,
     separability_report,
@@ -133,7 +131,6 @@ INTEGER_SITES = {
     "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), InvalidPartitionError),
     "Bipartition.total": (lambda v: Bipartition((1,), v), InvalidPartitionError),
     "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
-    "evaluate.dims": (lambda v: evaluate(parse_ket("|0>|1>"), dims=(2, v)), InvalidPartitionError),
     "trial_rng.seed": (lambda v: trial_rng(v, 0, (2,)), ValidationError),
     "trial_rng.trial": (lambda v: trial_rng(0, v, (2,)), ValidationError),
     "trial_rng.dims": (lambda v: trial_rng(0, 1, (2, v)), ValidationError),
@@ -159,7 +156,6 @@ def test_numpy_integers_are_accepted():
     state = PureState((two, np.int64(1)), [1, 0])
     assert state.dims == (2, 1)
     assert all(type(n) is int for n in state.dims)
-    assert evaluate(parse_ket("|0>|1>"), dims=(two, two)).dims == (2, 2)
     assert Bipartition((np.int64(1),), np.int64(3)) == Bipartition((1,), 3)
     run = invariance_experiment(bell_state(), trials=np.int64(2), seed=np.uint64(7))
     assert (run.trials, run.seed) == (2, 7)

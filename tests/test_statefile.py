@@ -10,7 +10,7 @@ import pytest
 
 from entwedge import PureState, load_state, save_state
 from entwedge.errors import IoError, SchemaError, TooLargeError, ValidationError
-from conftest import bell_state, random_state
+from conftest import HOSTILE_STATE_FILES, bell_state, random_state
 
 
 def write_doc(tmp_path, doc) -> str:
@@ -103,6 +103,13 @@ class TestLoad:
         with pytest.raises(SchemaError) as info:
             load_state(str(path))
         assert "not valid JSON" in str(info.value)
+
+    @pytest.mark.parametrize("fragment", sorted(HOSTILE_STATE_FILES))
+    def test_hostile_file(self, tmp_path, int_digit_limit, fragment):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(HOSTILE_STATE_FILES[fragment])
+        with pytest.raises(SchemaError, match=f"^cannot read as JSON: .*{fragment}"):
+            load_state(str(path))
 
     def test_size_guards(self, tmp_path):
         doc = {"dims": [2048, 1024], "amplitudes": []}

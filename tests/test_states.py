@@ -53,6 +53,11 @@ class TestPureState:
         with pytest.raises(LengthMismatchError):
             PureState((2, 2), np.zeros(3, dtype=np.complex128))
 
+    def test_guard_names_a_huge_total_by_its_bits(self, int_digit_limit):
+        # str() refuses the 8599-digit product of two 4300-digit dims
+        with pytest.raises(TooLargeError, match=r"^total dimension of \d+ bits exceeds"):
+            PureState((10 ** 4299, 10 ** 4299), [])
+
     def test_guards(self):
         with pytest.raises(TooLargeError):
             PureState((2,) * 9, np.zeros(512))
