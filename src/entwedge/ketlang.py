@@ -12,19 +12,23 @@ Grammar (whitespace between tokens is ignored)::
 Juxtaposed kets tensor together, so ``|0>|1>`` means the same as
 ``|0,1>``.  Ket indices are 0-based.  Scalars are kept exact as
 ``(re + im*i) * sqrt(rad)`` with rational parts and a square-free
-integer radicand; amplitudes accumulate in that exact form and are
-converted to floating point once, at the very end of evaluation.
+integer radicand.  Amplitudes accumulate in that exact form, in one
+flat table keyed by multi-index and radicand, and are converted to
+floating point once, at the very end of evaluation.
 
-A ``sqrt(p/q)`` radicand is capped: ``p*q``, in lowest terms, may not
-exceed ``MAX_RADICAND``, and neither may the radicand of any scalar's
-printed form.  Parentheses nest at most ``MAX_NESTING`` deep.  Size
-guards run on the syntax tree, so an expression naming too many slots
-or too large a total dimension, or one whose expansion would take more
-than ``MAX_EXPANSION`` exact steps or more than ``MAX_EXPANSION_BITS``
-steps times bits of the numbers they work on, is refused before any
-product is expanded or any amplitude allocated.  Each two-term factor
-doubles the expansion, so twenty ``(1+sqrt(p))`` factors, 255 bytes,
-would otherwise run for tens of minutes.
+One walk of the syntax tree reads its slot dims and the price of
+expanding it: ``parse_ket`` takes the slot count from it, and
+``evaluate`` the dims and the price.  A ``sqrt(p/q)`` radicand is
+capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``, and
+a scalar chain must have text ``pretty`` can print.  Parentheses nest
+at most ``MAX_NESTING`` deep.  Size guards run on the syntax tree, so
+an expression naming too many slots or too large a total dimension, or
+one whose expansion would take more than ``MAX_EXPANSION`` exact steps
+or more than ``MAX_EXPANSION_BITS`` steps times bits of the numbers
+they work on, is refused before any product is expanded or any
+amplitude allocated.  Each two-term factor doubles the expansion, so
+twenty ``(1+sqrt(p))`` factors, 255 bytes, would otherwise run for
+tens of minutes.
 """
 
 from __future__ import annotations
@@ -34,15 +38,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     ArityMismatchError,
     KetSyntaxError,
     TooLargeError,
     ValidationError,
 )
-from .states import PureState, check_size_guards
+from .states import PureState, check_size_guards, sparse_state
 
 # Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
 # off its square part trial-divides up to the cube root, about 2*10^5
@@ -55,13 +57,13 @@ MAX_RADICAND = 2 ** 53
 MAX_NESTING = 64
 
 # Most exact-arithmetic steps expanding an expression may take, as
-# _expansion_size counts them.  Twelve (1+sqrt(p)) factors, 12333 steps
+# _shape counts them.  Twelve (1+sqrt(p)) factors, 12333 steps
 # in 143 bytes, took 0.17-0.31 s on a shared 2-CPU x86-64 host; eight
 # two-term factors, the largest expansions the tests and the benchmark
 # use, take 540 to 553.
 MAX_EXPANSION = 2 ** 14
 
-# Most steps times bits an expansion may cost, as _expansion_size prices
+# Most steps times bits an expansion may cost, as _shape prices
 # them, since a step costs more as its numbers grow.  Eleven factors
 # (0.77...7 + sqrt(p)) with 1000-digit decimals, 6185 steps on 73118
 # bits, took 0.7-1.0 s; at the cap, 35 juxtaposed 4000-digit decimals
@@ -117,13 +119,15 @@ class ExactScalar:
             raise ValueError(f"radicand must be nonnegative, got {rad}")
         if rad == 0 or (re == 0 and im == 0):
             return ExactScalar(Fraction(0), Fraction(0), 1)
+        if rad == 1:  # already canonical, the case of every rational atom
+            return ExactScalar(re, im, 1)
         # sqrt(p/q) = sqrt(p*q)/q, then pull the square part out front.
         root, free = _square_split(rad.numerator * rad.denominator)
         scale = Fraction(root, rad.denominator)
         return ExactScalar(re * scale, im * scale, free)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         # a sum over two radicands has no (re + im*i) sqrt(rad) form
@@ -194,55 +198,46 @@ class KetExpr:
     arity: int
 
 
-def _slot_dims(node) -> tuple[int, ...]:
-    """One past the largest index each slot uses, read off the tree; its
-    length is the slot count."""
+def _shape(node) -> tuple[tuple[int, ...], int, int, int]:
+    """``(dims, terms, steps, bits)`` of ``node``, read off the tree in
+    one walk.
+
+    ``dims`` holds one past the largest index each slot uses; its length
+    is the slot count, and summed terms must agree on it.  ``terms``
+    bounds the entries of the amplitude table: a ket or a scalar counts
+    1, a product multiplies, a sum adds.  ``steps`` bounds the exact
+    products and additions :func:`_walk` makes: a leaf counts 1, and
+    every partial product and every sum adds its terms to the steps of
+    its parts.  ``bits`` prices the size of the numbers those steps work
+    on: a leaf counts the bits of its rational parts' numerators and
+    denominators and of its radicand, a product adds its factors' bits
+    and a sum takes their max plus one.
+    """
     if isinstance(node, KetNode):
-        return tuple(x + 1 for x in node.indices)
+        return tuple([x + 1 for x in node.indices]), 1, 1, 1
     if isinstance(node, ScalarNode):
-        return ()
+        v = node.value
+        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)
+        return (), 1, 1, sum([x.bit_length() for x in ints])
     if isinstance(node, ProductNode):
-        return tuple(n for factor in node.factors for n in _slot_dims(factor))
+        dims, terms, steps, bits = _shape(node.factors[0])
+        dims = list(dims)  # a long product of kets appends in linear time
+        for factor in node.factors[1:]:
+            f_dims, f_terms, f_steps, f_bits = _shape(factor)
+            dims += f_dims
+            terms *= f_terms
+            steps += f_steps + terms
+            bits += f_bits
+        return tuple(dims), terms, steps, bits
     if isinstance(node, SumNode):
-        shapes = [_slot_dims(term) for _, term in node.terms]
-        arities = {len(shape) for shape in shapes}
+        shapes, terms, steps, bits = zip(*[_shape(term) for _, term in node.terms])
+        arities = {len(dims) for dims in shapes}
         if len(arities) > 1:
             raise ArityMismatchError(
                 f"summed terms have different slot counts: {sorted(arities)}"
             )
-        return tuple(map(max, zip(*shapes)))
-    raise TypeError(f"not a ket expression node: {node!r}")
-
-
-def _expansion_size(node) -> tuple[int, int, int]:
-    """``(terms, steps, bits)`` of expanding ``node``, read off the tree.
-
-    ``terms`` bounds the entries of its amplitude table: a ket or a
-    scalar counts 1, a product multiplies, a sum adds.  ``steps`` bounds
-    the exact products and additions :func:`_walk` makes: a leaf counts
-    1, and every partial product and every sum adds its terms to the
-    steps of its parts.  ``bits`` prices the size of the numbers those
-    steps work on: a leaf counts the bits of its rational parts'
-    numerators and denominators and of its radicand, a product adds its
-    factors' bits and a sum takes their max plus one.
-    """
-    if isinstance(node, KetNode):
-        return 1, 1, 1
-    if isinstance(node, ScalarNode):
-        v = node.value
-        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)
-        return 1, 1, sum(x.bit_length() for x in ints)
-    if isinstance(node, ProductNode):
-        terms, steps, bits = _expansion_size(node.factors[0])
-        for factor in node.factors[1:]:
-            f_terms, f_steps, f_bits = _expansion_size(factor)
-            terms *= f_terms
-            steps += f_steps + terms
-            bits += f_bits
-        return terms, steps, bits
-    if isinstance(node, SumNode):
-        terms, steps, bits = zip(*(_expansion_size(term) for _, term in node.terms))
-        return sum(terms), sum(terms) + sum(steps), max(bits) + 1
+        total = sum(terms)
+        return tuple(map(max, zip(*shapes))), total, total + sum(steps), max(bits) + 1
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -377,7 +372,7 @@ class _Parser:
 
     # scalar := atom ('/' atom)*
     def scalar(self) -> ExactScalar:
-        col = self.peek()[2]
+        col = start = self.peek()[2]
         value = self.atom()
         while self.peek()[0] == "SLASH":
             _, _, col = self.take("SLASH")
@@ -385,13 +380,13 @@ class _Parser:
                 value = value / self.atom()
             except ZeroDivisionError:
                 raise KetSyntaxError("division by zero", col) from None
-        # An atom alone prints within the cap, but dividing by a decimal
-        # or a sqrt can grow a in (a/b) sqrt(r) until a^2 r passes it, and
-        # then no text pretty can print for the value would parse again.
-        if value.rad != 1 and _unfolded_radicand(value) > MAX_RADICAND:
-            raise KetSyntaxError(
-                f"scalar needs a radicand beyond the cap of {MAX_RADICAND}", col
-            )
+        # An atom alone prints, but a chain of divisions can grow its
+        # numbers past what pretty prints as text that parses again.
+        if col != start:
+            try:
+                _scalar_text(value)
+            except ValueError as exc:
+                raise KetSyntaxError(str(exc), col) from None
         return value
 
     # atom := INT | DECIMAL | 'i' | 'sqrt' '(' INT ['/' INT] ')'
@@ -441,40 +436,40 @@ def parse_ket(text: str) -> KetExpr:
     tok = parser.peek()
     if tok[0] != "EOF":
         raise KetSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return KetExpr(root, len(_slot_dims(root)))
+    return KetExpr(root, len(_shape(root)[0]))
 
 
 # --- canonical printing ----------------------------------------------------
 
-def _fraction_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _unfolded_radicand(s: ExactScalar) -> int:
-    """``a^2 r`` for ``s = (a/b) sqrt(r)`` up to a unit factor, the
-    radicand ``s`` prints with as ``sqrt(a^2 r)/b``."""
-    coef = s.re if s.im == 0 else s.im
-    return coef.numerator ** 2 * s.rad
+def _fraction_text(q: Fraction | int) -> str:
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past Python's limit on the digits str() prints
+        raise ValueError("scalar has too many digits to print") from None
 
 
 def _scalar_text(s: ExactScalar) -> str:
+    """Text for ``s`` that parses back to it.  ``ValueError`` if there is
+    none: a mixed value, or a number or radicand past what parses."""
     if s.is_zero():
         return "0"
     if s.re != 0 and s.im != 0:
         raise ValueError("mixed real/imaginary scalars cannot print as one atom")
     coef = s.re if s.im == 0 else s.im
     magnitude = abs(coef)
-    folded = magnitude * magnitude * s.rad
     if s.rad == 1:
         body = _fraction_text(magnitude)
-    elif magnitude == 1:
-        body = f"sqrt({s.rad})"
-    elif folded.numerator * folded.denominator <= MAX_RADICAND:
-        # fold the rational part under the root: q*sqrt(r) = sqrt(q^2 r)
-        body = f"sqrt({_fraction_text(folded)})"
     else:
-        # the folded radicand carries b^2 and would pass the parser's cap
-        body = f"sqrt({_unfolded_radicand(s)})/{magnitude.denominator}"
+        folded = magnitude * magnitude * s.rad
+        unfolded = magnitude.numerator ** 2 * s.rad
+        if folded.numerator * folded.denominator <= MAX_RADICAND:
+            # fold the rational part under the root: q*sqrt(r) = sqrt(q^2 r)
+            body = f"sqrt({_fraction_text(folded)})"
+        elif unfolded <= MAX_RADICAND:
+            # the folded radicand carries b^2 and would pass the parser's cap
+            body = f"sqrt({unfolded})/{_fraction_text(magnitude.denominator)}"
+        else:
+            raise ValueError(f"scalar needs a radicand beyond the cap of {MAX_RADICAND}")
     if s.im == 0:
         return body if coef > 0 else body + "/i/i"
     if coef > 0:
@@ -514,39 +509,35 @@ def pretty(expr) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-def _amp_add(table: dict, scalar: ExactScalar) -> None:
+def _amp_add(table: dict, idx: tuple, scalar: ExactScalar) -> None:
     if not scalar.is_zero():
-        table[scalar.rad] = table.get(scalar.rad, ZERO) + scalar
+        key = (idx, scalar.rad)
+        table[key] = table[key] + scalar if key in table else scalar
 
 
 def _walk(node) -> dict:
-    """Exact amplitudes as {multi-index: {radicand: ExactScalar}}."""
+    """Exact amplitudes as {(multi-index, radicand): ExactScalar}."""
     if isinstance(node, KetNode):
-        return {node.indices: {ONE.rad: ONE}}
+        return {(node.indices, ONE.rad): ONE}
     if isinstance(node, ScalarNode):
         table = {}
-        _amp_add(table, node.value)
-        return {(): table}
+        _amp_add(table, (), node.value)
+        return table
     if isinstance(node, ProductNode):
         amps = _walk(node.factors[0])
         for factor in node.factors[1:]:
             f_amps = _walk(factor)
             merged = {}
-            for idx_a, table_a in amps.items():
-                for idx_b, table_b in f_amps.items():
-                    target = merged.setdefault(idx_a + idx_b, {})
-                    for a in table_a.values():
-                        for b in table_b.values():
-                            _amp_add(target, a * b)
+            for (idx_a, _), a in amps.items():
+                for (idx_b, _), b in f_amps.items():
+                    _amp_add(merged, idx_a + idx_b, a * b)
             amps = merged
         return amps
     if isinstance(node, SumNode):
         merged = {}
         for sign, term in node.terms:
-            for idx, table in _walk(term).items():
-                target = merged.setdefault(idx, {})
-                for scalar in table.values():
-                    _amp_add(target, scalar if sign == 1 else -scalar)
+            for (idx, _), scalar in _walk(term).items():
+                _amp_add(merged, idx, scalar if sign == 1 else -scalar)
         return merged
     raise TypeError(f"not a ket expression node: {node!r}")
 
@@ -572,11 +563,10 @@ def evaluate(expr: KetExpr) -> PureState:
         If an amplitude is too large for a float.
     """
     node = expr.root if isinstance(expr, KetExpr) else expr
-    dims = _slot_dims(node)
+    dims, _, steps, bits = _shape(node)
     if not dims:
         raise ArityMismatchError("expression has no kets, so there is no state")
     check_size_guards(dims)
-    _, steps, bits = _expansion_size(node)
     if steps > MAX_EXPANSION:
         raise TooLargeError(f"expression takes more than {MAX_EXPANSION} steps to expand")
     if steps * bits > MAX_EXPANSION_BITS:
@@ -584,20 +574,16 @@ def evaluate(expr: KetExpr) -> PureState:
             f"expanding the expression costs {steps} steps times {bits} bits, "
             f"beyond the guard of {MAX_EXPANSION_BITS}"
         )
-    vector = np.zeros(math.prod(dims), dtype=np.complex128)
-    amps = _walk(node)
-    totals = []
-    for idx, table in amps.items():
-        total = 0j
+    # each multi-index sums its radicands' floats in the order they arose
+    totals = {}
+    for (idx, _), scalar in _walk(node).items():
         try:
-            for scalar in table.values():
-                total += scalar.to_complex()
+            value = scalar.to_complex()
         except OverflowError:
-            total = complex(math.inf)
+            value = complex(math.inf)
+        totals[idx] = totals.get(idx, 0j) + value
+    for idx, total in totals.items():
         if not cmath.isfinite(total):
             label = ",".join(map(str, idx))
             raise ValidationError(f"amplitude of |{label}> overflows a float")
-        totals.append(total)
-    multi = np.array(list(amps), dtype=np.intp).reshape(-1, len(dims))
-    vector[np.ravel_multi_index(multi.T, dims)] = totals
-    return PureState(dims, vector)
+    return sparse_state(dims, totals)

@@ -16,12 +16,11 @@ a save/load round trip reproduces amplitudes bit for bit.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .errors import IoError, SchemaError, ValidationError
-from .states import PureState, check_size_guards, is_finite, require_int
+from .states import PureState, check_size_guards, is_finite, require_int, sparse_state
 
 
 def _require_number(value, where: str) -> float:
@@ -86,11 +85,7 @@ def _parse_document(doc) -> PureState:
         re = _require_number(raw["re"], f"{where}.re")
         im = _require_number(raw["im"], f"{where}.im")
         entries[idx] = complex(re, im)
-
-    vector = np.zeros(math.prod(dims), dtype=np.complex128)
-    multi = np.array(list(entries), dtype=np.intp).reshape(-1, len(dims))
-    vector[np.ravel_multi_index(multi.T, dims)] = list(entries.values())
-    return PureState(tuple(dims), vector)
+    return sparse_state(dims, entries)
 
 
 def load_state(path: str) -> PureState:

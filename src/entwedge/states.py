@@ -142,6 +142,16 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def sparse_state(dims, entries) -> PureState:
+    """Dense state of ``dims`` holding ``entries``, a ``{multi-index:
+    amplitude}`` map, and zero elsewhere.  Callers check the indices and
+    run :func:`check_size_guards` first."""
+    vector = np.zeros(math.prod(dims), dtype=np.complex128)
+    multi = np.array(list(entries), dtype=np.intp).reshape(-1, len(dims))
+    vector[np.ravel_multi_index(multi.T, dims)] = list(entries.values())
+    return PureState(tuple(dims), vector)
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """One side of a split of subsystems {1, ..., total} into two blocks.

@@ -47,6 +47,35 @@ def wedge_pair(v, w) -> np.ndarray:
     return np.outer(v, w) - np.outer(w, v)
 
 
+def brute_swap_sum(amps: np.ndarray, dims: tuple[int, ...]) -> float:
+    """Direct triple loop over index pairs and exchange slots."""
+    tensor = amps.reshape(dims)
+    total = 0.0
+    m = len(dims)
+    for K in np.ndindex(*dims):
+        for L in np.ndindex(*dims):
+            for j in range(m):
+                Ks = list(K)
+                Ls = list(L)
+                Ks[j], Ls[j] = Ls[j], Ks[j]
+                diff = tensor[K] * tensor[L] - tensor[tuple(Ks)] * tensor[tuple(Ls)]
+                total += abs(diff) ** 2
+    return total
+
+
+def brute_minor_sum(mat: np.ndarray) -> float:
+    """Direct loop over row pairs and column pairs of 2x2 minors."""
+    rows, cols = mat.shape
+    total = 0.0
+    for mu in range(rows):
+        for nu in range(mu + 1, rows):
+            for i in range(cols):
+                for j in range(cols):
+                    d = mat[mu, i] * mat[nu, j] - mat[nu, i] * mat[mu, j]
+                    total += abs(d) ** 2
+    return total
+
+
 def grid_norm_sq(grid) -> float:
     """Sum of squared moduli of all entries."""
     grid = np.asarray(grid)

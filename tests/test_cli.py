@@ -434,6 +434,17 @@ class TestExitCodes:
         assert err.startswith("error: number literal of 5000 characters is too long")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, ket", [("parse", "|0>"), ("measure", "|0,0>")])
+    def test_unprintable_scalar_is_one(self, capsys, int_digit_limit, command, ket):
+        # pretty cannot print the quotient, so parsing refuses it
+        text = "0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3" + ket
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scalar has too many digits to print")
+        assert err.count("\n") == 1
+
     def test_deep_nesting_is_one(self, capsys):
         # 400 levels would exhaust the recursive parser's stack without the cap
         code, out, err = run_cli(capsys, "parse", "--expr", "(" * 400 + "|0>" + ")" * 400)

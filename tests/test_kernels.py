@@ -15,35 +15,7 @@ from entwedge import _kernels
 from entwedge.measures import MeasureKind, measure_rows
 from entwedge.states import unfold
 from conftest import random_state
-from oracles import grid_norm_sq, wedge_pair
-
-
-def brute_swap_sum(amps: np.ndarray, dims: tuple[int, ...]) -> float:
-    """Direct triple loop over index pairs and exchange slots."""
-    tensor = amps.reshape(dims)
-    total = 0.0
-    m = len(dims)
-    for K in np.ndindex(*dims):
-        for L in np.ndindex(*dims):
-            for j in range(m):
-                Ks = list(K)
-                Ls = list(L)
-                Ks[j], Ls[j] = Ls[j], Ks[j]
-                diff = tensor[K] * tensor[L] - tensor[tuple(Ks)] * tensor[tuple(Ls)]
-                total += abs(diff) ** 2
-    return total
-
-
-def brute_minor_sum(mat: np.ndarray) -> float:
-    rows, cols = mat.shape
-    total = 0.0
-    for mu in range(rows):
-        for nu in range(mu + 1, rows):
-            for i in range(cols):
-                for j in range(cols):
-                    d = mat[mu, i] * mat[nu, j] - mat[nu, i] * mat[mu, j]
-                    total += abs(d) ** 2
-    return total
+from oracles import brute_minor_sum, brute_swap_sum, grid_norm_sq, wedge_pair
 
 
 class TestNumpyBackend:

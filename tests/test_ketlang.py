@@ -372,6 +372,26 @@ class TestParsing:
             ExactScalar.make(1, 0, Fraction(1, 3))
         )
 
+    def test_unit_scalar_past_radicand_cap_refused(self):
+        # sqrt(p)/sqrt(5)/0.2 is sqrt(5p) with no rational part, and 5p
+        # is past the cap
+        text = "sqrt(9007199254740991)/sqrt(5)/0.2 |0>"
+        with pytest.raises(KetSyntaxError, match="radicand beyond the cap") as info:
+            parse_ket(text)
+        assert info.value.column == text.rindex("/") + 1
+
+    @pytest.mark.parametrize("text", [
+        # a quotient of three 3000-digit decimals, in lowest terms
+        "0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3 |0>",
+        # sqrt(2)/10^8000, whose denominator prints after sqrt(2)
+        "sqrt(2)/1" + "0" * 4000 + "/1" + "0" * 4000 + " |0>",
+    ], ids=["rational", "radical"])
+    def test_scalar_past_printed_digits_refused(self, int_digit_limit, text):
+        # every literal parses, but pretty could not print the value
+        with pytest.raises(KetSyntaxError, match="too many digits to print") as info:
+            parse_ket(text)
+        assert info.value.column == text.rindex("/") + 1
+
     def test_whitespace_ignored(self):
         assert parse_ket("  |0,0>   +|1,1> ").root == parse_ket("|0,0>+|1,1>").root
 
@@ -532,15 +552,25 @@ class TestGuardsBeforeExpansion:
         "(" * 6 + "(|0>+|1>)" * 11 + ") 1" * 6,
     ])
     def test_unit_factors_count(self, text):
-        assert ketlang._expansion_size(parse_ket(text).root)[0] == 2 ** 11
+        assert ketlang._shape(parse_ket(text).root)[1] == 2 ** 11
         peak, _ = peak_bytes_and_seconds(lambda: evaluate(parse_ket(text)))
         assert peak < 1 << 20
+
+    def test_long_product_of_kets_parses_in_linear_time(self):
+        # 30000 slots: growing the dims tuple factor by factor would copy
+        # 4.5*10^8 entries before the slot guard could see them
+        start = time.perf_counter()
+        expr = parse_ket("|0>" * 30000)
+        assert time.perf_counter() - start < 1.0
+        assert expr.arity == 30000
+        with pytest.raises(TooLargeError, match="30000 subsystems"):
+            evaluate(expr)
 
     def test_expansion_cap_boundary(self, monkeypatch):
         # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
         # each sum of two 1-bit kets prices 2 bits, and the product adds them
         expr = parse_ket("(|0>+|1>)" * 8)
-        assert ketlang._expansion_size(expr.root) == (256, 8 * 4 + 508, 8 * 2)
+        assert ketlang._shape(expr.root)[1:] == (256, 8 * 4 + 508, 8 * 2)
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 540)
         assert evaluate(expr).dims == (2,) * 8
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 539)
@@ -558,7 +588,9 @@ class TestGuardsBeforeExpansion:
     def test_expansion_bits(self):
         # a leaf counts the bits of its numerators, denominators and
         # radicand; a product adds, a sum takes the max plus one
-        size = ketlang._expansion_size
+        def size(node):
+            return ketlang._shape(node)[1:]
+
         assert size(parse_ket("3/4 |0>").root)[2] == 2 + 3 + 0 + 1 + 1 + 1
         assert size(parse_ket("i sqrt(5) |0>").root)[2] == 4 + 6 + 1
         assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)").root)[2] == 8 + 1
@@ -569,7 +601,7 @@ class TestGuardsBeforeExpansion:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         text = "".join(f"(0.{'7' * 1000}+sqrt({p}))" for p in primes) + "|0>"
         expr = parse_ket(text)
-        terms, steps, bits = ketlang._expansion_size(expr.root)
+        terms, steps, bits = ketlang._shape(expr.root)[1:]
         assert steps <= ketlang.MAX_EXPANSION < steps * bits
         peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
         assert peak < 1 << 20

@@ -40,36 +40,10 @@ from conftest import (
     random_state,
     w3_state,
 )
+from oracles import brute_minor_sum, brute_swap_sum
 
 SQRT6 = math.sqrt(6.0)
 W3_VALUE = 4.0 / math.sqrt(3.0)
-
-
-def swap_sum_oracle(state: PureState) -> float:
-    """Direct triple loop over multi-index pairs and exchange slots."""
-    tensor = state.tensor
-    total = 0.0
-    for K in np.ndindex(*state.dims):
-        for L in np.ndindex(*state.dims):
-            for j in range(state.num_subsystems):
-                Ks = list(K)
-                Ls = list(L)
-                Ks[j], Ls[j] = Ls[j], Ks[j]
-                diff = tensor[K] * tensor[L] - tensor[tuple(Ks)] * tensor[tuple(Ls)]
-                total += abs(diff) ** 2
-    return total
-
-
-def minor_sum_oracle(mat: np.ndarray) -> float:
-    rows, cols = mat.shape
-    total = 0.0
-    for mu in range(rows):
-        for nu in range(mu + 1, rows):
-            for i in range(cols):
-                for j in range(cols):
-                    d = mat[mu, i] * mat[nu, j] - mat[nu, i] * mat[mu, j]
-                    total += abs(d) ** 2
-    return total
 
 
 def marginal_deficit_sum(state: PureState) -> float:
@@ -132,7 +106,7 @@ class TestBipartite:
 
     def test_against_minor_loop(self, rng):
         state = random_state(rng, (3, 4))
-        want = minor_sum_oracle(state.tensor)
+        want = brute_minor_sum(state.tensor)
         assert bipartite_concurrence(state).term_sum == pytest.approx(want, rel=1e-12)
 
     def test_maximally_entangled_ceiling(self):
@@ -180,7 +154,9 @@ class TestMultipartite:
     def test_against_direct_loop(self, rng, dims):
         state = random_state(rng, dims)
         result = multipartite_measure(state)
-        assert result.term_sum == pytest.approx(swap_sum_oracle(state), rel=1e-12)
+        assert result.term_sum == pytest.approx(
+            brute_swap_sum(state.amplitudes, state.dims), rel=1e-12
+        )
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 3), (2, 3, 2, 2)])
     def test_closed_form_identity(self, rng, dims):
