@@ -7,8 +7,6 @@ from .measures import (
     MeasureResult,
     bipartite_concurrence,
     multipartite_measure,
-    pair_qubit_concurrence,
-    tripartite_measure,
 )
 from .separability import (
     PartitionVerdict,
@@ -49,7 +47,6 @@ __all__ = [
     "matricize",
     "multipartite_measure",
     "normalize",
-    "pair_qubit_concurrence",
     "parse_ket",
     "partial_trace",
     "partition_residual",
@@ -58,6 +55,5 @@ __all__ = [
     "save_state",
     "separability_report",
     "trial_rng",
-    "tripartite_measure",
     "validate",
 ]

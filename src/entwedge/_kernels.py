@@ -20,6 +20,10 @@ Every temporary holds at most ``_BLOCK_ENTRIES`` entries (128 KB of
 complex128).  A pair product wider than that is summed in row blocks;
 the split into blocks starts at vectors longer than 90 entries, where
 the result can differ from one unblocked sum in the last bits.
+
+``split_work`` counts the kernel's products for a list of splits: the
+one price every measure, verdict and invariance trial pays, held to
+``MAX_SPLIT_WORK`` by ``check_split_work`` before anything is validated.
 """
 
 from __future__ import annotations
@@ -28,12 +32,20 @@ import math
 
 import numpy as np
 
+from .errors import TooLargeError
 from .states import unfold
 
 # Cap on entries per temporary (128 KB of complex128).  It bounds the
 # row blocks of a wide pair product, and the run of a stack processed at
 # once: the run's contiguous copy, and one product block across the run.
 _BLOCK_ENTRIES = 1 << 13
+
+# Most kernel products one call may make: the smallest round number above
+# the costliest call a total-dimension cap of 4096 allowed, 977010688 for
+# separability_report on (2,2,2,2,4,4,4,4), which took 9.4 s.  The
+# slowest accepted call found, C on (200, 222), took 10.6-11.2 s at a
+# 38 MB peak on a shared 2-CPU x86-64 host.
+MAX_SPLIT_WORK = 10 ** 9
 
 
 def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
@@ -81,6 +93,32 @@ def minor_pair_sum(mat: np.ndarray):
         mats = np.ascontiguousarray(stack[first:first + run], dtype=np.complex128)
         totals[first:first + run] = _run_sums(mats, block)
     return float(totals[0]) if single else totals
+
+
+def split_work(dims, lefts) -> int:
+    """Products :func:`split_residuals` makes for the splits ``lefts`` of
+    a state on ``dims``: per split, the row pairs of its shorter side
+    times its longer side squared, as :func:`minor_pair_sum` pairs."""
+    total = math.prod(dims)
+    work = 0
+    for left in lefts:
+        r = math.prod(dims[ax] for ax in left)
+        short, long = sorted((r, total // r))
+        work += short * (short - 1) // 2 * long * long
+    return work
+
+
+def check_split_work(dims, lefts) -> int:
+    """:func:`split_work` of ``lefts`` on ``dims``; ``TooLargeError``
+    above ``MAX_SPLIT_WORK``.  Reads dims only, so it runs before
+    validation."""
+    work = split_work(dims, lefts)
+    if work > MAX_SPLIT_WORK:
+        raise TooLargeError(
+            f"kernel work of {work} products on dims {tuple(dims)} exceeds the "
+            f"measure guard of {MAX_SPLIT_WORK}"
+        )
+    return work
 
 
 def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:

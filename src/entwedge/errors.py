@@ -57,7 +57,8 @@ class SizeGuardError(EntwedgeError):
 
 
 class TooLargeError(SizeGuardError):
-    """Total dimension exceeds the operation's size guard."""
+    """Input passes a size guard or a work price: the state's subsystems
+    or total dimension, the kernel's work, or a ket or invariance budget."""
 
 
 # --- text and file errors ----------------------------------------------

@@ -20,7 +20,9 @@ One walk of the syntax tree reads its slot dims and the price of
 expanding it: ``parse_ket`` takes the slot count from it, and
 ``evaluate`` the dims and the price.  A ``sqrt(p/q)`` radicand is
 capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``, and
-a scalar chain must have text ``pretty`` can print.  Parentheses nest
+a scalar chain must have text ``pretty`` can print; before it is
+divided out, its atom count times their bits may not exceed
+``MAX_EXPANSION_BITS``.  Parentheses nest
 at most ``MAX_NESTING`` deep.  Size guards run on the syntax tree, so
 an expression naming too many slots or too large a total dimension, or
 one whose expansion would take more than ``MAX_EXPANSION`` exact steps
@@ -372,21 +374,31 @@ class _Parser:
 
     # scalar := atom ('/' atom)*
     def scalar(self) -> ExactScalar:
-        col = start = self.peek()[2]
-        value = self.atom()
+        atoms = [self.atom()]
         while self.peek()[0] == "SLASH":
             _, _, col = self.take("SLASH")
-            try:
-                value = value / self.atom()
-            except ZeroDivisionError:
-                raise KetSyntaxError("division by zero", col) from None
+            atoms.append(self.atom())
+            if atoms[-1].is_zero():
+                raise KetSyntaxError("division by zero", col)
+        if len(atoms) == 1:
+            return atoms[0]
+        # Each division reduces fractions as large as all the atoms so
+        # far, so the chain costs about its length times their bits.
+        bits = sum(_shape(ScalarNode(atom))[3] for atom in atoms)
+        if len(atoms) * bits > MAX_EXPANSION_BITS:
+            raise TooLargeError(
+                f"dividing out the scalar costs {len(atoms)} steps times {bits} bits, "
+                f"beyond the guard of {MAX_EXPANSION_BITS}"
+            )
+        value = atoms[0]
+        for atom in atoms[1:]:
+            value = value / atom
         # An atom alone prints, but a chain of divisions can grow its
         # numbers past what pretty prints as text that parses again.
-        if col != start:
-            try:
-                _scalar_text(value)
-            except ValueError as exc:
-                raise KetSyntaxError(str(exc), col) from None
+        try:
+            _scalar_text(value)
+        except ValueError as exc:
+            raise KetSyntaxError(str(exc), col) from None
         return value
 
     # atom := INT | DECIMAL | 'i' | 'sqrt' '(' INT ['/' INT] ')'
@@ -430,6 +442,9 @@ def parse_ket(text: str) -> KetExpr:
         With a 1-based column on any syntax problem.
     ArityMismatchError
         When summed subexpressions carry different slot counts.
+    TooLargeError
+        When a chain of divisions costs more than ``MAX_EXPANSION_BITS``
+        atoms times bits.
     """
     parser = _Parser(text)
     root = parser.expr()

@@ -11,9 +11,10 @@ difference is a minor of the slot-j unfolding, met once from each side,
 so the sum is twice the singleton residuals.  All of them come from
 :func:`entwedge._kernels.split_residuals` through :func:`measure_rows`,
 which returns the term sums of a stack of states as plain numbers; both
-public measures read it through one private path (arity, size guard,
-validation, term sum, result), and the invariance experiment reads it
-directly for each chunk of rotated states.
+public measures read it through one private path (arity, the kernel's
+price for the splits :func:`_splits` names, validation, term sum,
+result), and the invariance experiment reads it directly for each chunk
+of rotated states.
 
 ``norm_constant`` is the measures' one setting: positive and finite, 2
 by default, and reported back in every result.  Input is refused unless
@@ -36,15 +37,8 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import TooLargeError, WrongArityError, WrongDimsError
+from .errors import WrongArityError, WrongDimsError
 from .states import PureState, is_finite, validate
-
-# Beyond this total dimension the quadratic pair sum stops being a
-# desk-scale computation.
-MAX_MEASURE_DIM = 4096
-
-# Chunk cap for the broadcast products in the three-slot explicit path.
-_CHUNK_ENTRIES = 1 << 21
 
 
 class MeasureKind(Enum):
@@ -66,25 +60,11 @@ class MeasureResult:
     term_sum: float
 
 
-def check_measure_size(state: PureState) -> None:
-    """Refuse a state whose total dimension exceeds ``MAX_MEASURE_DIM``.
-
-    Called before validation, so an oversized input costs no more than
-    reading its dims.
-    """
-    if state.total_dim > MAX_MEASURE_DIM:
-        raise TooLargeError(
-            f"total dimension {state.total_dim} exceeds the measure guard of {MAX_MEASURE_DIM}"
-        )
-
-
-def _as_norm_constant(norm_constant: float) -> float:
-    # zero would read every state as a product, a negative prefactor fails
-    # in sqrt and a non-finite one gives nan or inf; float() keeps the
-    # reported constant a plain float
-    if not is_finite(norm_constant) or norm_constant <= 0:
-        raise WrongDimsError(f"norm_constant must be positive and finite, got {norm_constant!r}")
-    return float(norm_constant)
+def _splits(m: int) -> list:
+    """The 0-based singleton splits either measure reads on ``m``
+    subsystems: every slot's, except on two subsystems, where split {2}
+    is split {1} seen from the other side, so only split {1} is read."""
+    return [[0]] if m == 2 else [[j] for j in range(m)]
 
 
 def _values(term_sums, norm_constant: float):
@@ -94,32 +74,25 @@ def _values(term_sums, norm_constant: float):
     return np.sqrt(norm_constant * term_sums)
 
 
-def _finish(kind: MeasureKind, term_sum: float, norm_constant: float) -> MeasureResult:
-    return MeasureResult(kind, float(_values(term_sum, norm_constant)), norm_constant, term_sum)
-
-
 def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
     """The ``(T,)`` term sums of the ``kind`` measure of each row of a
     ``(T, prod(dims))`` stack of flat amplitude vectors over ``dims``.
 
     The bipartite term sum is the residual of split {1}; the
     multipartite one is ``2 * sum_j`` of the singleton residuals, added
-    in slot order.  On two subsystems split {2} is split {1} seen from
-    the other side, so it is read once and counted twice, which makes
-    the multipartite value bitwise twice the bipartite one.  Each split
-    is unfolded once for the whole stack.
+    in slot order.  On two subsystems the one split read is counted
+    twice, which makes the multipartite value bitwise twice the
+    bipartite one.  Each split is unfolded once for the whole stack.
     Trusts its input: the caller has already checked the arity, the size
     guard and the norms.  :func:`_measure`, behind both public measures,
     and the invariance experiment's re-measure both end here, so each
     quantity has one implementation.
     """
     if kind is MeasureKind.BIPARTITE_CONCURRENCE:
-        slots, weight = [0], 1.0
-    elif len(dims) == 2:
-        slots, weight = [0], 4.0
+        weight = 1.0
     else:
-        slots, weight = range(len(dims)), 2.0
-    residuals = _kernels.split_residuals(rows, dims, [[j] for j in slots])
+        weight = 4.0 if len(dims) == 2 else 2.0
+    residuals = _kernels.split_residuals(rows, dims, _splits(len(dims)))
     sums = np.zeros(len(rows))
     for column in residuals.T:
         sums += column
@@ -128,18 +101,23 @@ def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
 
 def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> MeasureResult:
     """The ``kind`` measure of ``state``, refusing in this order a bad
-    ``norm_constant``, the wrong arity, an oversized state and an
-    unnormalized one."""
-    norm_constant = _as_norm_constant(norm_constant)
+    ``norm_constant``, the wrong arity, a kernel price past the measure
+    guard and an unnormalized state."""
+    # zero would read every state as a product, a negative prefactor fails
+    # in sqrt and a non-finite one gives nan or inf; float() keeps the
+    # reported constant a plain float
+    if not is_finite(norm_constant) or norm_constant <= 0:
+        raise WrongDimsError(f"norm_constant must be positive and finite, got {norm_constant!r}")
+    norm_constant = float(norm_constant)
     m = state.num_subsystems
     if kind is MeasureKind.BIPARTITE_CONCURRENCE and m != 2:
         raise WrongArityError(f"bipartite concurrence needs 2 subsystems, got {m}")
     if m < 2:
         raise WrongArityError(f"multipartite measure needs at least 2 subsystems, got {m}")
-    check_measure_size(state)
+    _kernels.check_split_work(state.dims, _splits(m))
     validate(state)
     term_sum = float(measure_rows(kind, state.amplitudes[None], state.dims)[0])
-    return _finish(kind, term_sum, norm_constant)
+    return MeasureResult(kind, float(_values(term_sum, norm_constant)), norm_constant, term_sum)
 
 
 def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
@@ -165,32 +143,14 @@ def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> Measu
     WrongArityError
         If the state does not have exactly two subsystems.
     TooLargeError
-        If the total dimension exceeds 4096 (the minor sum is quadratic
-        in it).
+        If the minor sum takes more than ``_kernels.MAX_SPLIT_WORK``
+        products, as on (212, 212) or (2, 31623).
     NotNormalizedError
         If the squared norm is off by more than ``DEFAULT_NORM_TOL``;
         rescale with :func:`~entwedge.states.normalize` first to accept
         it.
     """
     return _measure(MeasureKind.BIPARTITE_CONCURRENCE, state, norm_constant)
-
-
-def pair_qubit_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
-    """Two-qubit closed form ``2 |a_00 a_11 - a_10 a_01|`` (at the default
-    norm constant).
-
-    Agrees with :func:`bipartite_concurrence` on dims (2, 2) to within
-    rounding: the vectorized kernel may contract multiplies differently
-    and land one ulp away.
-    """
-    norm_constant = _as_norm_constant(norm_constant)
-    if state.dims != (2, 2):
-        raise WrongDimsError(f"pair-qubit concurrence needs dims (2, 2), got {state.dims}")
-    validate(state)
-    a = state.amplitudes
-    det = a[0] * a[3] - a[2] * a[1]
-    term_sum = 2.0 * (det.real * det.real + det.imag * det.imag)
-    return _finish(MeasureKind.BIPARTITE_CONCURRENCE, term_sum, norm_constant)
 
 
 def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
@@ -205,7 +165,7 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
     Parameters
     ----------
     state : PureState
-        At least two subsystems, total dimension at most 4096.
+        At least two subsystems.
     norm_constant : float
         Prefactor under the square root, positive and finite.
 
@@ -216,8 +176,8 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
     WrongArityError
         On fewer than two subsystems.
     TooLargeError
-        If the total dimension exceeds 4096 (the pair sum is quadratic
-        in it).
+        If the singleton minor sums take more than
+        ``_kernels.MAX_SPLIT_WORK`` products.
     NotNormalizedError
         If the squared norm is off by more than ``DEFAULT_NORM_TOL``;
         rescale with :func:`~entwedge.states.normalize` first to accept
@@ -232,42 +192,3 @@ def _auto_measure(state: PureState, norm_constant: float) -> MeasureResult:
     two = state.num_subsystems == 2
     kind = MeasureKind.BIPARTITE_CONCURRENCE if two else MeasureKind.MULTIPARTITE_E
     return _measure(kind, state, norm_constant)
-
-
-def tripartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
-    """Three-subsystem measure written out as three explicit slot terms.
-
-    Organized differently from the generic pair-sum kernel on purpose:
-    the three contributions (first, second, third slot exchanged) are
-    accumulated from broadcast amplitude products, and the result must
-    agree with :func:`multipartite_measure` to within 1e-12.
-    """
-    norm_constant = _as_norm_constant(norm_constant)
-    if state.num_subsystems != 3:
-        raise WrongArityError(
-            f"tripartite measure needs 3 subsystems, got {state.num_subsystems}"
-        )
-    check_measure_size(state)
-    validate(state)
-    A = state.tensor
-    D = A.size
-
-    # Slot j's term is a[k] a[l] - a[k'] a[l'] with the slot-j entries of
-    # k and l exchanged: a transpose of axes j and j + 3 of the broadcast
-    # product.  Chunking runs along a slot the exchange never touches,
-    # the third (or the first, for j = 2).
-    term_sum = 0.0
-    for j in range(3):
-        ax = 0 if j == 2 else 2
-        n = A.shape[ax]
-        step = max(1, _CHUNK_ENTRIES // max(1, D * (D // n)))
-        perm = list(range(6))
-        perm[j], perm[j + 3] = j + 3, j
-        term = 0.0
-        for lo in range(0, n, step):
-            part = A[(slice(None),) * ax + (slice(lo, lo + step),)]
-            prod = part[:, :, :, None, None, None] * A[None, None, None, :, :, :]
-            diff = prod - prod.transpose(perm)
-            term += float(np.sum(diff.real ** 2 + diff.imag ** 2))
-        term_sum += term  # the three terms in slot order
-    return _finish(MeasureKind.MULTIPARTITE_E, term_sum, norm_constant)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .measures import check_measure_size
 from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, matricize, validate
 
 DEFAULT_THRESHOLD = 1e-10
@@ -59,11 +58,11 @@ class SeparabilityReport:
 
 def _residuals(state: PureState, splits) -> dict:
     """``{key: residual}`` for the ``{key: 0-based left slots}`` that
-    ``splits(m)`` names.  The size guard and validation run first, so
-    their refusals come before any about the splits."""
-    check_measure_size(state)
-    validate(state)
+    ``splits(m)`` names.  The splits are read first, since the size
+    guard prices them; then the guard and validation run."""
     lefts = splits(state.num_subsystems)
+    _kernels.check_split_work(state.dims, lefts.values())
+    validate(state)
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, list(lefts.values()))
     return dict(zip(lefts, residuals[0].tolist()))
 
@@ -74,8 +73,8 @@ def partition_residual(state: PureState, part: Bipartition) -> float:
     Zero exactly when the state factors across the split; equals
     ``1 - purity`` of either side's marginal for normalized input.  Reads
     the split's canonical side, as :func:`separability_report` does, so
-    both sides of a split give the same bits.  Refuses total dimension
-    above 4096, like the measures.
+    both sides of a split give the same bits.  Refuses a split whose
+    minor sum passes the measure guard, like the measures.
     """
     return _residuals(state, lambda m: {part: part.canonical().left_axes(m)})[part]
 

@@ -76,6 +76,31 @@ def brute_minor_sum(mat: np.ndarray) -> float:
     return total
 
 
+def pair_qubit_term_sum(amps: np.ndarray) -> float:
+    """Two-qubit closed form ``2 |a_00 a_11 - a_10 a_01|^2`` of C's term
+    sum, so C is ``2 |a_00 a_11 - a_10 a_01|`` at norm constant 2."""
+    det = amps[0] * amps[3] - amps[2] * amps[1]
+    return 2.0 * (det.real * det.real + det.imag * det.imag)
+
+
+def tripartite_term_sum(tensor: np.ndarray) -> float:
+    """E's term sum on three subsystems, written out as three explicit
+    slot terms from broadcast amplitude products.
+
+    Slot j's term is ``a[k] a[l] - a[k'] a[l']`` with the slot-j entries
+    of k and l exchanged: a transpose of axes j and j + 3 of the
+    ``(n1, n2, n3, n1, n2, n3)`` product, which holds ``D^2`` entries.
+    """
+    total = 0.0
+    prod = tensor[:, :, :, None, None, None] * tensor[None, None, None, :, :, :]
+    for j in range(3):
+        perm = list(range(6))
+        perm[j], perm[j + 3] = j + 3, j
+        diff = prod - prod.transpose(perm)
+        total += float(np.sum(diff.real ** 2 + diff.imag ** 2))
+    return total
+
+
 def grid_norm_sq(grid) -> float:
     """Sum of squared moduli of all entries."""
     grid = np.asarray(grid)

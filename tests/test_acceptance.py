@@ -26,7 +26,6 @@ from entwedge import (
     is_product_state,
     load_state,
     multipartite_measure,
-    pair_qubit_concurrence,
     parse_ket,
     partial_trace,
     partition_residual,
@@ -34,7 +33,6 @@ from entwedge import (
     purity,
     save_state,
     separability_report,
-    tripartite_measure,
 )
 from entwedge.cli import cli_main
 from conftest import (
@@ -46,7 +44,14 @@ from conftest import (
     random_state,
     w3_state,
 )
-from oracles import alt, grid_norm_sq, signature, wedge_pair
+from oracles import (
+    alt,
+    grid_norm_sq,
+    pair_qubit_term_sum,
+    signature,
+    tripartite_term_sum,
+    wedge_pair,
+)
 from test_ketlang import ROUND_TRIP_CORPUS
 
 
@@ -63,16 +68,17 @@ def _singleton_impurity(state: PureState) -> float:
 
 
 def test_criterion_01_pair_qubit_goldens():
-    bell = pair_qubit_concurrence(bell_state()).value
     basis = PureState((2, 2), np.array([0, 0, 1, 0], dtype=np.complex128))
-    product = pair_qubit_concurrence(basis).value
     amps = np.array([math.sqrt(0.9), 0, 0, math.sqrt(0.1)], dtype=np.complex128)
-    skew = pair_qubit_concurrence(PureState((2, 2), amps)).value
-    errors = [abs(bell - 1.0), abs(product), abs(skew - 0.6)]
-    worst = max(errors)
+    skew = PureState((2, 2), amps)
+    worst = 0.0
+    for state, want in ((bell_state(), 1.0), (basis, 0.0), (skew, 0.6)):
+        closed = math.sqrt(2.0 * pair_qubit_term_sum(state.amplitudes))
+        value = bipartite_concurrence(state).value
+        worst = max(worst, abs(value - want), abs(closed - want), abs(value - closed))
     _report(
         1,
-        f"two-qubit closed form hits 1, 0, and 0.6 to {worst:.2e} (tol 1e-12)",
+        f"two-qubit C and its closed form hit 1, 0, and 0.6 to {worst:.2e} (tol 1e-12)",
         worst <= 1e-12,
     )
 
@@ -124,10 +130,13 @@ def test_criterion_03_multipartite_closed_form_sweep():
 
 
 def test_criterion_04_tripartite_goldens_and_agreement():
+    def explicit(state):
+        return math.sqrt(2.0 * tripartite_term_sum(state.tensor))
+
     golden = [
-        (tripartite_measure(ghz_state(3)).value, math.sqrt(6.0)),
-        (tripartite_measure(w3_state()).value, 4.0 / math.sqrt(3.0)),
-        (tripartite_measure(bell_x_zero_state()).value, 2.0),
+        (explicit(ghz_state(3)), math.sqrt(6.0)),
+        (explicit(w3_state()), 4.0 / math.sqrt(3.0)),
+        (explicit(bell_x_zero_state()), 2.0),
     ]
     golden_err = max(abs(got - want) for got, want in golden)
     rng = np.random.default_rng(1004)
@@ -136,7 +145,7 @@ def test_criterion_04_tripartite_goldens_and_agreement():
         state = random_state(rng, dims)
         route_err = max(
             route_err,
-            abs(tripartite_measure(state).value - multipartite_measure(state).value),
+            abs(explicit(state) - multipartite_measure(state).value),
         )
     ok = golden_err <= 1e-9 and route_err <= 1e-12
     _report(

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "matricize",
     "multipartite_measure",
     "normalize",
-    "pair_qubit_concurrence",
     "parse_ket",
     "partial_trace",
     "partition_residual",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "save_state",
     "separability_report",
     "trial_rng",
-    "tripartite_measure",
     "validate",
 ]
 

@@ -335,6 +335,23 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the measure guard" in err
 
+    def test_cheap_shape_past_4096_is_measured(self, capsys):
+        # (2, 8192): one row pair times 8192^2 columns, well under the
+        # measure guard, though its total dimension is past 4096
+        code, out, err = run_cli(capsys, "measure", "--expr", "sqrt(1/2)|0,0>+sqrt(1/2)|1,8191>")
+        assert (code, err) == (0, "")
+        assert out.startswith("kind: bipartite_concurrence\n")
+
+    @pytest.mark.parametrize("command", ["parse", "measure"])
+    def test_long_division_chain_is_three(self, capsys, command):
+        # 100 decimals of 1200 digits, 120 KB, still fit one argument
+        text = "/".join(["0." + "7" * 1200] * 100) + "|0>"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "dividing out the scalar costs 100 steps" in err
+
     @pytest.mark.parametrize("command", ["parse", "measure", "separability", "invariance"])
     def test_exponential_expansion_is_three(self, capsys, command):
         # 2**20 terms from 255 bytes: each two-term factor doubles the work

@@ -10,8 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entwedge import Bipartition, matricize, multipartite_measure, separability_report
-from entwedge import _kernels
+from entwedge import (
+    Bipartition,
+    enumerate_bipartitions,
+    matricize,
+    multipartite_measure,
+    separability_report,
+)
+from entwedge import _kernels, lu
+from entwedge.errors import TooLargeError
 from entwedge.measures import MeasureKind, measure_rows
 from entwedge.states import unfold
 from conftest import random_state
@@ -235,3 +242,43 @@ class TestSelection:
         assert first == second
         mat = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         assert _kernels.minor_pair_sum(mat) == _kernels.minor_pair_sum(mat)
+
+
+class TestSplitWork:
+    def test_one_row_costs_nothing(self):
+        # a one-row side has no row pairs, however long the other side
+        assert _kernels.split_work((1, 4096), [[0]]) == 0
+        assert _kernels.split_work((3, 1, 2), [[1]]) == 0
+
+    def test_pairs_along_the_shorter_side(self):
+        # (3, 8) has 3 row pairs times 8^2 columns; (8, 3) is paired
+        # after the same transpose the kernel makes
+        assert _kernels.split_work((3, 8), [[0]]) == 3 * 8 ** 2
+        assert _kernels.split_work((8, 3), [[0]]) == 3 * 8 ** 2
+        # splits add, and both sides of a split price the same
+        assert _kernels.split_work((2, 3, 4), [[0], [1], [2]]) == 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
+        assert _kernels.split_work((2, 3, 4), [[0, 2]]) == _kernels.split_work((2, 3, 4), [[1]])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (64, 64), (5, 2), (2, 3, 4), (1, 512), (3, 1, 2)])
+    def test_is_the_kernel_term_of_trial_work(self, dims):
+        # the re-measure reads split {1} on two subsystems, every
+        # singleton split otherwise
+        lefts = [[0]] if len(dims) == 2 else [[j] for j in range(len(dims))]
+        gates = sum(n ** 3 for n in dims)
+        assert lu._trial_work(dims) == lu._TRIAL_FLOOR + gates + _kernels.split_work(dims, lefts)
+
+    def test_costliest_call_under_a_total_of_4096_is_accepted(self):
+        # separability_report on (2,2,2,2,4,4,4,4) reads all 127 splits;
+        # no call on a total dimension of at most 4096 prices more
+        dims = (2, 2, 2, 2, 4, 4, 4, 4)
+        lefts = [part.left_axes(8) for part in enumerate_bipartitions(8)]
+        assert _kernels.check_split_work(dims, lefts) == 977010688
+        assert 977010688 <= _kernels.MAX_SPLIT_WORK
+
+    def test_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_SPLIT_WORK", 3 * 8 ** 2)
+        assert _kernels.check_split_work((3, 8), [[0]]) == 192
+        monkeypatch.setattr(_kernels, "MAX_SPLIT_WORK", 3 * 8 ** 2 - 1)
+        message = r"kernel work of 192 products on dims \(3, 8\) exceeds the measure guard of 191"
+        with pytest.raises(TooLargeError, match=message):
+            _kernels.check_split_work((3, 8), [[0]])

@@ -566,6 +566,26 @@ class TestGuardsBeforeExpansion:
         with pytest.raises(TooLargeError, match="30000 subsystems"):
             evaluate(expr)
 
+    def test_division_chain_is_priced_before_dividing(self, monkeypatch):
+        # 100 decimals of 1200 digits, 120 KB: dividing as it parsed took
+        # 0.65 s, each division reducing ever larger fractions
+        def no_division(*args):
+            raise AssertionError("divided before the chain was priced")
+
+        monkeypatch.setattr(ExactScalar, "__truediv__", no_division)
+        text = "/".join(["0." + "7" * 1200] * 100) + "|0>"
+        with pytest.raises(TooLargeError, match="costs 100 steps times 797500 bits"):
+            parse_ket(text)
+
+    def test_division_chain_boundary(self, monkeypatch):
+        # 3 prices 2 + 1 bits of re, 0 + 1 of im and 1 of the radicand;
+        # 4 prices 3 + 1 + 0 + 1 + 1: two atoms of 11 bits in all
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 2 * 11)
+        assert parse_ket("3/4 |0>").root.factors[0].value == ExactScalar.make(Fraction(3, 4))
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 2 * 11 - 1)
+        with pytest.raises(TooLargeError, match="2 steps times 11 bits"):
+            parse_ket("3/4 |0>")
+
     def test_expansion_cap_boundary(self, monkeypatch):
         # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
         # each sum of two 1-bit kets prices 2 bits, and the product adds them

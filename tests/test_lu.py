@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -23,6 +25,7 @@ from entwedge import (
     purity,
     trial_rng,
 )
+import entwedge
 from entwedge import lu, states
 from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
 from conftest import bell_state, ghz_state, random_state
@@ -311,6 +314,31 @@ class TestInvarianceExperiment:
             invariance_experiment(bell_state(), seed=2**64)
 
 
+class TestMemory:
+    def test_largest_gate_stays_small(self):
+        # a chunk holds at least one trial, so one trial's gate bounds its
+        # memory; the invariance budget allows no gate past n = 584
+        assert lu._trial_work((1, 585)) > lu.MAX_INVARIANCE_WORK >= lu._trial_work((1, 584))
+        code = "\n".join([
+            "import resource, sys",
+            "import numpy as np",
+            "from entwedge import PureState, invariance_experiment",
+            "amps = np.zeros(584, dtype=np.complex128)",
+            "amps[0] = 1.0",
+            "assert invariance_experiment(PureState((1, 584), amps), trials=1).trials == 1",
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "print(peak // 1024 if sys.platform == 'darwin' else peak)",  # KB
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 128 * 1024
+
+
 def chunk_budget(state, trials_per_chunk):
     """CHUNK_AMPLITUDES value giving chunks of exactly this many trials."""
     per_trial = state.total_dim + sum(n * n for n in state.dims)
@@ -381,8 +409,8 @@ class TestBatchedTrials:
             invariance_experiment(ghz_state(3), trials=5, seed=0)
 
     def test_oversized_state_is_refused_before_any_trial(self):
-        state = PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
-        with pytest.raises(TooLargeError):
+        state = PureState((256, 256), np.zeros(256 * 256, dtype=np.complex128))
+        with pytest.raises(TooLargeError, match="exceeds the measure guard"):
             invariance_experiment(state, trials=5)
 
 

@@ -16,12 +16,10 @@ from entwedge import (
     evaluate,
     multipartite_measure,
     normalize,
-    pair_qubit_concurrence,
     parse_ket,
     partial_trace,
     partition_residual,
     purity,
-    tripartite_measure,
 )
 from entwedge import _kernels
 from entwedge.measures import _values, measure_rows
@@ -40,7 +38,7 @@ from conftest import (
     random_state,
     w3_state,
 )
-from oracles import brute_minor_sum, brute_swap_sum
+from oracles import brute_minor_sum, brute_swap_sum, pair_qubit_term_sum, tripartite_term_sum
 
 SQRT6 = math.sqrt(6.0)
 W3_VALUE = 4.0 / math.sqrt(3.0)
@@ -56,35 +54,29 @@ def marginal_deficit_sum(state: PureState) -> float:
 
 class TestPairQubit:
     def test_bell(self):
-        result = pair_qubit_concurrence(bell_state())
+        result = bipartite_concurrence(bell_state())
         assert result.value == pytest.approx(1.0, abs=1e-12)
         assert result.kind is MeasureKind.BIPARTITE_CONCURRENCE
 
     def test_product_basis_state(self):
         amps = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
-        assert pair_qubit_concurrence(PureState((2, 2), amps)).value == 0.0
+        assert bipartite_concurrence(PureState((2, 2), amps)).value == 0.0
 
     def test_skewed_superposition(self):
         amps = np.array(
             [math.sqrt(0.9), 0.0, 0.0, math.sqrt(0.1)], dtype=np.complex128
         )
-        result = pair_qubit_concurrence(PureState((2, 2), amps))
+        result = bipartite_concurrence(PureState((2, 2), amps))
         assert result.value == pytest.approx(0.6, abs=1e-12)
-
-    def test_wrong_dims(self):
-        with pytest.raises(WrongDimsError):
-            pair_qubit_concurrence(random_state(np.random.default_rng(0), (2, 3)))
-        with pytest.raises(WrongDimsError):
-            pair_qubit_concurrence(ghz_state(3))
 
     def test_matches_generic(self, rng):
         # the vectorized kernel may round one ulp away from the closed form
         for _ in range(50):
             state = random_state(rng, (2, 2))
-            fast = pair_qubit_concurrence(state)
-            generic = bipartite_concurrence(state)
-            assert fast.value == pytest.approx(generic.value, rel=1e-14)
-            assert fast.term_sum == pytest.approx(generic.term_sum, rel=1e-14)
+            want = pair_qubit_term_sum(state.amplitudes)
+            result = bipartite_concurrence(state)
+            assert result.term_sum == pytest.approx(want, rel=1e-14)
+            assert result.value == pytest.approx(math.sqrt(2.0 * want), rel=1e-14)
 
 
 class TestBipartite:
@@ -190,17 +182,34 @@ class TestMultipartite:
             assert multipartite_measure(state).value <= 1e-10
 
     def test_size_guard(self):
-        dims = (16, 16, 16, 2)  # 8192 total
-        amps = np.zeros(8192, dtype=np.complex128)
+        # four singleton splits of 120 row pairs times 4096^2 columns
+        dims = (16, 16, 16, 16)
+        amps = np.zeros(16 ** 4, dtype=np.complex128)
         amps[0] = 1.0
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="exceeds the measure guard"):
             multipartite_measure(PureState(dims, amps))
 
     def test_bipartite_size_guard_before_validation(self):
-        # 4160 > 4096, and all-zero amplitudes would fail validation
-        state = PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
+        # 32640 row pairs times 256^2 columns is past the measure guard,
+        # and all-zero amplitudes would fail validation
+        state = PureState((256, 256), np.zeros(256 * 256, dtype=np.complex128))
         with pytest.raises(TooLargeError):
             bipartite_concurrence(state)
+
+    @pytest.mark.parametrize("measure, dims", [
+        (bipartite_concurrence, (65, 64)),  # past the old total of 4096, cheap
+        (bipartite_concurrence, (2, 31622)),  # the widest two-row C accepted
+        (multipartite_measure, (16, 16, 16, 2)),
+    ])
+    def test_priced_shapes_past_4096_are_accepted(self, monkeypatch, measure, dims):
+        # the guard reads the kernel's price, not the total dimension; the
+        # kernel itself is stubbed, so only the guard and validation run
+        monkeypatch.setattr(
+            _kernels, "split_residuals", lambda rows, dims, lefts: np.zeros((len(rows), len(lefts)))
+        )
+        amps = np.zeros(math.prod(dims), dtype=np.complex128)
+        amps[0] = 1.0
+        assert measure(PureState(dims, amps)).value == 0.0
 
     def test_bipartite_boundary_dimension_allowed(self):
         amps = np.zeros(4096, dtype=np.complex128)
@@ -285,26 +294,24 @@ class TestNearProductExact:
 
 
 class TestTripartite:
+    """The explicit three-slot oracle against the goldens and against
+    the generic route."""
+
     def test_goldens(self):
-        assert tripartite_measure(ghz_state(3)).value == pytest.approx(SQRT6, abs=1e-12)
-        assert tripartite_measure(w3_state()).value == pytest.approx(W3_VALUE, abs=1e-12)
-        assert tripartite_measure(bell_x_zero_state()).value == pytest.approx(
-            2.0, abs=1e-12
-        )
+        def explicit(state):
+            return math.sqrt(2.0 * tripartite_term_sum(state.tensor))
+
+        assert explicit(ghz_state(3)) == pytest.approx(SQRT6, abs=1e-12)
+        assert explicit(w3_state()) == pytest.approx(W3_VALUE, abs=1e-12)
+        assert explicit(bell_x_zero_state()) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 2, 3)])
     def test_agrees_with_generic(self, rng, dims):
         state = random_state(rng, dims)
-        a = tripartite_measure(state)
-        b = multipartite_measure(state)
-        assert abs(a.value - b.value) <= 1e-12
-        assert a.term_sum == pytest.approx(b.term_sum, rel=1e-12)
-
-    def test_wrong_arity(self):
-        with pytest.raises(WrongArityError):
-            tripartite_measure(bell_state())
-        with pytest.raises(WrongArityError):
-            tripartite_measure(ghz_state(4))
+        want = tripartite_term_sum(state.tensor)
+        got = multipartite_measure(state)
+        assert abs(math.sqrt(2.0 * want) - got.value) <= 1e-12
+        assert got.term_sum == pytest.approx(want, rel=1e-12)
 
 
 class TestConfig:
@@ -322,8 +329,7 @@ class TestConfig:
         assert half.norm_constant == 1.0
 
     def test_invalid_config(self):
-        measures = [(bipartite_concurrence, bell_state()), (pair_qubit_concurrence, bell_state()),
-                    (multipartite_measure, ghz_state(3)), (tripartite_measure, ghz_state(3))]
+        measures = [(bipartite_concurrence, bell_state()), (multipartite_measure, ghz_state(3))]
         for measure, state in measures:
             for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(WrongDimsError, match="norm_constant must be positive"):

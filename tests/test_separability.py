@@ -259,11 +259,12 @@ class TestReport:
 
 
 class TestSizeGuard:
-    # (65, 64) is 4160 > 4096; all-zero amplitudes would fail validation,
-    # so TooLargeError shows the guard runs first
+    # (256, 256) prices 32640 row pairs times 256^2 columns, past the
+    # measure guard; all-zero amplitudes would fail validation, so
+    # TooLargeError shows the guard runs first
     @staticmethod
     def oversized() -> PureState:
-        return PureState((65, 64), np.zeros(65 * 64, dtype=np.complex128))
+        return PureState((256, 256), np.zeros(256 * 256, dtype=np.complex128))
 
     def test_partition_residual(self):
         with pytest.raises(TooLargeError):
@@ -276,6 +277,11 @@ class TestSizeGuard:
     def test_separability_report(self):
         with pytest.raises(TooLargeError):
             separability_report(self.oversized())
+
+    def test_bad_split_is_named_before_the_price(self):
+        # the guard prices the splits, so they are read first
+        with pytest.raises(InvalidPartitionError):
+            partition_residual(self.oversized(), Bipartition((1,), 3))
 
     def test_boundary_dimension_allowed(self):
         amps = np.zeros(64 * 64, dtype=np.complex128)
