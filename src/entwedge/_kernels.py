@@ -24,6 +24,9 @@ the result can differ from one unblocked sum in the last bits.
 ``split_work`` counts the kernel's products for a list of splits: the
 one price every measure, verdict and invariance trial pays, held to
 ``MAX_SPLIT_WORK`` by ``check_split_work`` before anything is validated.
+The same check holds the amplitudes ``split_residuals`` unfolds, one
+copy of the state per split, to ``MAX_UNFOLD_ENTRIES``: a split with a
+one-row side costs no products but is still unfolded whole.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ _BLOCK_ENTRIES = 1 << 13
 # slowest accepted call found, C on (200, 222), took 10.6-11.2 s at a
 # 38 MB peak on a shared 2-CPU x86-64 host.
 MAX_SPLIT_WORK = 10 ** 9
+
+# Most amplitudes one state's splits may unfold, ``len(lefts) *
+# prod(dims)``: 2**19 entries (8 MB of complex128), just above the
+# 127 * 4096 of a report under a total-dimension cap of 4096.
+MAX_UNFOLD_ENTRIES = 1 << 19
 
 
 def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
@@ -110,13 +118,20 @@ def split_work(dims, lefts) -> int:
 
 def check_split_work(dims, lefts) -> int:
     """:func:`split_work` of ``lefts`` on ``dims``; ``TooLargeError``
-    above ``MAX_SPLIT_WORK``.  Reads dims only, so it runs before
+    above ``MAX_SPLIT_WORK``, or when unfolding the splits passes
+    ``MAX_UNFOLD_ENTRIES``.  Reads dims only, so it runs before
     validation."""
     work = split_work(dims, lefts)
     if work > MAX_SPLIT_WORK:
         raise TooLargeError(
             f"kernel work of {work} products on dims {tuple(dims)} exceeds the "
             f"measure guard of {MAX_SPLIT_WORK}"
+        )
+    entries = len(lefts) * math.prod(dims)
+    if entries > MAX_UNFOLD_ENTRIES:
+        raise TooLargeError(
+            f"unfolding {entries} amplitudes on dims {tuple(dims)} exceeds the "
+            f"measure guard of {MAX_UNFOLD_ENTRIES}"
         )
     return work
 

@@ -335,6 +335,22 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the measure guard" in err
 
+    @pytest.mark.parametrize("command, expr", [
+        # a product whose certificate would run an 8192-dim eigensolver
+        ("separability", "|1,8191>"),
+        # a one-row split, free of products, and a 2**40-entry Gram
+        ("separability", "|0,1048575>"),
+        # 127 free splits, each unfolding the 16 MB state
+        ("separability", "|1048575,0,0,0,0,0,0,0>"),
+        ("measure", "|1048575,0,0,0,0,0,0,0>"),
+    ])
+    def test_free_kernel_with_costly_rest_is_three(self, capsys, command, expr):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", expr)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "exceeds the measure guard" in err
+
     def test_cheap_shape_past_4096_is_measured(self, capsys):
         # (2, 8192): one row pair times 8192^2 columns, well under the
         # measure guard, though its total dimension is past 4096

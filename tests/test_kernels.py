@@ -275,6 +275,27 @@ class TestSplitWork:
         assert _kernels.check_split_work(dims, lefts) == 977010688
         assert 977010688 <= _kernels.MAX_SPLIT_WORK
 
+    def test_widest_unfold_under_a_total_of_4096_is_accepted(self):
+        # a report on 8 subsystems unfolds the state once per split
+        assert 127 * 4096 <= _kernels.MAX_UNFOLD_ENTRIES
+
+    def test_free_splits_still_pay_their_unfold(self):
+        # every split of (2**20, 1, ..., 1) has a one-row side, so it
+        # prices no products, but unfolding 127 copies would take 2 GB
+        dims = (1 << 20,) + (1,) * 7
+        lefts = [part.left_axes(8) for part in enumerate_bipartitions(8)]
+        assert _kernels.split_work(dims, lefts) == 0
+        message = r"unfolding 133169152 amplitudes on dims \(1048576, 1, 1, 1, 1, 1, 1, 1\) exceeds the measure guard of 524288"
+        with pytest.raises(TooLargeError, match=message):
+            _kernels.check_split_work(dims, lefts)
+
+    def test_unfold_boundary(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "MAX_UNFOLD_ENTRIES", 3 * 24)
+        assert _kernels.check_split_work((2, 3, 4), [[0], [1], [2]]) == 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
+        monkeypatch.setattr(_kernels, "MAX_UNFOLD_ENTRIES", 3 * 24 - 1)
+        with pytest.raises(TooLargeError, match="unfolding 72 amplitudes"):
+            _kernels.check_split_work((2, 3, 4), [[0], [1], [2]])
+
     def test_guard_boundary(self, monkeypatch):
         monkeypatch.setattr(_kernels, "MAX_SPLIT_WORK", 3 * 8 ** 2)
         assert _kernels.check_split_work((3, 8), [[0]]) == 192

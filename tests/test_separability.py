@@ -28,7 +28,7 @@ from entwedge.errors import (
     TooLargeError,
     ValidationError,
 )
-from entwedge import separability
+from entwedge import _kernels, separability
 from entwedge.separability import CERTIFICATE_TOL
 from conftest import (
     bell_state,
@@ -282,6 +282,29 @@ class TestSizeGuard:
         # the guard prices the splits, so they are read first
         with pytest.raises(InvalidPartitionError):
             partition_residual(self.oversized(), Bipartition((1,), 3))
+
+    def test_certificate_is_priced_before_validation(self):
+        # (1, 4096) is a product whatever its amplitudes, so its report
+        # always runs a 4096-dim eigensolver: 124 s and 1.3 GB
+        zeros = PureState((1, 4096), np.zeros(4096, dtype=np.complex128))
+        with pytest.raises(TooLargeError, match="kernel and certificate work of 6873625804 products"):
+            separability_report(zeros)
+        # the verdicts alone need no certificate
+        with pytest.raises(NotNormalizedError):
+            is_product_state(zeros)
+
+    def test_certificate_work(self):
+        # per slot d: d * prod(dims) Gram products and d**3 eigensolver
+        # steps, ten steps to a kernel product
+        assert separability._certificate_work((2, 3)) == (2 * 6 + 8 + 3 * 6 + 27) // 10
+        assert separability._certificate_work((2, 2048)) == (2 * 4096 + 2 ** 3 + 2048 * 4096 + 2048 ** 3) // 10
+
+    def test_costliest_report_under_a_total_of_4096_is_accepted(self):
+        # (2,2,2,2,4,4,4,4): the kernel's 977010688 products and a small
+        # certificate; a 2048-dim slot's certificate also fits
+        dims = (2, 2, 2, 2, 4, 4, 4, 4)
+        assert 977010688 + separability._certificate_work(dims) <= _kernels.MAX_SPLIT_WORK
+        assert 2048 ** 2 + separability._certificate_work((2, 2048)) <= _kernels.MAX_SPLIT_WORK
 
     def test_boundary_dimension_allowed(self):
         amps = np.zeros(64 * 64, dtype=np.complex128)
