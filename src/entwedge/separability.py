@@ -9,23 +9,24 @@ either side's reduced density matrix, which the tests verify as an
 independent route.
 
 For a fully separable state the per-subsystem factors are recovered as
-the top eigenvectors of the subsystem Gram matrices, from a Hermitian
-eigensolver, and the tensor product of the factors is checked against
-the input up to a global phase.  The report adds this certificate's work
-to the kernel's in its one price, so dims on which the two together
-pass the measure guard are refused before validation.
+the top left singular vectors of the single-subsystem unfoldings, and
+the tensor product of the factors is checked against the input up to a
+global phase.  An economy SVD of an ``(r, c)`` unfolding costs
+``r * c * min(r, c)``: at most twice the kernel's products on that split
+when both sides have two or more indices, and ``O(prod(dims))``, which
+the unfold guard bounds, when one side has one.  So the report pays only
+the kernel's price.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import _kernels
-from .errors import TooLargeError, ValidationError
+from .errors import ValidationError
 from .measures import _splits
 from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, matricize, validate
 
@@ -33,12 +34,6 @@ DEFAULT_THRESHOLD = 1e-10
 
 # A certificate must rebuild the state, up to global phase, this closely.
 CERTIFICATE_TOL = 1e-8
-
-# The certificate's Gram products and eigensolver steps run in BLAS and
-# LAPACK at about ten to one of the kernel's products: 2048**3 steps took
-# 6.8 s and the kernel's 977010688 products 9.4 s, on a shared 2-CPU
-# x86-64 host.
-_CERTIFICATE_STEPS_PER_PRODUCT = 10
 
 
 @dataclass(frozen=True)
@@ -66,29 +61,12 @@ class SeparabilityReport:
     genuinely_entangled: bool
 
 
-def _certificate_work(dims) -> int:
-    """Kernel products a certificate on ``dims`` is worth: per slot of
-    dimension d, a Gram matrix of ``d * prod(dims)`` products and an
-    eigensolver of ``d**3`` steps, at ``_CERTIFICATE_STEPS_PER_PRODUCT``
-    to a product."""
-    total = math.prod(dims)
-    return sum(d * total + d ** 3 for d in dims) // _CERTIFICATE_STEPS_PER_PRODUCT
-
-
-def _residuals(state: PureState, splits, certified: bool = False) -> dict:
+def _residuals(state: PureState, splits) -> dict:
     """``{key: residual}`` for the ``{key: 0-based left slots}`` that
     ``splits(m)`` names.  The splits are read first, since the size
-    guard prices them; then the guard, with the certificate's work added
-    when ``certified``, and validation run."""
+    guard prices them; then the guard and validation run."""
     lefts = splits(state.num_subsystems)
-    work = _kernels.check_split_work(state.dims, lefts.values())
-    if certified:
-        work += _certificate_work(state.dims)
-        if work > _kernels.MAX_SPLIT_WORK:
-            raise TooLargeError(
-                f"kernel and certificate work of {work} products on dims {state.dims} "
-                f"exceeds the measure guard of {_kernels.MAX_SPLIT_WORK}"
-            )
+    _kernels.check_split_work(state.dims, lefts.values())
     validate(state)
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, list(lefts.values()))
     return dict(zip(lefts, residuals[0].tolist()))
@@ -135,15 +113,13 @@ def separability_report(
     reconstruction is verified up to a global phase.  A non-finite or
     negative threshold raises :class:`ValidationError`, and fewer than
     two subsystems :class:`InvalidPartitionError`.  Dims on which the
-    kernel's work and the certificate's, added, pass the measure guard
-    raise :class:`TooLargeError` before validation, whether or not the
-    state would need a certificate.
+    kernel's work on all splits passes the measure guard raise
+    :class:`TooLargeError` before validation.
     """
     threshold = _as_threshold(threshold)
     residuals = _residuals(
         state,
         lambda m: {part: part.left_axes(m) for part in enumerate_bipartitions(m)},
-        certified=True,
     )
     m = state.num_subsystems
     per = {part: PartitionVerdict(r, r <= threshold) for part, r in residuals.items()}
@@ -167,8 +143,8 @@ def separability_report(
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rotate so the largest-modulus component (first occurrence) is real
-    and nonnegative, making the factor independent of the eigensolver's
-    choice of phase."""
+    and nonnegative, making the factor independent of the SVD's choice of
+    phase."""
     k = int(np.argmax(np.abs(v)))
     z = v[k]
     if z == 0:
@@ -177,9 +153,8 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def _dominant_factor(mat: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector of ``mat``: the eigenvector of its
-    Gram matrix with the largest eigenvalue, phase-fixed and read-only."""
-    x = _phase_fixed(np.linalg.eigh(mat @ mat.conj().T)[1][:, -1])
+    """Dominant left singular vector of ``mat``, phase-fixed and read-only."""
+    x = _phase_fixed(np.linalg.svd(mat, full_matrices=False)[0][:, 0])
     x.setflags(write=False)
     return x
 

@@ -12,9 +12,9 @@ Conventions used across the package:
   1, 2, 3.  Labels appear in :class:`Bipartition`, ``partial_trace`` and
   everywhere a caller names a subsystem;
 * a marginal is a plain read-only ``(n, n)`` complex128 array.
-  ``partial_trace`` validates the state's norm before it unfolds
-  anything, and ``purity`` refuses a matrix that is not square or not
-  finite, so no wrapper type carries the checks.
+  ``partial_trace`` validates the state's norm and prices the marginal
+  before it unfolds anything, and ``purity`` refuses a matrix that is
+  not square or not finite, so no wrapper type carries the checks.
 """
 
 from __future__ import annotations
@@ -292,6 +292,10 @@ def partial_trace(state: PureState, keep: int) -> np.ndarray:
         checked before anything is unfolded.
     InvalidPartitionError
         If ``keep`` is not an integer label in ``1..m``.
+    TooLargeError
+        If the marginal's ``n * n`` entries pass ``MAX_TOTAL_DIM``, the
+        largest state the constructor accepts; checked before anything
+        is unfolded.
     """
     validate(state)
     keep = require_int(keep, InvalidPartitionError, "keep")
@@ -299,6 +303,9 @@ def partial_trace(state: PureState, keep: int) -> np.ndarray:
         raise InvalidPartitionError(
             f"subsystem {keep} not in 1..{state.num_subsystems}"
         )
+    n = state.dims[keep - 1]
+    if n * n > MAX_TOTAL_DIM:
+        raise TooLargeError(f"a {n} x {n} marginal exceeds the guard of {MAX_TOTAL_DIM} entries")
     m = unfold(state.amplitudes[None], state.dims, [keep - 1])[0]
     rho = m @ m.conj().T
     rho.setflags(write=False)

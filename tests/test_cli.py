@@ -336,9 +336,7 @@ class TestExitCodes:
         assert "exceeds the measure guard" in err
 
     @pytest.mark.parametrize("command, expr", [
-        # a product whose certificate would run an 8192-dim eigensolver
-        ("separability", "|1,8191>"),
-        # a one-row split, free of products, and a 2**40-entry Gram
+        # a one-row split, free of products, unfolding a 2**20-entry state
         ("separability", "|0,1048575>"),
         # 127 free splits, each unfolding the 16 MB state
         ("separability", "|1048575,0,0,0,0,0,0,0>"),
@@ -350,6 +348,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert "exceeds the measure guard" in err
+
+    def test_wide_product_is_certified(self, capsys):
+        # (2, 8192): one row pair times 8192^2 columns for the kernel,
+        # and the certificate is the SVDs of a (2, 8192) and an (8192, 2)
+        # unfolding, which add no price of their own
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "separability", "--expr", "|1,8191>")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert "fully separable: yes\n" in out
 
     def test_cheap_shape_past_4096_is_measured(self, capsys):
         # (2, 8192): one row pair times 8192^2 columns, well under the

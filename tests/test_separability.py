@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import time
 from functools import reduce
 
 import numpy as np
@@ -283,28 +284,38 @@ class TestSizeGuard:
         with pytest.raises(InvalidPartitionError):
             partition_residual(self.oversized(), Bipartition((1,), 3))
 
-    def test_certificate_is_priced_before_validation(self):
-        # (1, 4096) is a product whatever its amplitudes, so its report
-        # always runs a 4096-dim eigensolver: 124 s and 1.3 GB
+    def test_certificate_adds_no_price(self):
+        # (1, 4096) has no split with a kernel product; the certificate's
+        # SVDs are of a (1, 4096) row and a (4096, 1) column, so the
+        # report pays nothing past the kernel and reaches validation
         zeros = PureState((1, 4096), np.zeros(4096, dtype=np.complex128))
-        with pytest.raises(TooLargeError, match="kernel and certificate work of 6873625804 products"):
+        with pytest.raises(NotNormalizedError):
             separability_report(zeros)
-        # the verdicts alone need no certificate
         with pytest.raises(NotNormalizedError):
             is_product_state(zeros)
-
-    def test_certificate_work(self):
-        # per slot d: d * prod(dims) Gram products and d**3 eigensolver
-        # steps, ten steps to a kernel product
-        assert separability._certificate_work((2, 3)) == (2 * 6 + 8 + 3 * 6 + 27) // 10
-        assert separability._certificate_work((2, 2048)) == (2 * 4096 + 2 ** 3 + 2048 * 4096 + 2048 ** 3) // 10
+        amps = np.zeros(4096, dtype=np.complex128)
+        amps[4095] = 1.0
+        assert separability_report(PureState((1, 4096), amps)).fully_separable
 
     def test_costliest_report_under_a_total_of_4096_is_accepted(self):
-        # (2,2,2,2,4,4,4,4): the kernel's 977010688 products and a small
-        # certificate; a 2048-dim slot's certificate also fits
+        # (2,2,2,2,4,4,4,4): the kernel's 977010688 products, its only
+        # price; all-zero amplitudes reach validation, past the guard,
+        # without running the 9 s kernel
         dims = (2, 2, 2, 2, 4, 4, 4, 4)
-        assert 977010688 + separability._certificate_work(dims) <= _kernels.MAX_SPLIT_WORK
-        assert 2048 ** 2 + separability._certificate_work((2, 2048)) <= _kernels.MAX_SPLIT_WORK
+        assert 977010688 <= _kernels.MAX_SPLIT_WORK
+        with pytest.raises(NotNormalizedError):
+            separability_report(PureState(dims, np.zeros(4096, dtype=np.complex128)))
+
+    def test_two_row_product_certificate_is_quick(self, rng):
+        # (2, 2048): the certificate has no price of its own, so it must
+        # cost no more than the kernel's one row pair; the SVDs of a
+        # (2, 2048) and a (2048, 2) unfolding are 2 * 2 * 2048 steps each
+        state = random_product_state(rng, (2, 2048))
+        start = time.perf_counter()
+        report = separability_report(state)
+        assert time.perf_counter() - start < 1.0
+        assert report.fully_separable
+        assert report.certificate_error <= 1e-12
 
     def test_boundary_dimension_allowed(self):
         amps = np.zeros(64 * 64, dtype=np.complex128)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +205,27 @@ class TestPartialTrace:
         monkeypatch.setattr(states, "unfold", unreachable)
         with pytest.raises(NotNormalizedError):
             partial_trace(PureState((2, 2), amps), 1)
+
+    def test_wide_marginal_refused_before_unfolding(self, monkeypatch):
+        # slot 2 of (1, 2**20) would need a 2**40-entry marginal, 16 TiB
+        def unreachable(*args):
+            raise AssertionError("unfolded past the marginal guard")
+
+        amps = np.zeros(1 << 20, dtype=np.complex128)
+        amps[0] = 1.0
+        state = PureState((1, 1 << 20), amps)
+        monkeypatch.setattr(states, "unfold", unreachable)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="1048576 x 1048576 marginal"):
+            partial_trace(state, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_widest_marginal_accepted(self):
+        # 1024 x 1024 entries is the guard itself
+        amps = np.zeros(1024, dtype=np.complex128)
+        amps[3] = 1.0
+        rho = partial_trace(PureState((1024, 1), amps), 1)
+        assert rho.shape == (1024, 1024) and rho[3, 3] == 1.0
 
     def test_single_subsystem_is_the_projector(self, rng):
         # the one-slot unfolding is an n x 1 matrix, so its Gram matrix
