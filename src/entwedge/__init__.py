@@ -20,10 +20,7 @@ from .states import (
     Bipartition,
     PureState,
     enumerate_bipartitions,
-    matricize,
     normalize,
-    partial_trace,
-    purity,
     validate,
 )
 
@@ -44,14 +41,11 @@ __all__ = [
     "invariance_experiment",
     "is_product_state",
     "load_state",
-    "matricize",
     "multipartite_measure",
     "normalize",
     "parse_ket",
-    "partial_trace",
     "partition_residual",
     "pretty",
-    "purity",
     "save_state",
     "separability_report",
     "trial_rng",

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import ArityMismatchError, ParseError, SizeGuardError, ValidationError
+from .errors import ArityMismatchError, ParseError, TooLargeError, ValidationError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
 from .measures import _auto_measure
@@ -27,13 +27,17 @@ from .statefile import load_state
 from .states import PureState
 
 
+# argparse reads a separate value that starts with '-' as an option
+_LEADING_MINUS = "; write one that starts with '-' as --expr='-...'"
+
+
 def _input_flags(sub: argparse.ArgumentParser, expr_only: bool = False) -> None:
     if expr_only:
-        sub.add_argument("--expr", required=True, help="ket expression to parse")
+        sub.add_argument("--expr", required=True, help="ket expression to parse" + _LEADING_MINUS)
         return
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="path to a JSON state file")
-    group.add_argument("--expr", help="ket expression for the state")
+    group.add_argument("--expr", help="ket expression for the state" + _LEADING_MINUS)
 
 
 def _output_flag(sub: argparse.ArgumentParser) -> None:
@@ -201,7 +205,7 @@ def cli_main(argv=None) -> int:
     except (ParseError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SizeGuardError as exc:
+    except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

@@ -52,11 +52,7 @@ class ArityMismatchError(ValidationError):
 
 # --- size guards -------------------------------------------------------
 
-class SizeGuardError(EntwedgeError):
-    """Problem size exceeds what this toolkit is willing to attempt."""
-
-
-class TooLargeError(SizeGuardError):
+class TooLargeError(EntwedgeError):
     """Input passes a size guard or a work price: the state's subsystems
     or total dimension, the kernel's work, or a ket or invariance budget."""
 

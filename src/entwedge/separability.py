@@ -28,12 +28,16 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .measures import _splits
-from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, matricize, validate
+from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, unfold, validate
 
 DEFAULT_THRESHOLD = 1e-10
 
 # A certificate must rebuild the state, up to global phase, this closely.
 CERTIFICATE_TOL = 1e-8
+
+# Moduli this close, relatively, to a factor's largest tie for the
+# component its phase is fixed on, so rounding cannot pick between them.
+PHASE_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,8 @@ def separability_report(
     error = None
     if fully:
         factors = tuple(
-            _dominant_factor(matricize(state, Bipartition((j,), m)))
-            for j in range(1, m + 1)
+            _dominant_factor(unfold(state.amplitudes[None], state.dims, [j])[0])
+            for j in range(m)
         )
         certificate = factors
         error = _reconstruction_error(state, factors)
@@ -142,10 +146,11 @@ def separability_report(
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-modulus component (first occurrence) is real
-    and nonnegative, making the factor independent of the SVD's choice of
-    phase."""
-    k = int(np.argmax(np.abs(v)))
+    """Rotate so the first component whose modulus is within
+    ``PHASE_TIE_RTOL`` of the largest is real and nonnegative, making the
+    factor independent of the SVD's choice of phase, ties included."""
+    modulus = np.abs(v)
+    k = int(np.argmax(modulus >= modulus.max() * (1.0 - PHASE_TIE_RTOL)))
     z = v[k]
     if z == 0:
         return v

@@ -1,4 +1,4 @@
-"""Dense pure states, marginals, and bipartitions.
+"""Dense pure states, their unfoldings, and bipartitions.
 
 A pure state of m subsystems with dimensions ``(N_1, ..., N_m)`` is stored
 as a flat complex amplitude vector of length ``N_1 * ... * N_m`` in
@@ -9,12 +9,9 @@ Conventions used across the package:
 * basis indices inside a multi-index are 0-based, so a qubit pair ranges
   over ``(0, 0) .. (1, 1)``;
 * subsystem labels are 1-based, so a three-party state has subsystems
-  1, 2, 3.  Labels appear in :class:`Bipartition`, ``partial_trace`` and
-  everywhere a caller names a subsystem;
-* a marginal is a plain read-only ``(n, n)`` complex128 array.
-  ``partial_trace`` validates the state's norm and prices the marginal
-  before it unfolds anything, and ``purity`` refuses a matrix that is
-  not square or not finite, so no wrapper type carries the checks.
+  1, 2, 3.  Labels appear in :class:`Bipartition` and everywhere a
+  caller names a subsystem; :meth:`Bipartition.left_axes` turns them
+  into the 0-based slots that :func:`unfold` takes.
 """
 
 from __future__ import annotations
@@ -269,67 +266,6 @@ def unfold(rows: np.ndarray, dims, left_axes) -> np.ndarray:
     perm = [0] + [ax + 1 for ax in left_axes + right_axes]
     tensor = rows.reshape((count,) + tuple(dims)).transpose(perm)
     return np.ascontiguousarray(tensor.reshape(count, r, math.prod(dims) // r))
-
-
-def matricize(state: PureState, part: Bipartition) -> np.ndarray:
-    """Unfold the state into a matrix across a bipartition.
-
-    Row ``r`` enumerates the left subsystems' joint index (sorted labels,
-    row-major) and column ``c`` the complementary subsystems' joint index,
-    so entry ``(r, c)`` is the amplitude at the reassembled multi-index.
-    """
-    return unfold(state.amplitudes[None], state.dims, part.left_axes(state.num_subsystems))[0]
-
-
-def partial_trace(state: PureState, keep: int) -> np.ndarray:
-    """Reduced density matrix of subsystem ``keep`` (1-based label), as a
-    read-only ``(n, n)`` complex128 array: Hermitian with unit trace.
-
-    Raises
-    ------
-    NotNormalizedError
-        Unless the squared norm is within ``DEFAULT_NORM_TOL`` of 1,
-        checked before anything is unfolded.
-    InvalidPartitionError
-        If ``keep`` is not an integer label in ``1..m``.
-    TooLargeError
-        If the marginal's ``n * n`` entries pass ``MAX_TOTAL_DIM``, the
-        largest state the constructor accepts; checked before anything
-        is unfolded.
-    """
-    validate(state)
-    keep = require_int(keep, InvalidPartitionError, "keep")
-    if not 1 <= keep <= state.num_subsystems:
-        raise InvalidPartitionError(
-            f"subsystem {keep} not in 1..{state.num_subsystems}"
-        )
-    n = state.dims[keep - 1]
-    if n * n > MAX_TOTAL_DIM:
-        raise TooLargeError(f"a {n} x {n} marginal exceeds the guard of {MAX_TOTAL_DIM} entries")
-    m = unfold(state.amplitudes[None], state.dims, [keep - 1])[0]
-    rho = m @ m.conj().T
-    rho.setflags(write=False)
-    return rho
-
-
-def purity(rho) -> float:
-    """``tr(rho^2)`` of a density matrix such as :func:`partial_trace`
-    returns, as the squared Frobenius norm of a Hermitian matrix.
-
-    Raises
-    ------
-    ValidationError
-        If ``rho`` is not a square matrix of finite numbers.
-    """
-    try:
-        rho = np.asarray(rho, dtype=np.complex128)
-    except (OverflowError, TypeError, ValueError):
-        raise ValidationError("purity needs a matrix of numbers") from None
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.isfinite(rho).all():
-        raise ValidationError(
-            f"purity needs a square matrix of finite numbers, got shape {rho.shape}"
-        )
-    return float(np.sum(np.abs(rho) ** 2))
 
 
 def enumerate_bipartitions(m: int) -> list[Bipartition]:

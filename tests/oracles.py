@@ -5,7 +5,8 @@ on numpy arrays: ``alt`` carries the 1/m! prefactor, so it is a
 projection, while ``wedge_pair`` deliberately does NOT divide by 2.
 With that convention the squared norm of the wedge of two qubit rows is
 twice the squared 2x2 determinant, which is what the concurrence
-normalization expects.
+normalization expects.  The unfolding and marginal oracles transpose
+``state.tensor`` themselves, apart from the library's ``states.unfold``.
 
 The single-trial path draws one invariance trial at a time: uniform
 doubles from ``Generator.random``, then the library's own Box-Muller,
@@ -20,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from entwedge import PureState, lu
+from entwedge import Bipartition, PureState, lu
 
 
 def signature(image) -> int:
@@ -81,6 +82,25 @@ def pair_qubit_term_sum(amps: np.ndarray) -> float:
     sum, so C is ``2 |a_00 a_11 - a_10 a_01|`` at norm constant 2."""
     det = amps[0] * amps[3] - amps[2] * amps[1]
     return 2.0 * (det.real * det.real + det.imag * det.imag)
+
+
+def matricize(state: PureState, part: Bipartition) -> np.ndarray:
+    """``state`` as a matrix across ``part``: rows over the left labels,
+    columns over the rest, each row-major in increasing label order."""
+    rows = math.prod(state.dims[j - 1] for j in part.left)
+    axes = [j - 1 for j in part.left + part.right]
+    return np.transpose(state.tensor, axes).reshape(rows, -1)
+
+
+def partial_trace(state: PureState, keep: int) -> np.ndarray:
+    """Reduced density matrix of subsystem ``keep`` (1-based label)."""
+    mat = np.moveaxis(state.tensor, keep - 1, 0).reshape(state.dims[keep - 1], -1)
+    return mat @ mat.conj().T
+
+
+def purity(rho: np.ndarray) -> float:
+    """``tr(rho^2)`` of a Hermitian ``rho``: its squared Frobenius norm."""
+    return float(np.sum(np.abs(rho) ** 2))
 
 
 def tripartite_term_sum(tensor: np.ndarray) -> float:

@@ -27,10 +27,8 @@ from entwedge import (
     load_state,
     multipartite_measure,
     parse_ket,
-    partial_trace,
     partition_residual,
     pretty,
-    purity,
     save_state,
     separability_report,
 )
@@ -48,6 +46,8 @@ from oracles import (
     alt,
     grid_norm_sq,
     pair_qubit_term_sum,
+    partial_trace,
+    purity,
     signature,
     tripartite_term_sum,
     wedge_pair,

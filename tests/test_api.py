@@ -19,14 +19,11 @@ PUBLIC_NAMES = [
     "invariance_experiment",
     "is_product_state",
     "load_state",
-    "matricize",
     "multipartite_measure",
     "normalize",
     "parse_ket",
-    "partial_trace",
     "partition_residual",
     "pretty",
-    "purity",
     "save_state",
     "separability_report",
     "trial_rng",

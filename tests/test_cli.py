@@ -193,6 +193,12 @@ class TestParse:
         assert lines[2] == f"amp |0,0>: re={root_half} im=0.0"
         assert lines[3] == f"amp |1,1>: re={root_half} im=0.0"
 
+    def test_leading_minus_joined_to_its_flag(self, capsys):
+        # as a separate argument argparse would read '-|0>+|1>' as an option
+        code, out, _ = run_cli(capsys, "parse", "--expr=-|0>+|1>")
+        assert code == 0
+        assert out.splitlines()[0] == "expression: -|0> + |1>"
+
     def test_only_nonzero_amplitudes(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "--expr", "0.6 |0> + 0.8 i |2>")
         assert code == 0

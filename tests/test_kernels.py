@@ -13,7 +13,6 @@ import pytest
 from entwedge import (
     Bipartition,
     enumerate_bipartitions,
-    matricize,
     multipartite_measure,
     separability_report,
 )
@@ -22,7 +21,7 @@ from entwedge.errors import TooLargeError
 from entwedge.measures import MeasureKind, measure_rows
 from entwedge.states import unfold
 from conftest import random_state
-from oracles import brute_minor_sum, brute_swap_sum, grid_norm_sq, wedge_pair
+from oracles import brute_minor_sum, brute_swap_sum, grid_norm_sq, matricize, wedge_pair
 
 
 class TestNumpyBackend:

@@ -21,15 +21,13 @@ from entwedge import (
     invariance_experiment,
     multipartite_measure,
     normalize,
-    partial_trace,
-    purity,
     trial_rng,
 )
 import entwedge
 from entwedge import lu, states
 from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
 from conftest import bell_state, ghz_state, random_state
-from oracles import apply_local, haar_unitary, standard_normals
+from oracles import apply_local, haar_unitary, partial_trace, purity, standard_normals
 
 
 class TestStandardNormals:

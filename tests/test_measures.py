@@ -17,9 +17,7 @@ from entwedge import (
     multipartite_measure,
     normalize,
     parse_ket,
-    partial_trace,
     partition_residual,
-    purity,
 )
 from entwedge import _kernels
 from entwedge.measures import _values, measure_rows
@@ -38,7 +36,14 @@ from conftest import (
     random_state,
     w3_state,
 )
-from oracles import brute_minor_sum, brute_swap_sum, pair_qubit_term_sum, tripartite_term_sum
+from oracles import (
+    brute_minor_sum,
+    brute_swap_sum,
+    pair_qubit_term_sum,
+    partial_trace,
+    purity,
+    tripartite_term_sum,
+)
 
 SQRT6 = math.sqrt(6.0)
 W3_VALUE = 4.0 / math.sqrt(3.0)

@@ -24,8 +24,6 @@ from entwedge import (
     is_product_state,
     load_state,
     normalize,
-    partial_trace,
-    purity,
     separability_report,
     trial_rng,
     validate,
@@ -114,17 +112,6 @@ def test_amplitudes(value, count, data):
             normalize(PureState((count,), amps))
 
 
-@settings(max_examples=100, deadline=None)
-@given(value=NON_FINITE, pos=st.integers(0, 3), imaginary=st.booleans())
-def test_purity_entries(value, pos, imaginary):
-    # a NaN fails every comparison, so only an explicit finiteness check
-    # keeps purity from returning nan
-    entries = [0.5, 0.0, 0.0, 0.5]
-    entries[pos] = complex(0.0, value) if imaginary and isinstance(value, float) else value
-    with pytest.raises(ValidationError):
-        purity([entries[:2], entries[2:]])
-
-
 # Each place the library turns a caller's value into an integer, with
 # the error class that place raises for a bad value.
 INTEGER_SITES = {
@@ -138,7 +125,6 @@ INTEGER_SITES = {
     "invariance.seed": (
         lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
     ),
-    "partial_trace.keep": (lambda v: partial_trace(bell_state(), v), InvalidPartitionError),
     "enumerate_bipartitions": (enumerate_bipartitions, InvalidPartitionError),
 }
 

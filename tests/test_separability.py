@@ -15,12 +15,9 @@ from entwedge import (
     Bipartition,
     PureState,
     is_product_state,
-    matricize,
     multipartite_measure,
     normalize,
-    partial_trace,
     partition_residual,
-    purity,
     separability_report,
 )
 from entwedge.errors import (
@@ -40,6 +37,7 @@ from conftest import (
     random_state,
     w3_state,
 )
+from oracles import matricize, partial_trace, purity
 
 # |0,0>: every residual is exactly 0
 PRODUCT = PureState((2, 2), [1, 0, 0, 0])
@@ -154,6 +152,21 @@ class TestReport:
         want = [(1, 0), (0, 1), (1, 0), (0, 1)]
         for factor, target in zip(report.certificate, want):
             np.testing.assert_allclose(factor, target, atol=1e-12)
+
+    def test_certificate_phase_is_fixed_on_the_first_tied_component(self):
+        # both factors of (|0> + i|1>)(|0> - |1>) / 2 have two components
+        # of equal modulus; whatever the global phase, each factor is
+        # made real on component 0
+        product = np.kron([1, 1j], [1, -1]) / 2
+        certificates = []
+        for theta in (0.0, 0.3, 1.1, 2.0, 2.9):
+            report = separability_report(PureState((2, 2), product * np.exp(1j * theta)))
+            for factor in report.certificate:
+                assert abs(factor[0].imag) <= 1e-15 and factor[0].real >= 0
+            certificates.append(report.certificate)
+        for certificate in certificates[1:]:
+            for factor, first in zip(certificate, certificates[0]):
+                np.testing.assert_allclose(factor, first, rtol=0, atol=1e-15)
 
     def test_bell_x_bell_table(self):
         report = separability_report(bell_x_bell_state())
