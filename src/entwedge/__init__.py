@@ -11,8 +11,6 @@ from .measures import (
 from .separability import (
     PartitionVerdict,
     SeparabilityReport,
-    is_product_state,
-    partition_residual,
     separability_report,
 )
 from .statefile import load_state, save_state
@@ -39,12 +37,10 @@ __all__ = [
     "enumerate_bipartitions",
     "evaluate",
     "invariance_experiment",
-    "is_product_state",
     "load_state",
     "multipartite_measure",
     "normalize",
     "parse_ket",
-    "partition_residual",
     "pretty",
     "save_state",
     "separability_report",

@@ -16,9 +16,10 @@ price for the splits :func:`_splits` names, validation, term sum,
 result), and the invariance experiment reads it directly for each chunk
 of rotated states.
 
-``norm_constant`` is the measures' one setting: positive and finite, 2
-by default, and reported back in every result.  Input is refused unless
-its squared norm is within ``DEFAULT_NORM_TOL`` of 1.
+``norm_constant`` is the measures' one setting: positive, at most
+``MAX_NORM_CONSTANT``, 2 by default, and reported back in every
+result.  Input is refused unless its squared norm is within
+``DEFAULT_NORM_TOL`` of 1.
 
 For a normalized two-qubit state with ``norm_constant = 2`` the
 bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
@@ -31,6 +32,7 @@ E's doubling on two subsystems is ``norm_constant = 8``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +41,10 @@ import numpy as np
 from . import _kernels
 from .errors import WrongArityError, WrongDimsError
 from .states import PureState, is_finite, validate
+
+# Every term sum is below 16, at most 2m residuals each below 1 with m at
+# most 8, so a norm_constant up to this keeps every value finite.
+MAX_NORM_CONSTANT = sys.float_info.max / 16
 
 
 class MeasureKind(Enum):
@@ -104,10 +110,13 @@ def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> Measu
     ``norm_constant``, the wrong arity, a kernel price past the measure
     guard and an unnormalized state."""
     # zero would read every state as a product, a negative prefactor fails
-    # in sqrt and a non-finite one gives nan or inf; float() keeps the
-    # reported constant a plain float
-    if not is_finite(norm_constant) or norm_constant <= 0:
-        raise WrongDimsError(f"norm_constant must be positive and finite, got {norm_constant!r}")
+    # in sqrt and a non-finite or larger one gives nan or inf; float()
+    # keeps the reported constant a plain float
+    if not is_finite(norm_constant) or not 0 < norm_constant <= MAX_NORM_CONSTANT:
+        raise WrongDimsError(
+            f"norm_constant must be positive and at most {MAX_NORM_CONSTANT!r}, "
+            f"got {norm_constant!r}"
+        )
     norm_constant = float(norm_constant)
     m = state.num_subsystems
     if kind is MeasureKind.BIPARTITE_CONCURRENCE and m != 2:
@@ -134,12 +143,12 @@ def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> Measu
     state : PureState
         Two-subsystem state; refused otherwise.
     norm_constant : float
-        Prefactor under the square root, positive and finite.
+        Prefactor under the square root, positive, at most ``MAX_NORM_CONSTANT``.
 
     Raises
     ------
     WrongDimsError
-        If ``norm_constant`` is not positive and finite.
+        If ``norm_constant`` is not positive or passes ``MAX_NORM_CONSTANT``.
     WrongArityError
         If the state does not have exactly two subsystems.
     TooLargeError
@@ -167,12 +176,12 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
     state : PureState
         At least two subsystems.
     norm_constant : float
-        Prefactor under the square root, positive and finite.
+        Prefactor under the square root, positive, at most ``MAX_NORM_CONSTANT``.
 
     Raises
     ------
     WrongDimsError
-        If ``norm_constant`` is not positive and finite.
+        If ``norm_constant`` is not positive or passes ``MAX_NORM_CONSTANT``.
     WrongArityError
         On fewer than two subsystems.
     TooLargeError

@@ -6,7 +6,9 @@ vanishes.  The residual is the sum of all squared minor moduli (each
 counted twice), read for all splits at once from
 :func:`entwedge._kernels.split_residuals`; it equals ``1 - purity`` of
 either side's reduced density matrix, which the tests verify as an
-independent route.
+independent route.  :func:`separability_report` is the one entry point:
+its ``per_partition`` holds every split's residual and verdict, and its
+``fully_separable`` is the product-state verdict.
 
 For a fully separable state the per-subsystem factors are recovered as
 the top left singular vectors of the single-subsystem unfoldings, and
@@ -27,8 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .measures import _splits
-from .states import Bipartition, PureState, enumerate_bipartitions, is_finite, unfold, validate
+from .states import PureState, enumerate_bipartitions, is_finite, unfold, validate
 
 DEFAULT_THRESHOLD = 1e-10
 
@@ -65,48 +66,6 @@ class SeparabilityReport:
     genuinely_entangled: bool
 
 
-def _residuals(state: PureState, splits) -> dict:
-    """``{key: residual}`` for the ``{key: 0-based left slots}`` that
-    ``splits(m)`` names.  The splits are read first, since the size
-    guard prices them; then the guard and validation run."""
-    lefts = splits(state.num_subsystems)
-    _kernels.check_split_work(state.dims, lefts.values())
-    validate(state)
-    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, list(lefts.values()))
-    return dict(zip(lefts, residuals[0].tolist()))
-
-
-def partition_residual(state: PureState, part: Bipartition) -> float:
-    """Sum of squared 2x2 minor moduli of the split's matricization.
-
-    Zero exactly when the state factors across the split; equals
-    ``1 - purity`` of either side's marginal for normalized input.  Reads
-    the split's canonical side, as :func:`separability_report` does, so
-    both sides of a split give the same bits.  Refuses a split whose
-    minor sum passes the measure guard, like the measures.
-    """
-    return _residuals(state, lambda m: {part: part.canonical().left_axes(m)})[part]
-
-
-def _as_threshold(threshold: float) -> float:
-    # NaN or inf would decide every split, and a negative threshold would
-    # call a product state entangled; float() keeps verdicts plain bools
-    if not is_finite(threshold) or threshold < 0:
-        raise ValidationError(f"threshold must be finite and nonnegative, got {threshold!r}")
-    return float(threshold)
-
-
-def is_product_state(state: PureState, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True when every single-subsystem split passes the threshold.
-
-    On two subsystems split {2} is split {1} from the other side, so one
-    is read; one subsystem unfolds to a single column, whose residual is
-    0, so it is a product."""
-    threshold = _as_threshold(threshold)
-    residuals = _residuals(state, lambda m: {left[0]: left for left in _splits(m)})
-    return all(r <= threshold for r in residuals.values())
-
-
 def separability_report(
     state: PureState, threshold: float = DEFAULT_THRESHOLD
 ) -> SeparabilityReport:
@@ -120,18 +79,21 @@ def separability_report(
     kernel's work on all splits passes the measure guard raise
     :class:`TooLargeError` before validation.
     """
-    threshold = _as_threshold(threshold)
-    residuals = _residuals(
-        state,
-        lambda m: {part: part.left_axes(m) for part in enumerate_bipartitions(m)},
-    )
+    # NaN or inf would decide every split, and a negative threshold would
+    # call a product state entangled; float() keeps verdicts plain bools
+    if not is_finite(threshold) or threshold < 0:
+        raise ValidationError(f"threshold must be finite and nonnegative, got {threshold!r}")
+    threshold = float(threshold)
     m = state.num_subsystems
-    per = {part: PartitionVerdict(r, r <= threshold) for part, r in residuals.items()}
-    # Singleton splits decide full separability; on two subsystems the
-    # {2} split canonicalizes to {1}, so look keys up in canonical form.
-    fully = all(
-        per[Bipartition((j,), m).canonical()].separable for j in range(1, m + 1)
-    )
+    parts = enumerate_bipartitions(m)
+    lefts = [part.left_axes(m) for part in parts]
+    _kernels.check_split_work(state.dims, lefts)
+    validate(state)
+    residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0].tolist()
+    per = {part: PartitionVerdict(r, r <= threshold) for part, r in zip(parts, residuals)}
+    # The singleton splits decide full separability; on two subsystems
+    # {2} is {1} seen from the other side, so only {1} is enumerated.
+    fully = all(verdict.separable for part, verdict in per.items() if len(part.left) == 1)
     certificate = None
     error = None
     if fully:

@@ -63,7 +63,10 @@ def check_size_guards(dims) -> None:
 def is_finite(value) -> bool:
     """True for a finite real number.  An integer past the float range
     counts as infinite, and a non-real value as not finite, where
-    ``math.isfinite`` would raise on either."""
+    ``math.isfinite`` would raise on either; a bool, which it reads as 0
+    or 1, is not a number here."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(value)
     except (OverflowError, TypeError):
@@ -136,7 +139,27 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
+
+
+def _scaled(amplitudes: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x, e)``: the flat complex ``amplitudes`` times ``2**-e``, which
+    is exact, with ``e`` putting the largest real or imaginary part in
+    [0.5, 1), so the squared norm of ``x``, from 1/4 to twice its length,
+    neither overflows nor underflows.  ``e`` is 0 when every amplitude
+    is zero or one is not finite."""
+    parts = np.ascontiguousarray(amplitudes).view(np.float64)
+    exponent = int(np.frexp(np.max(np.abs(parts)))[1])
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """The 2-norm of flat complex ``amplitudes``, taken on them
+    :func:`_scaled`, so it holds the digits of one as small as 1e-200;
+    ``inf`` past the float range."""
+    scaled, exponent = _scaled(amplitudes)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled), exponent))
 
 
 def sparse_state(dims, entries) -> PureState:
@@ -225,32 +248,39 @@ def check_unit_norms(rows: np.ndarray) -> None:
     over the stack.
 
     The first failing row raises :class:`NotNormalizedError` with its
-    norm.
+    norm, computed scaled, so an amplitude whose square overflows or
+    underflows is named at its size.
     """
-    sq = np.sum(np.abs(rows) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # inf fails the check like any misfit
+        sq = np.sum(np.abs(rows) ** 2, axis=1)
     # written as "not <=" because every comparison with NaN is False
     bad = np.flatnonzero(~(np.abs(sq - 1.0) <= DEFAULT_NORM_TOL))
     if bad.size:
-        raise NotNormalizedError(math.sqrt(sq[bad[0]]), DEFAULT_NORM_TOL)
+        raise NotNormalizedError(_norm(rows[bad[0]]), DEFAULT_NORM_TOL)
 
 
 def normalize(state: PureState) -> PureState:
     """Return the state scaled to unit norm.
+
+    The amplitudes are first scaled by an exact power of two that brings
+    the largest part near 1, so a state as small as 1e-200 or as large
+    as 1e200 normalizes.  Where computing ``|a|`` neither overflows nor
+    underflows, the result is bitwise ``a / |a|``.
 
     Raises
     ------
     ZeroStateError
         If every amplitude is zero.
     ValidationError
-        If the norm is not finite (a NaN or infinite amplitude, or an
-        overflow).
+        If the norm is not finite (a NaN or infinite amplitude).
     """
-    nrm = state.norm()
+    scaled, _ = _scaled(state.amplitudes)
+    nrm = float(np.linalg.norm(scaled))
     if nrm == 0.0:
         raise ZeroStateError("cannot normalize the zero vector")
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot normalize a state of norm {nrm!r}")
-    return PureState(state.dims, state.amplitudes / nrm)
+    return PureState(state.dims, scaled / nrm)
 
 
 def unfold(rows: np.ndarray, dims, left_axes) -> np.ndarray:

@@ -23,11 +23,9 @@ from entwedge import (
     bipartite_concurrence,
     enumerate_bipartitions,
     invariance_experiment,
-    is_product_state,
     load_state,
     multipartite_measure,
     parse_ket,
-    partition_residual,
     pretty,
     save_state,
     separability_report,
@@ -180,7 +178,7 @@ def test_criterion_06_measure_separates_products_from_entangled():
     for k in range(500):
         state = random_product_state(rng, dims_pool[k % len(dims_pool)])
         product_worst = max(product_worst, multipartite_measure(state).value)
-        product_flags = product_flags and is_product_state(state)
+        product_flags = product_flags and separability_report(state).fully_separable
     entangled_least = math.inf
     entangled_flags = True
     for k in range(500):
@@ -189,7 +187,7 @@ def test_criterion_06_measure_separates_products_from_entangled():
         while _singleton_impurity(state) < 1e-3:
             state = random_state(rng, dims)
         entangled_least = min(entangled_least, multipartite_measure(state).value)
-        entangled_flags = entangled_flags and not is_product_state(state)
+        entangled_flags = entangled_flags and not separability_report(state).fully_separable
     ok = (
         product_worst <= 1e-10
         and product_flags

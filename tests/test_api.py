@@ -17,12 +17,10 @@ PUBLIC_NAMES = [
     "enumerate_bipartitions",
     "evaluate",
     "invariance_experiment",
-    "is_product_state",
     "load_state",
     "multipartite_measure",
     "normalize",
     "parse_ket",
-    "partition_residual",
     "pretty",
     "save_state",
     "separability_report",

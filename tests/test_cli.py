@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import entwedge
-from entwedge import save_state
+from entwedge import lu, save_state
 from entwedge.cli import cli_main
 from conftest import HOSTILE_STATE_FILES, bell_state, random_state
 
@@ -456,6 +456,30 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "expected a finite number" in err
+
+    @pytest.mark.parametrize(
+        "bad", ["1e308", repr(sys.float_info.max), repr(sys.float_info.max / 3.0000000000000013)]
+    )
+    @pytest.mark.parametrize("command", ["measure", "invariance"])
+    def test_norm_constant_that_overflows_the_value_is_two(self, capsys, monkeypatch, command, bad):
+        # GHZ3's term sum is 3.0000000000000013, so the last constant
+        # leaves its value just finite; all are refused before any trial
+        monkeypatch.setattr(lu, "_chunk_normals", None)
+        code, out, err = run_cli(capsys, command, "--expr", GHZ3_EXPR, "--norm-constant", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: norm_constant must be positive and at most ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [("1" + "0" * 200, "1e+200"), ("0." + "0" * 199 + "1", "1e-200")],
+        ids=["1e+200", "1e-200"],
+    )
+    def test_norm_is_named_at_its_size(self, capsys, scale, shown):
+        # the squared norm overflows or underflows; the message scales
+        code, out, err = run_cli(capsys, "measure", "--expr", f"{scale} |0,0>")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: state norm is {shown}, not 1 within 1e-09"]
 
     def test_overflowing_amplitude_is_two(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--expr", "1" + "0" * 400 + " |0,0> + |1,1>")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,10 @@ from entwedge import (
     multipartite_measure,
     normalize,
     parse_ket,
-    partition_residual,
+    separability_report,
 )
 from entwedge import _kernels
-from entwedge.measures import _values, measure_rows
+from entwedge.measures import MAX_NORM_CONSTANT, _values, measure_rows
 from entwedge.states import unfold
 from entwedge.errors import (
     NotNormalizedError,
@@ -291,7 +292,8 @@ class TestNearProductExact:
         e = Fraction(1, 10**k)
         exact = 2 * e**2 / (1 + e**2) ** 2
         for j in range(1, m + 1):
-            residual = partition_residual(state, Bipartition((j,), m))
+            part = Bipartition((j,), m).canonical()
+            residual = separability_report(state).per_partition[part].residual
             assert self._rel(residual, exact) <= self.REL
         assert self._rel(multipartite_measure(state).term_sum, 2 * m * exact) <= self.REL
         if m == 2:
@@ -339,3 +341,14 @@ class TestConfig:
             for bad in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(WrongDimsError, match="norm_constant must be positive"):
                     measure(state, norm_constant=bad)
+
+    def test_norm_constant_that_could_overflow_is_refused(self):
+        # term sums stay below 16, so the largest accepted constant keeps
+        # GHZ3's value finite; GHZ3's term sum is 3.0000000000000013, so
+        # the last refused constant would leave it just finite too
+        state = ghz_state(3)
+        assert math.isfinite(multipartite_measure(state, norm_constant=MAX_NORM_CONSTANT).value)
+        for bad in (1e308, sys.float_info.max, sys.float_info.max / 3.0000000000000013,
+                    math.nextafter(MAX_NORM_CONSTANT, math.inf)):
+            with pytest.raises(WrongDimsError, match="at most"):
+                multipartite_measure(state, norm_constant=bad)

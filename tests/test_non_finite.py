@@ -21,7 +21,6 @@ from entwedge import (
     bipartite_concurrence,
     enumerate_bipartitions,
     invariance_experiment,
-    is_product_state,
     load_state,
     normalize,
     separability_report,
@@ -88,8 +87,6 @@ def test_measure_config(value):
 def test_separability_threshold(value):
     with pytest.raises(ValidationError):
         separability_report(bell_state(), threshold=value)
-    with pytest.raises(ValidationError):
-        is_product_state(bell_state(), threshold=value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,11 +145,18 @@ def test_numpy_integers_are_accepted():
     assert type(run.seed) is int
 
 
-@pytest.mark.parametrize("value", ["1e-3", 1j, None], ids=repr)
+@pytest.mark.parametrize("value", ["1e-3", 1j, None, True, False], ids=repr)
 def test_non_real_numbers_are_refused(value):
     with pytest.raises(ValidationError):
         separability_report(bell_state(), threshold=value)
-    with pytest.raises(ValidationError):
-        is_product_state(bell_state(), threshold=value)
     with pytest.raises(WrongDimsError):
         bipartite_concurrence(bell_state(), norm_constant=value)
+
+
+def test_numpy_bools_are_refused():
+    # read as 0 or 1 they would pass as numbers, like Python's bools
+    for value in (np.True_, np.False_):
+        with pytest.raises(ValidationError):
+            separability_report(bell_state(), threshold=value)
+        with pytest.raises(WrongDimsError):
+            bipartite_concurrence(bell_state(), norm_constant=value)

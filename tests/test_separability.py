@@ -14,10 +14,9 @@ import pytest
 from entwedge import (
     Bipartition,
     PureState,
-    is_product_state,
+    bipartite_concurrence,
     multipartite_measure,
     normalize,
-    partition_residual,
     separability_report,
 )
 from entwedge.errors import (
@@ -43,6 +42,11 @@ from oracles import matricize, partial_trace, purity
 PRODUCT = PureState((2, 2), [1, 0, 0, 0])
 
 
+def residual(state: PureState, part: Bipartition) -> float:
+    """The split's residual as the report gives it, keyed by its canonical side."""
+    return separability_report(state).per_partition[part.canonical()].residual
+
+
 def svd_residual(state: PureState, part: Bipartition) -> float:
     """Independent route: 1 - sum of fourth powers of singular values."""
     sigma = np.linalg.svd(matricize(state, part), compute_uv=False)
@@ -50,77 +54,74 @@ def svd_residual(state: PureState, part: Bipartition) -> float:
 
 
 class TestPartitionResidual:
+    """Split residuals, as the report's ``per_partition`` gives them."""
+
     def test_bell_times_zero(self):
         state = bell_x_zero_state()
-        assert partition_residual(state, Bipartition((3,), 3)) <= 1e-15
-        assert partition_residual(state, Bipartition((1,), 3)) == pytest.approx(
-            0.5, abs=1e-12
-        )
-        assert partition_residual(state, Bipartition((2,), 3)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert residual(state, Bipartition((3,), 3)) <= 1e-15
+        assert residual(state, Bipartition((1,), 3)) == pytest.approx(0.5, abs=1e-12)
+        assert residual(state, Bipartition((2,), 3)) == pytest.approx(0.5, abs=1e-12)
 
     def test_ghz4_half_everywhere(self):
         state = ghz_state(4)
         for left in [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4)]:
-            residual = partition_residual(state, Bipartition(left, 4))
-            assert residual == pytest.approx(0.5, abs=1e-12)
+            assert residual(state, Bipartition(left, 4)) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_svd_route(self, rng):
         state = random_state(rng, (2, 3, 2))
         for left in [(1,), (2,), (3,)]:
             part = Bipartition(left, 3)
-            assert partition_residual(state, part) == pytest.approx(
-                svd_residual(state, part), abs=1e-9
-            )
+            assert residual(state, part) == pytest.approx(svd_residual(state, part), abs=1e-9)
 
     def test_matches_purity_route(self, rng):
         state = random_state(rng, (2, 2, 3))
         for j in (1, 2, 3):
-            got = partition_residual(state, Bipartition((j,), 3))
+            got = residual(state, Bipartition((j,), 3))
             want = 1.0 - purity(partial_trace(state, j))
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_complement_symmetry(self, rng):
+        # the report keys a split by one side; the other side's
+        # matricization, its transpose, has the same residual
         state = random_state(rng, (2, 2, 2, 2))
         for left in [(1,), (1, 2), (1, 3), (2,)]:
             part = Bipartition(left, 4)
             comp = Bipartition(part.right, 4)
-            assert partition_residual(state, part) == partition_residual(state, comp)
+            assert residual(state, part) == pytest.approx(svd_residual(state, comp), abs=1e-9)
 
     def test_either_side_of_a_square_split_gives_the_report_bits(self, rng):
         # on square dims the two sides unfold to transposed matrices,
-        # which the kernel would sum in different orders; both sides read
-        # the canonical one, as the report does
+        # which the kernel would sum in different orders; the report and
+        # the concurrence both read split {1}, so they give the same bits
         for _ in range(20):
             state = random_state(rng, (16, 16))
-            first = partition_residual(state, Bipartition((1,), 2))
-            second = partition_residual(state, Bipartition((2,), 2))
             report = separability_report(state).per_partition[Bipartition((1,), 2)]
-            assert first.hex() == second.hex() == report.residual.hex()
+            assert bipartite_concurrence(state).term_sum.hex() == report.residual.hex()
 
     def test_product_state_vanishes(self, rng):
         state = random_product_state(rng, (3, 2, 2))
         for left in [(1,), (2,), (3,)]:
-            assert partition_residual(state, Bipartition(left, 3)) <= 1e-12
+            assert residual(state, Bipartition(left, 3)) <= 1e-12
 
     def test_requires_normalized(self):
         amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128)
         with pytest.raises(NotNormalizedError):
-            partition_residual(PureState((2, 2), amps), Bipartition((1,), 2))
+            separability_report(PureState((2, 2), amps))
 
     def test_partition_of_other_arity(self):
         with pytest.raises(InvalidPartitionError, match="partition of 3 subsystems applied to 2"):
-            partition_residual(bell_state(), Bipartition((1,), 3))
+            Bipartition((1,), 3).left_axes(2)
 
 
 class TestIsProductState:
+    """The product-state verdict, the report's ``fully_separable``."""
+
     def test_product_true(self, rng):
-        assert is_product_state(random_product_state(rng, (2, 3, 2)))
+        assert separability_report(random_product_state(rng, (2, 3, 2))).fully_separable
 
     def test_entangled_false(self):
-        assert not is_product_state(bell_state())
-        assert not is_product_state(bell_x_zero_state())
+        assert not separability_report(bell_state()).fully_separable
+        assert not separability_report(bell_x_zero_state()).fully_separable
 
     @pytest.mark.parametrize("dims", [(3, 3), (16, 16)])
     def test_two_subsystems_read_one_split(self, rng, dims):
@@ -128,18 +129,15 @@ class TestIsProductState:
         # product, whichever order split {2}'s transpose would be summed in
         for _ in range(10):
             state = random_state(rng, dims)
-            residual = partition_residual(state, Bipartition((1,), 2))
-            assert is_product_state(state, threshold=residual)
-            assert not is_product_state(state, threshold=math.nextafter(residual, 0.0))
-
-    def test_single_subsystem(self):
-        single = PureState((3,), np.array([1, 0, 0], dtype=np.complex128))
-        assert is_product_state(single)
+            r = residual(state, Bipartition((1,), 2))
+            assert separability_report(state, threshold=r).fully_separable
+            below = math.nextafter(r, 0.0)
+            assert not separability_report(state, threshold=below).fully_separable
 
     def test_threshold_is_respected(self):
         # GHZ residuals are 0.5, so a huge threshold flips the verdict
-        assert not is_product_state(ghz_state(3))
-        assert is_product_state(ghz_state(3), threshold=0.6)
+        assert not separability_report(ghz_state(3)).fully_separable
+        assert separability_report(ghz_state(3), threshold=0.6).fully_separable
 
 
 class TestReport:
@@ -242,8 +240,6 @@ class TestReport:
     def test_non_finite_threshold_refused(self, bad):
         with pytest.raises(ValidationError):
             separability_report(bell_state(), threshold=bad)
-        with pytest.raises(ValidationError):
-            is_product_state(bell_state(), threshold=bad)
 
     @pytest.mark.parametrize("bad", [-1, -1e-300, np.float64(-0.5)])
     def test_negative_threshold_refused(self, bad):
@@ -251,12 +247,9 @@ class TestReport:
         # every split of a product state entangled
         with pytest.raises(ValidationError, match="nonnegative"):
             separability_report(PRODUCT, threshold=bad)
-        with pytest.raises(ValidationError, match="nonnegative"):
-            is_product_state(PRODUCT, threshold=bad)
 
     def test_negative_zero_threshold_accepted(self):
         assert separability_report(PRODUCT, threshold=-0.0).fully_separable
-        assert is_product_state(PRODUCT, threshold=-0.0)
 
     def test_threshold_recorded(self):
         report = separability_report(bell_state(), threshold=1e-6)
@@ -280,22 +273,9 @@ class TestSizeGuard:
     def oversized() -> PureState:
         return PureState((256, 256), np.zeros(256 * 256, dtype=np.complex128))
 
-    def test_partition_residual(self):
-        with pytest.raises(TooLargeError):
-            partition_residual(self.oversized(), Bipartition((1,), 2))
-
-    def test_is_product_state(self):
-        with pytest.raises(TooLargeError):
-            is_product_state(self.oversized())
-
     def test_separability_report(self):
         with pytest.raises(TooLargeError):
             separability_report(self.oversized())
-
-    def test_bad_split_is_named_before_the_price(self):
-        # the guard prices the splits, so they are read first
-        with pytest.raises(InvalidPartitionError):
-            partition_residual(self.oversized(), Bipartition((1,), 3))
 
     def test_certificate_adds_no_price(self):
         # (1, 4096) has no split with a kernel product; the certificate's
@@ -304,8 +284,6 @@ class TestSizeGuard:
         zeros = PureState((1, 4096), np.zeros(4096, dtype=np.complex128))
         with pytest.raises(NotNormalizedError):
             separability_report(zeros)
-        with pytest.raises(NotNormalizedError):
-            is_product_state(zeros)
         amps = np.zeros(4096, dtype=np.complex128)
         amps[4095] = 1.0
         assert separability_report(PureState((1, 4096), amps)).fully_separable
@@ -360,7 +338,7 @@ class TestValidateOnce:
     def test_is_product_state_validates_once(self, monkeypatch, rng):
         state = random_product_state(rng, (2, 3, 2, 2))
         calls = self.count_validate(monkeypatch)
-        assert is_product_state(state)
+        assert separability_report(state).fully_separable
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -369,11 +347,14 @@ class TestValidateOnce:
          (8, 8, 8), (2, 3, 4)],
     )
     def test_residuals_match_checked_route(self, rng, dims):
-        # bitwise the residual partition_residual computes, checks and all
+        # grouping the splits by shape changes no bits: each residual is
+        # what a kernel call on its split alone gives
         state = random_state(rng, dims)
         report = separability_report(state)
         for part, verdict in report.per_partition.items():
-            assert verdict.residual == partition_residual(state, part)
+            left = part.left_axes(len(dims))
+            alone = _kernels.split_residuals(state.amplitudes[None], dims, [left])
+            assert verdict.residual == alone[0, 0]
 
 
 class TestGrouping:
@@ -400,8 +381,10 @@ class TestGrouping:
     def test_is_product_state_groups_singletons(self, monkeypatch, rng):
         state = random_product_state(rng, (2, 3, 2, 2))
         shapes = self.count_kernel(monkeypatch)
-        assert is_product_state(state)
-        assert shapes == [(3, 2, 12), (1, 3, 8)]
+        assert separability_report(state).fully_separable
+        # singletons {1}, {3}, {4} share one shape and {2} has its own;
+        # so do pairs {1,3} and {1,4}, apart from {1,2}
+        assert shapes == [(3, 2, 12), (1, 3, 8), (1, 6, 4), (2, 4, 6)]
 
 
 class TestGenuinelyEntangled:
@@ -429,13 +412,13 @@ class TestMeasureConsistency:
         for dims in [(2, 2, 2), (2, 3, 2)]:
             product = random_product_state(rng, dims)
             assert multipartite_measure(product).value <= 1e-10
-            assert is_product_state(product)
+            assert separability_report(product).fully_separable
 
             entangled = random_state(rng, dims)
             while min(
-                partition_residual(entangled, Bipartition((j,), len(dims)))
+                residual(entangled, Bipartition((j,), len(dims)))
                 for j in range(1, len(dims) + 1)
             ) < 1e-3:
                 entangled = random_state(rng, dims)
             assert multipartite_measure(entangled).value > 1e-3
-            assert not is_product_state(entangled)
+            assert not separability_report(entangled).fully_separable

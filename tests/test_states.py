@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,34 @@ class TestPureState:
         state = random_state(rng, (3, 2, 2))
         again = normalize(PureState(state.dims, state.amplitudes * 7.3))
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "amps", [[1e-200, 0], [1e-160, 1e-160], [1e200, 0], [1e308, 1e308]], ids=repr
+    )
+    def test_normalize_where_squares_overflow_or_underflow(self, amps):
+        # the squares of these leave the float range or lose digits as
+        # subnormals; scaled by a power of two first, they normalize
+        state = normalize(PureState((2,), amps))
+        validate(state)
+        want = np.array(amps) / max(amps)
+        np.testing.assert_allclose(state.amplitudes, want / np.linalg.norm(want), rtol=1e-15)
+
+    def test_normalize_is_bitwise_the_plain_quotient(self, rng):
+        # a power-of-two scale is exact, so where nothing overflows or
+        # underflows the result is a / |a| to the bit
+        for _ in range(200):
+            n = int(rng.integers(1, 64))
+            a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-100, 100)
+            got = normalize(PureState((n,), a)).amplitudes
+            assert got.tobytes() == (a / np.linalg.norm(a)).tobytes()
+
+    @pytest.mark.parametrize("scale, shown", [(1e200, "1e+200"), (1e-200, "1e-200")])
+    def test_validate_names_the_norm_at_its_size(self, scale, shown):
+        # squared, 1e200 overflows with a warning, which the settings of
+        # this suite make an error, and 1e-200 underflows to 0
+        with pytest.raises(NotNormalizedError, match=re.escape(f"state norm is {shown},")) as info:
+            validate(PureState((2, 2), [scale, 0, 0, 0]))
+        assert info.value.norm == scale
 
 
 class TestMatricize:
