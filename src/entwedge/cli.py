@@ -7,9 +7,10 @@ identical invocations produce byte-identical output, so machine output
 can be diffed or hashed.  There is no environment-driven configuration
 here: everything that affects results arrives through flags.
 
-Exit codes: 0 on success, 1 for parse or syntax problems (expression
-text, state files), 2 for validation problems (normalization, arity,
-dimensions), 3 when a size guard refuses the computation.
+Exit codes: 0 on success, otherwise the ``exit_code`` of the error
+raised: 1 for parse or syntax problems (expression text, state files),
+2 for validation problems (normalization, arity, dimensions), 3 when a
+size guard refuses the computation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import ArityMismatchError, ParseError, TooLargeError, ValidationError
+from .errors import EntwedgeError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
 from .measures import _auto_measure
@@ -202,15 +203,9 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArityMismatchError) as exc:
+    except EntwedgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def main() -> None:

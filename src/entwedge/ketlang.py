@@ -40,12 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ArityMismatchError,
-    KetSyntaxError,
-    TooLargeError,
-    ValidationError,
-)
+from .errors import KetSyntaxError, ParseError, TooLargeError, ValidationError
 from .states import PureState, check_size_guards, sparse_state
 
 # Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
@@ -235,9 +230,7 @@ def _shape(node) -> tuple[tuple[int, ...], int, int, int]:
         shapes, terms, steps, bits = zip(*[_shape(term) for _, term in node.terms])
         arities = {len(dims) for dims in shapes}
         if len(arities) > 1:
-            raise ArityMismatchError(
-                f"summed terms have different slot counts: {sorted(arities)}"
-            )
+            raise ParseError(f"summed terms have different slot counts: {sorted(arities)}")
         total = sum(terms)
         return tuple(map(max, zip(*shapes))), total, total + sum(steps), max(bits) + 1
     raise TypeError(f"not a ket expression node: {node!r}")
@@ -262,10 +255,10 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         elif ch in _PUNCT:
             tokens.append((_PUNCT[ch], ch, col))
             pos += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             end = pos
             dots = 0
-            while end < len(text) and (text[end].isdigit() or text[end] == "."):
+            while end < len(text) and (text[end].isdecimal() or text[end] == "."):
                 dots += text[end] == "."
                 end += 1
             word = text[pos:end]
@@ -438,10 +431,9 @@ def parse_ket(text: str) -> KetExpr:
 
     Raises
     ------
-    KetSyntaxError
-        With a 1-based column on any syntax problem.
-    ArityMismatchError
-        When summed subexpressions carry different slot counts.
+    ParseError
+        On any syntax problem, as a :class:`KetSyntaxError` with a 1-based
+        column, or when summed subexpressions carry different slot counts.
     TooLargeError
         When a chain of divisions costs more than ``MAX_EXPANSION_BITS``
         atoms times bits.
@@ -567,7 +559,7 @@ def evaluate(expr: KetExpr) -> PureState:
 
     Raises
     ------
-    ArityMismatchError
+    ParseError
         If the expression has no kets.
     TooLargeError
         If the expression has more than ``MAX_SUBSYSTEMS`` slots, the
@@ -580,7 +572,7 @@ def evaluate(expr: KetExpr) -> PureState:
     node = expr.root if isinstance(expr, KetExpr) else expr
     dims, _, steps, bits = _shape(node)
     if not dims:
-        raise ArityMismatchError("expression has no kets, so there is no state")
+        raise ParseError("expression has no kets, so there is no state")
     check_size_guards(dims)
     if steps > MAX_EXPANSION:
         raise TooLargeError(f"expression takes more than {MAX_EXPANSION} steps to expand")

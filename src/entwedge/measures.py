@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import WrongArityError, WrongDimsError
+from .errors import ValidationError
 from .states import PureState, is_finite, validate
 
 # Every term sum is below 16, at most 2m residuals each below 1 with m at
@@ -113,16 +113,16 @@ def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> Measu
     # in sqrt and a non-finite or larger one gives nan or inf; float()
     # keeps the reported constant a plain float
     if not is_finite(norm_constant) or not 0 < norm_constant <= MAX_NORM_CONSTANT:
-        raise WrongDimsError(
+        raise ValidationError(
             f"norm_constant must be positive and at most {MAX_NORM_CONSTANT!r}, "
             f"got {norm_constant!r}"
         )
     norm_constant = float(norm_constant)
     m = state.num_subsystems
     if kind is MeasureKind.BIPARTITE_CONCURRENCE and m != 2:
-        raise WrongArityError(f"bipartite concurrence needs 2 subsystems, got {m}")
+        raise ValidationError(f"bipartite concurrence needs 2 subsystems, got {m}")
     if m < 2:
-        raise WrongArityError(f"multipartite measure needs at least 2 subsystems, got {m}")
+        raise ValidationError(f"multipartite measure needs at least 2 subsystems, got {m}")
     _kernels.check_split_work(state.dims, _splits(m))
     validate(state)
     term_sum = float(measure_rows(kind, state.amplitudes[None], state.dims)[0])
@@ -147,10 +147,10 @@ def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> Measu
 
     Raises
     ------
-    WrongDimsError
-        If ``norm_constant`` is not positive or passes ``MAX_NORM_CONSTANT``.
-    WrongArityError
-        If the state does not have exactly two subsystems.
+    ValidationError
+        If ``norm_constant`` is not positive or passes
+        ``MAX_NORM_CONSTANT``, or the state does not have exactly two
+        subsystems.
     TooLargeError
         If the minor sum takes more than ``_kernels.MAX_SPLIT_WORK``
         products, as on (212, 212) or (2, 31623).
@@ -180,10 +180,9 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
 
     Raises
     ------
-    WrongDimsError
-        If ``norm_constant`` is not positive or passes ``MAX_NORM_CONSTANT``.
-    WrongArityError
-        On fewer than two subsystems.
+    ValidationError
+        If ``norm_constant`` is not positive or passes
+        ``MAX_NORM_CONSTANT``, or on fewer than two subsystems.
     TooLargeError
         If the singleton minor sums take more than
         ``_kernels.MAX_SPLIT_WORK`` products.

@@ -74,10 +74,10 @@ def separability_report(
     Full separability is decided by the single-subsystem splits alone;
     when they all pass, the per-subsystem factors are extracted and the
     reconstruction is verified up to a global phase.  A non-finite or
-    negative threshold raises :class:`ValidationError`, and fewer than
-    two subsystems :class:`InvalidPartitionError`.  Dims on which the
-    kernel's work on all splits passes the measure guard raise
-    :class:`TooLargeError` before validation.
+    negative threshold, or fewer than two subsystems, raises
+    :class:`ValidationError`.  Dims on which the kernel's work on all
+    splits passes the measure guard raise :class:`TooLargeError` before
+    validation.
     """
     # NaN or inf would decide every split, and a negative threshold would
     # call a product state entangled; float() keeps verdicts plain bools

@@ -19,39 +19,39 @@ import json
 
 import numpy as np
 
-from .errors import IoError, SchemaError, ValidationError
+from .errors import ParseError, ValidationError
 from .states import PureState, check_size_guards, is_finite, require_int, sparse_state
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
+        raise ParseError(f"{where}: expected a number, got {value!r}")
     # Python's json reads NaN, Infinity, 1e999 (as inf) and integer
     # literals past the float range
     if not is_finite(value):
-        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _parse_document(doc) -> PureState:
     if not isinstance(doc, dict):
-        raise SchemaError(f"top level: expected an object, got {type(doc).__name__}")
+        raise ParseError(f"top level: expected an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {"dims", "amplitudes"})
     if unknown:
-        raise SchemaError(f"top level: unknown field {unknown[0]!r}")
+        raise ParseError(f"top level: unknown field {unknown[0]!r}")
     for key in ("dims", "amplitudes"):
         if key not in doc:
-            raise SchemaError(f"top level: missing field {key!r}")
+            raise ParseError(f"top level: missing field {key!r}")
     if not isinstance(doc["dims"], list) or not doc["dims"]:
-        raise SchemaError("dims: expected a nonempty list")
+        raise ParseError("dims: expected a nonempty list")
     dims = []
     for pos, raw in enumerate(doc["dims"]):
-        n = require_int(raw, SchemaError, f"dims[{pos}]")
+        n = require_int(raw, ParseError, f"dims[{pos}]")
         if n < 1:
-            raise SchemaError(f"dims[{pos}]: must be at least 1, got {n}")
+            raise ParseError(f"dims[{pos}]: must be at least 1, got {n}")
         dims.append(n)
     if not isinstance(doc["amplitudes"], list):
-        raise SchemaError("amplitudes: expected a list")
+        raise ParseError("amplitudes: expected a list")
     # Same guards the state itself enforces, applied before anything is
     # allocated, so a hostile document cannot ask for a giant buffer.
     check_size_guards(dims)
@@ -60,28 +60,28 @@ def _parse_document(doc) -> PureState:
     for pos, raw in enumerate(doc["amplitudes"]):
         where = f"amplitudes[{pos}]"
         if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
+            raise ParseError(f"{where}: expected an object")
         unknown = sorted(set(raw) - {"idx", "re", "im"})
         if unknown:
-            raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
+            raise ParseError(f"{where}: unknown field {unknown[0]!r}")
         for key in ("idx", "re", "im"):
             if key not in raw:
-                raise SchemaError(f"{where}: missing field {key!r}")
+                raise ParseError(f"{where}: missing field {key!r}")
         if not isinstance(raw["idx"], list):
-            raise SchemaError(f"{where}.idx: expected a list")
+            raise ParseError(f"{where}.idx: expected a list")
         if len(raw["idx"]) != len(dims):
-            raise SchemaError(
+            raise ParseError(
                 f"{where}.idx: has {len(raw['idx'])} entries for {len(dims)} dims"
             )
         for slot, value in enumerate(raw["idx"]):
-            x = require_int(value, SchemaError, f"{where}.idx[{slot}]")
+            x = require_int(value, ParseError, f"{where}.idx[{slot}]")
             if not 0 <= x < dims[slot]:
-                raise SchemaError(
+                raise ParseError(
                     f"{where}.idx[{slot}]: index {x} out of range for dim {dims[slot]}"
                 )
         idx = tuple(raw["idx"])
         if idx in entries:
-            raise SchemaError(f"{where}.idx: duplicate multi-index {raw['idx']}")
+            raise ParseError(f"{where}.idx: duplicate multi-index {raw['idx']}")
         re = _require_number(raw["re"], f"{where}.re")
         im = _require_number(raw["im"], f"{where}.im")
         entries[idx] = complex(re, im)
@@ -93,24 +93,24 @@ def load_state(path: str) -> PureState:
 
     Raises
     ------
-    IoError
-        If the file cannot be read.
-    SchemaError
-        If the content is not UTF-8 JSON that Python can read (nesting
-        and integer digits are bounded) or violates the schema; the
-        message names the offending field.
+    ParseError
+        If the file cannot be read, or its content is not UTF-8 JSON that
+        Python can read (nesting and integer digits are bounded) or
+        violates the schema; the message names the offending field.
+    TooLargeError
+        If the dims pass a size guard, before anything is allocated.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+        raise ParseError(f"not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, an integer past Python's digit limit
         # or arrays nested past the interpreter's stack
-        raise SchemaError(f"cannot read as JSON: {exc}") from exc
+        raise ParseError(f"cannot read as JSON: {exc}") from exc
     return _parse_document(doc)
 
 
@@ -123,7 +123,7 @@ def save_state(state: PureState, path: str) -> None:
         If an amplitude is not finite, before ``path`` is opened: JSON
         has no finite spelling for it, and :func:`load_state` refuses
         the token that would be written.
-    IoError
+    ParseError
         If the file cannot be written.
     """
     if not np.isfinite(state.amplitudes).all():
@@ -139,4 +139,4 @@ def save_state(state: PureState, path: str) -> None:
             json.dump(doc, handle, indent=1)
             handle.write("\n")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise ParseError(f"cannot write {path}: {exc}") from exc

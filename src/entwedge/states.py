@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidPartitionError,
-    LengthMismatchError,
-    NotNormalizedError,
-    TooLargeError,
-    ValidationError,
-    ZeroStateError,
-)
+from .errors import NotNormalizedError, TooLargeError, ValidationError
 
 # Desk-scale guards: beyond either bound the dense representation stops
 # being a sensible tool, so constructing the state fails loudly.
@@ -58,6 +51,17 @@ def check_size_guards(dims) -> None:
         except ValueError:  # past the digits str() prints
             shown = f"of {total.bit_length()} bits"
         raise TooLargeError(f"total dimension {shown} exceeds the guard of {MAX_TOTAL_DIM}")
+
+
+def _subsystem_count(value, where: str) -> int:
+    """``value`` as the subsystem count of a bipartition: an integer
+    from 2 to ``MAX_SUBSYSTEMS``, checked before any label is read."""
+    m = require_int(value, ValidationError, where)
+    if m < 2:
+        raise ValidationError(f"need at least 2 subsystems, got {m}")
+    if m > MAX_SUBSYSTEMS:  # named without its digits, which may not print
+        raise TooLargeError(f"{where} exceeds the guard of {MAX_SUBSYSTEMS} subsystems")
+    return m
 
 
 def is_finite(value) -> bool:
@@ -95,31 +99,31 @@ class PureState:
 
     Raises
     ------
-    LengthMismatchError
-        If the amplitude count does not equal ``prod(dims)``.
+    ValidationError
+        If a dim is not a positive integer, the amplitudes are not
+        numbers numpy reads as complex (an integer too large for a float
+        included) or their count does not equal ``prod(dims)``.
     TooLargeError
         If ``m > 8`` or ``prod(dims) > 2**20``.
-    ValidationError
-        If an amplitude is an integer too large for a float.
     """
 
     dims: tuple[int, ...]
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(require_int(n, InvalidPartitionError, "dims") for n in self.dims)
+        dims = tuple(require_int(n, ValidationError, "dims") for n in self.dims)
         if len(dims) == 0 or any(n < 1 for n in dims):
-            raise InvalidPartitionError(f"dims must be positive, got {dims}")
+            raise ValidationError(f"dims must be positive, got {dims}")
         check_size_guards(dims)
         total = math.prod(dims)
         try:
             amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         except OverflowError:
             raise ValidationError("an amplitude is too large for a float") from None
+        except (TypeError, ValueError) as exc:  # text, ragged lists, other objects
+            raise ValidationError(f"amplitudes must be complex numbers: {exc}") from None
         if amps.size != total:
-            raise LengthMismatchError(
-                f"got {amps.size} amplitudes for dims {dims} (need {total})"
-            )
+            raise ValidationError(f"got {amps.size} amplitudes for dims {dims} (need {total})")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -179,24 +183,24 @@ class Bipartition:
     ``left`` is kept sorted and must be a nonempty proper subset.  The
     canonical representative of a split is the smaller side, with ties
     broken by lexicographic order (so it always contains subsystem 1).
+    ``total`` past ``MAX_SUBSYSTEMS`` is a :class:`TooLargeError`, read
+    before ``left``; any other bad argument a :class:`ValidationError`.
     """
 
     left: tuple[int, ...]
     total: int
 
     def __post_init__(self):
-        total = require_int(self.total, InvalidPartitionError, "total")
-        left = tuple(sorted(require_int(x, InvalidPartitionError, "left") for x in self.left))
-        if total < 2:
-            raise InvalidPartitionError(f"need at least 2 subsystems, got {total}")
+        total = _subsystem_count(self.total, "total")
+        left = tuple(sorted(require_int(x, ValidationError, "left") for x in self.left))
         if len(left) == 0 or len(left) >= total:
-            raise InvalidPartitionError(
+            raise ValidationError(
                 f"left side {left} must be a nonempty proper subset of 1..{total}"
             )
         if len(set(left)) != len(left):
-            raise InvalidPartitionError(f"duplicate subsystem labels in {left}")
+            raise ValidationError(f"duplicate subsystem labels in {left}")
         if left[0] < 1 or left[-1] > total:
-            raise InvalidPartitionError(f"labels in {left} must lie in 1..{total}")
+            raise ValidationError(f"labels in {left} must lie in 1..{total}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "total", total)
 
@@ -215,7 +219,7 @@ class Bipartition:
     def left_axes(self, m: int) -> list[int]:
         """The left side's 0-based slots in a state of ``m`` subsystems."""
         if self.total != m:
-            raise InvalidPartitionError(f"partition of {self.total} subsystems applied to {m}")
+            raise ValidationError(f"partition of {self.total} subsystems applied to {m}")
         return [j - 1 for j in self.left]
 
     def canonical(self) -> "Bipartition":
@@ -269,15 +273,14 @@ def normalize(state: PureState) -> PureState:
 
     Raises
     ------
-    ZeroStateError
-        If every amplitude is zero.
     ValidationError
-        If the norm is not finite (a NaN or infinite amplitude).
+        If every amplitude is zero, or the norm is not finite (a NaN or
+        infinite amplitude).
     """
     scaled, _ = _scaled(state.amplitudes)
     nrm = float(np.linalg.norm(scaled))
     if nrm == 0.0:
-        raise ZeroStateError("cannot normalize the zero vector")
+        raise ValidationError("cannot normalize the zero vector")
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot normalize a state of norm {nrm!r}")
     return PureState(state.dims, scaled / nrm)
@@ -302,11 +305,10 @@ def enumerate_bipartitions(m: int) -> list[Bipartition]:
     """All canonical bipartitions of subsystems 1..m, 2^(m-1) - 1 in total.
 
     Ordered by left-side size, then lexicographically, e.g. for m = 4:
-    {1}, {2}, {3}, {4}, {1,2}, {1,3}, {1,4}.
+    {1}, {2}, {3}, {4}, {1,2}, {1,3}, {1,4}.  ``m`` is refused as a
+    :class:`Bipartition`'s ``total`` is, before any split is formed.
     """
-    m = require_int(m, InvalidPartitionError, "m")
-    if m < 2:
-        raise InvalidPartitionError(f"need at least 2 subsystems, got {m}")
+    m = _subsystem_count(m, "m")
     out = []
     for size in range(1, m // 2 + 1):
         for combo in itertools.combinations(range(1, m + 1), size):

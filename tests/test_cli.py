@@ -524,6 +524,29 @@ class TestExitCodes:
         assert err.startswith("error: parentheses nest deeper than the cap of 64")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--expr", "|0> + |0,0>"], 1, "summed terms have different slot counts"),
+            (["--expr", "1"], 1, "expression has no kets"),
+            (["--state", "schema.json"], 1, "top level: unknown field 'extra'"),
+            (["--state", "missing.json"], 1, "cannot read "),
+            (["--expr", "|0>"], 2, "multipartite measure needs at least 2 subsystems"),
+            (["--expr", BELL_EXPR, "--norm-constant", "0"], 2, "norm_constant must be positive"),
+        ],
+        ids=["mixed-slots", "no-kets", "schema", "unreadable", "one-subsystem", "zero-constant"],
+    )
+    def test_exit_code_is_read_off_the_error(self, capsys, tmp_path, argv, code, message):
+        # one raise site each of the kinds of refusal that share a class
+        (tmp_path / "schema.json").write_text(
+            '{"dims": [2], "amplitudes": [], "extra": 1}', encoding="utf-8"
+        )
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        got, out, err = run_cli(capsys, "measure", *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
     def test_parse_subcommand_syntax_error(self, capsys):
         code, _, err = run_cli(capsys, "parse", "--expr", "|0,")
         assert code == 1

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from entwedge import evaluate, multipartite_measure, parse_ket, pretty
 from entwedge.errors import (
-    ArityMismatchError,
     KetSyntaxError,
+    ParseError,
     TooLargeError,
     ValidationError,
 )
@@ -280,7 +280,7 @@ class TestParsing:
         assert len(floats) == 1
 
     def test_mixed_arity_sum_refused(self):
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ParseError, match="^summed terms have different slot counts"):
             parse_ket("|0> + |0,1>")
 
     @pytest.mark.parametrize(
@@ -303,6 +303,22 @@ class TestParsing:
         with pytest.raises(KetSyntaxError) as info:
             parse_ket(text)
         assert info.value.column == column
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u2460"], ids=["superscript", "circled"])
+    def test_digits_that_are_not_decimal_are_unexpected(self, char):
+        # str.isdigit accepts both, but int() reads neither
+        with pytest.raises(KetSyntaxError) as info:
+            parse_ket(f"|{char}>")
+        assert str(info.value) == f"unexpected character '{char}' (column 2)"
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("|\u0663>", "|3>"), ("|\uff11>", "|1>"), ("\uff10.5|\u0661>", "1/2 |1>")],
+        ids=["arabic-indic", "fullwidth", "fullwidth-decimal"],
+    )
+    def test_decimal_digits_of_any_script_parse(self, text, shown):
+        # int() and Fraction() read every decimal digit, as they did before
+        assert pretty(parse_ket(text)) == shown
 
     @pytest.mark.parametrize("prime", [1000000000039, 2 ** 53 - 111])
     def test_large_prime_radicand_is_fast(self, prime):
@@ -500,7 +516,7 @@ class TestEvaluate:
         assert list(state.amplitudes) == [1, 0, 0, 0]
 
     def test_no_kets_refused(self):
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ParseError, match="^expression has no kets"):
             evaluate(parse_ket("2 + 3"))
 
     def test_overflowing_amplitude_refused(self):

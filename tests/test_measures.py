@@ -26,8 +26,7 @@ from entwedge.states import unfold
 from entwedge.errors import (
     NotNormalizedError,
     TooLargeError,
-    WrongArityError,
-    WrongDimsError,
+    ValidationError,
 )
 from conftest import (
     bell_state,
@@ -115,10 +114,10 @@ class TestBipartite:
         assert result.value == pytest.approx(math.sqrt(2.0 * (1.0 - 1.0 / n)), abs=1e-12)
 
     def test_wrong_arity(self):
-        with pytest.raises(WrongArityError):
+        with pytest.raises(ValidationError, match="needs 2 subsystems, got 3"):
             bipartite_concurrence(ghz_state(3))
         single = PureState((2,), np.array([1.0, 0.0], dtype=np.complex128))
-        with pytest.raises(WrongArityError):
+        with pytest.raises(ValidationError, match="needs 2 subsystems, got 1"):
             bipartite_concurrence(single)
 
     def test_not_normalized(self):
@@ -230,7 +229,7 @@ class TestMultipartite:
 
     def test_wrong_arity(self):
         single = PureState((4,), np.array([1, 0, 0, 0], dtype=np.complex128))
-        with pytest.raises(WrongArityError):
+        with pytest.raises(ValidationError, match="needs at least 2 subsystems, got 1"):
             multipartite_measure(single)
 
 
@@ -339,7 +338,7 @@ class TestConfig:
         measures = [(bipartite_concurrence, bell_state()), (multipartite_measure, ghz_state(3))]
         for measure, state in measures:
             for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(WrongDimsError, match="norm_constant must be positive"):
+                with pytest.raises(ValidationError, match="norm_constant must be positive"):
                     measure(state, norm_constant=bad)
 
     def test_norm_constant_that_could_overflow_is_refused(self):
@@ -350,5 +349,5 @@ class TestConfig:
         assert math.isfinite(multipartite_measure(state, norm_constant=MAX_NORM_CONSTANT).value)
         for bad in (1e308, sys.float_info.max, sys.float_info.max / 3.0000000000000013,
                     math.nextafter(MAX_NORM_CONSTANT, math.inf)):
-            with pytest.raises(WrongDimsError, match="at most"):
+            with pytest.raises(ValidationError, match="^norm_constant must be positive and at"):
                 multipartite_measure(state, norm_constant=bad)

@@ -27,12 +27,7 @@ from entwedge import (
     trial_rng,
     validate,
 )
-from entwedge.errors import (
-    InvalidPartitionError,
-    SchemaError,
-    ValidationError,
-    WrongDimsError,
-)
+from entwedge.errors import ParseError, ValidationError
 from conftest import bell_state
 
 HUGE = st.integers(10 ** 399, 10 ** 400 - 1)
@@ -68,7 +63,7 @@ def test_state_file_components(tmp_path_factory, literal, count, data):
         entries.append('{"idx": [%d], "re": %s, "im": %s}' % (pos, re, im))
     path = tmp_path_factory.mktemp("state") / "state.json"
     path.write_text('{"dims": [4], "amplitudes": [%s]}' % ", ".join(entries), encoding="utf-8")
-    with pytest.raises(SchemaError) as info:
+    with pytest.raises(ParseError) as info:
         load_state(str(path))
     assert f"amplitudes[{bad}].{field}: expected a finite number" in str(info.value)
 
@@ -76,9 +71,9 @@ def test_state_file_components(tmp_path_factory, literal, count, data):
 @settings(max_examples=100, deadline=None)
 @given(NON_FINITE)
 def test_measure_config(value):
-    with pytest.raises(WrongDimsError):
+    with pytest.raises(ValidationError, match="norm_constant must be positive"):
         bipartite_concurrence(bell_state(), norm_constant=value)
-    with pytest.raises(WrongDimsError):
+    with pytest.raises(ValidationError, match="norm_constant must be positive"):
         invariance_experiment(bell_state(), trials=1, norm_constant=value)
 
 
@@ -112,9 +107,9 @@ def test_amplitudes(value, count, data):
 # Each place the library turns a caller's value into an integer, with
 # the error class that place raises for a bad value.
 INTEGER_SITES = {
-    "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), InvalidPartitionError),
-    "Bipartition.total": (lambda v: Bipartition((1,), v), InvalidPartitionError),
-    "Bipartition.left": (lambda v: Bipartition((v,), 3), InvalidPartitionError),
+    "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), ValidationError),
+    "Bipartition.total": (lambda v: Bipartition((1,), v), ValidationError),
+    "Bipartition.left": (lambda v: Bipartition((v,), 3), ValidationError),
     "trial_rng.seed": (lambda v: trial_rng(v, 0, (2,)), ValidationError),
     "trial_rng.trial": (lambda v: trial_rng(0, v, (2,)), ValidationError),
     "trial_rng.dims": (lambda v: trial_rng(0, 1, (2, v)), ValidationError),
@@ -122,7 +117,7 @@ INTEGER_SITES = {
     "invariance.seed": (
         lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
     ),
-    "enumerate_bipartitions": (enumerate_bipartitions, InvalidPartitionError),
+    "enumerate_bipartitions": (enumerate_bipartitions, ValidationError),
 }
 
 
@@ -149,7 +144,7 @@ def test_numpy_integers_are_accepted():
 def test_non_real_numbers_are_refused(value):
     with pytest.raises(ValidationError):
         separability_report(bell_state(), threshold=value)
-    with pytest.raises(WrongDimsError):
+    with pytest.raises(ValidationError, match="norm_constant must be positive"):
         bipartite_concurrence(bell_state(), norm_constant=value)
 
 
@@ -158,5 +153,5 @@ def test_numpy_bools_are_refused():
     for value in (np.True_, np.False_):
         with pytest.raises(ValidationError):
             separability_report(bell_state(), threshold=value)
-        with pytest.raises(WrongDimsError):
+        with pytest.raises(ValidationError, match="norm_constant must be positive"):
             bipartite_concurrence(bell_state(), norm_constant=value)

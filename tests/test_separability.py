@@ -20,7 +20,6 @@ from entwedge import (
     separability_report,
 )
 from entwedge.errors import (
-    InvalidPartitionError,
     NotNormalizedError,
     TooLargeError,
     ValidationError,
@@ -109,7 +108,7 @@ class TestPartitionResidual:
             separability_report(PureState((2, 2), amps))
 
     def test_partition_of_other_arity(self):
-        with pytest.raises(InvalidPartitionError, match="partition of 3 subsystems applied to 2"):
+        with pytest.raises(ValidationError, match="partition of 3 subsystems applied to 2"):
             Bipartition((1,), 3).left_axes(2)
 
 
@@ -233,7 +232,7 @@ class TestReport:
 
     def test_single_subsystem_refused(self):
         single = PureState((2,), np.array([1, 0], dtype=np.complex128))
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="need at least 2 subsystems, got 1"):
             separability_report(single)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

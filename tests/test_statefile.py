@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entwedge import PureState, load_state, save_state
-from entwedge.errors import IoError, SchemaError, TooLargeError, ValidationError
+from entwedge.errors import ParseError, TooLargeError, ValidationError
 from conftest import HOSTILE_STATE_FILES, bell_state, random_state
 
 
@@ -94,13 +94,13 @@ class TestLoad:
         assert state.amplitudes[0] == 1.0
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
+        with pytest.raises(ParseError, match="^cannot read .*nope.json"):
             load_state(str(tmp_path / "nope.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ParseError) as info:
             load_state(str(path))
         assert "not valid JSON" in str(info.value)
 
@@ -108,7 +108,7 @@ class TestLoad:
     def test_hostile_file(self, tmp_path, int_digit_limit, fragment):
         path = tmp_path / "hostile.json"
         path.write_bytes(HOSTILE_STATE_FILES[fragment])
-        with pytest.raises(SchemaError, match=f"^cannot read as JSON: .*{fragment}"):
+        with pytest.raises(ParseError, match=f"^cannot read as JSON: .*{fragment}"):
             load_state(str(path))
 
     def test_size_guards(self, tmp_path):
@@ -122,7 +122,7 @@ class TestLoad:
 
 class TestSchemaMessages:
     def check(self, tmp_path, doc, fragment):
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ParseError) as info:
             load_state(write_doc(tmp_path, doc))
         assert fragment in str(info.value)
 
@@ -209,6 +209,6 @@ class TestSchemaMessages:
             '{"dims": [2], "amplitudes": [{"idx": [0], "re": 1.0, "im": %s}]}' % literal,
             encoding="utf-8",
         )
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ParseError) as info:
             load_state(str(path))
         assert "amplitudes[0].im: expected a finite number" in str(info.value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -17,14 +18,7 @@ from entwedge import (
     validate,
 )
 from entwedge import states
-from entwedge.errors import (
-    InvalidPartitionError,
-    LengthMismatchError,
-    NotNormalizedError,
-    ValidationError,
-    TooLargeError,
-    ZeroStateError,
-)
+from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
 from conftest import bell_state, random_state, w3_state
 from oracles import partial_trace, purity
 
@@ -53,8 +47,15 @@ def brute_marginal(state: PureState, keep: int) -> np.ndarray:
 
 
 class TestPureState:
+    @pytest.mark.parametrize(
+        "amps", [["a", "b"], [[1, 0], [0]], object()], ids=["text", "ragged", "object"]
+    )
+    def test_amplitudes_numpy_cannot_read_are_refused(self, amps):
+        with pytest.raises(ValidationError, match="^amplitudes must be complex numbers: "):
+            PureState((2,), amps)
+
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="got 3 amplitudes for dims"):
             PureState((2, 2), np.zeros(3, dtype=np.complex128))
 
     def test_guard_names_a_huge_total_by_its_bits(self, int_digit_limit):
@@ -111,7 +112,7 @@ class TestPureState:
         vec = np.array([3.0, 0.0, 0.0, 4.0], dtype=np.complex128)
         state = normalize(PureState((2, 2), vec))
         np.testing.assert_allclose(state.amplitudes, vec / 5.0, rtol=0, atol=1e-15)
-        with pytest.raises(ZeroStateError):
+        with pytest.raises(ValidationError, match="zero vector"):
             normalize(PureState((2, 2), np.zeros(4)))
 
     def test_normalize_is_idempotent_enough(self, rng):
@@ -286,15 +287,32 @@ class TestBipartitions:
         assert Bipartition((2,), 4).right == (1, 3, 4)
 
     def test_invalid(self):
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="nonempty proper subset"):
             Bipartition((), 3)
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="nonempty proper subset"):
             Bipartition((1, 2, 3), 3)
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="must lie in"):
             Bipartition((0,), 3)
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="must lie in"):
             Bipartition((4,), 3)
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="duplicate"):
             Bipartition((1, 1), 3)
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(ValidationError, match="need at least 2 subsystems"):
             enumerate_bipartitions(1)
+
+    @pytest.mark.parametrize("m", [9, 2 ** 40])
+    def test_more_subsystems_than_a_state_has_are_refused_first(self, m):
+        # 2**39 splits, or a right side 2**40 labels long, would not fit in memory
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="^m exceeds the guard of 8 subsystems$"):
+            enumerate_bipartitions(m)
+        with pytest.raises(TooLargeError, match="^total exceeds the guard of 8 subsystems$"):
+            Bipartition((1,), m)
+        # the count is checked before any label is read
+        with pytest.raises(TooLargeError):
+            Bipartition(("x",), m)
+        assert time.perf_counter() - start < 1.0
+
+    def test_eight_subsystems_still_split(self):
+        assert len(enumerate_bipartitions(8)) == 127
+        assert Bipartition((1,), 8).right == (2, 3, 4, 5, 6, 7, 8)
