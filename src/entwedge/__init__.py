@@ -1,7 +1,7 @@
 """Wedge-product entanglement measures for pure multipartite states."""
 
 from .ketlang import KetExpr, evaluate, parse_ket, pretty
-from .lu import InvarianceRun, invariance_experiment, trial_rng
+from .lu import InvarianceRun, invariance_experiment
 from .measures import (
     MeasureKind,
     MeasureResult,
@@ -44,6 +44,5 @@ __all__ = [
     "pretty",
     "save_state",
     "separability_report",
-    "trial_rng",
     "validate",
 ]

@@ -3,12 +3,13 @@
 Randomness contract: an experiment reads one stream, PCG64 seeded with
 ``SeedSequence(seed)``.  Trial k on dims ``n_1 .. n_m`` takes raw words
 ``[k W, (k + 1) W)`` with ``W = sum_j 2 n_j^2``, slot j's gate the next
-``2 n_j^2`` of them, and ``trial_rng(seed, k, dims)`` rebuilds trial k
-alone by advancing ``k W`` words.  Normal variates come from an explicit
-Box-Muller transform of uniform doubles rather than the generator's own
-normal method, pinning the exact variate stream to this module instead
-of to numpy internals.  A uniform double is ``(w >> 11) * 2**-53`` for a
-raw word ``w``, which is what ``Generator.random`` returns on PCG64.
+``2 n_j^2`` of them; ``tests/oracles.py`` rebuilds trial k alone by
+advancing the stream ``k W`` words.  Normal variates come from an
+explicit Box-Muller transform of uniform doubles rather than the
+generator's own normal method, pinning the exact variate stream to this
+module instead of to numpy internals.  A uniform double is
+``(w >> 11) * 2**-53`` for a raw word ``w``, which is what
+``Generator.random`` returns on PCG64.
 
 The experiment itself applies one independent Haar unitary per subsystem
 and reports how far the measure moves: the bipartite concurrence on two
@@ -25,10 +26,11 @@ and the re-measure, which unfolds the rotated stack once per split and
 returns the chunk's term sums as one array, all run once over the
 chunk's stack of trials, and so do the values and deviations.  Every
 step works within one trial's numbers, so a trial's deviation is
-bitwise the same whatever the chunk size.  The tests check that equality, bit for bit, against an
-oracle that runs one trial at a time from ``trial_rng``: uniform doubles
-from ``Generator.random``, then these same Box-Muller, QR and rotation
-helpers on a batch of one, then the public measure.
+bitwise the same whatever the chunk size.  The tests check that
+equality, bit for bit, against an oracle that runs one trial at a time
+from trial k's words: uniform doubles from ``Generator.random``, then
+these same Box-Muller, QR and rotation helpers on a batch of one, then
+the public measure.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .errors import TooLargeError, ValidationError
 from .measures import _auto_measure, _splits, _values, measure_rows
-from .states import PureState, check_unit_norms, require_int
+from .states import PureState, check_unit_norms, require_int, shown
 
 UNITARITY_TOL = 1e-10
 
@@ -74,22 +76,6 @@ class InvarianceRun:
     baseline_value: float
     max_abs_deviation: float
     deviations: tuple | None
-
-
-def trial_rng(seed: int, trial: int, dims) -> np.random.Generator:
-    """Generator at the first word of trial ``trial`` in the stream of an
-    experiment with ``seed`` on subsystem dims ``dims``."""
-    seed = require_int(seed, ValidationError, "seed")
-    trial = require_int(trial, ValidationError, "trial")
-    dims = [require_int(n, ValidationError, "dims") for n in dims]
-    if not 0 <= seed < 2 ** 64 or trial < 0:
-        raise ValidationError(f"need 0 <= seed < 2**64 and trial >= 0, got {seed}, {trial}")
-    # a dim below 1 would shift or collapse the trials' word ranges
-    if not dims or min(dims) < 1:
-        raise ValidationError(f"dims must be positive, got {tuple(dims)}")
-    words = sum(2 * n * n for n in dims)
-    bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(trial * words)
-    return np.random.Generator(bits)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -202,7 +188,8 @@ def invariance_experiment(
     the observed deviations, bitwise reproducible for fixed inputs; no
     judgement about invariance is baked in.
 
-    Before the state is validated or anything is drawn, the run is
+    A negative ``trials`` or a ``seed`` outside ``[0, 2**64)`` is refused
+    first.  Before the state is validated or anything is drawn, the run is
     refused with ``TooLargeError`` when the re-measure's kernel price
     passes the measure guard or trials times :func:`_trial_work` passes
     ``MAX_INVARIANCE_WORK``.  The baseline measure then checks the state
@@ -216,7 +203,9 @@ def invariance_experiment(
     trials = require_int(trials, ValidationError, "trials")
     seed = require_int(seed, ValidationError, "seed")
     if trials < 0:
-        raise ValidationError(f"trials must be nonnegative, got {trials}")
+        raise ValidationError(f"trials must be nonnegative, got {shown(trials)}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"need 0 <= seed < 2**64, got {shown(seed)}")
     per_trial = _trial_work(state.dims)
     if trials * per_trial > MAX_INVARIANCE_WORK:
         raise TooLargeError(
@@ -224,7 +213,7 @@ def invariance_experiment(
             f"{MAX_INVARIANCE_WORK // per_trial} trials on dims {state.dims} "
             f"({per_trial} a trial)"
         )
-    bits = trial_rng(seed, 0, state.dims).bit_generator
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
     baseline = _auto_measure(state, norm_constant)
     dims = state.dims
     keep = trials <= PER_TRIAL_CAP

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .states import PureState, is_finite, validate
+from .states import PureState, is_finite, shown, validate
 
 # Every term sum is below 16, at most 2m residuals each below 1 with m at
 # most 8, so a norm_constant up to this keeps every value finite.
@@ -115,7 +115,7 @@ def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> Measu
     if not is_finite(norm_constant) or not 0 < norm_constant <= MAX_NORM_CONSTANT:
         raise ValidationError(
             f"norm_constant must be positive and at most {MAX_NORM_CONSTANT!r}, "
-            f"got {norm_constant!r}"
+            f"got {shown(norm_constant)}"
         )
     norm_constant = float(norm_constant)
     m = state.num_subsystems

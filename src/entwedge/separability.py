@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .states import PureState, enumerate_bipartitions, is_finite, unfold, validate
+from .states import PureState, enumerate_bipartitions, is_finite, shown, unfold, validate
 
 DEFAULT_THRESHOLD = 1e-10
 
@@ -82,7 +82,7 @@ def separability_report(
     # NaN or inf would decide every split, and a negative threshold would
     # call a product state entangled; float() keeps verdicts plain bools
     if not is_finite(threshold) or threshold < 0:
-        raise ValidationError(f"threshold must be finite and nonnegative, got {threshold!r}")
+        raise ValidationError(f"threshold must be finite and nonnegative, got {shown(threshold)}")
     threshold = float(threshold)
     m = state.num_subsystems
     parts = enumerate_bipartitions(m)

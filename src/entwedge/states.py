@@ -46,11 +46,8 @@ def check_size_guards(dims) -> None:
         )
     total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
-        try:
-            shown = str(total)
-        except ValueError:  # past the digits str() prints
-            shown = f"of {total.bit_length()} bits"
-        raise TooLargeError(f"total dimension {shown} exceeds the guard of {MAX_TOTAL_DIM}")
+        size = shown(total, "of {} bits")
+        raise TooLargeError(f"total dimension {size} exceeds the guard of {MAX_TOTAL_DIM}")
 
 
 def _subsystem_count(value, where: str) -> int:
@@ -58,7 +55,7 @@ def _subsystem_count(value, where: str) -> int:
     from 2 to ``MAX_SUBSYSTEMS``, checked before any label is read."""
     m = require_int(value, ValidationError, where)
     if m < 2:
-        raise ValidationError(f"need at least 2 subsystems, got {m}")
+        raise ValidationError(f"need at least 2 subsystems, got {shown(m)}")
     if m > MAX_SUBSYSTEMS:  # named without its digits, which may not print
         raise TooLargeError(f"{where} exceeds the guard of {MAX_SUBSYSTEMS} subsystems")
     return m
@@ -77,11 +74,24 @@ def is_finite(value) -> bool:
         return False
 
 
+def shown(value, huge: str = "an integer of {} bits") -> str:
+    """``repr(value)`` for a refusal message.  Where Python will not
+    print a number that long (past 4300 digits by default), an integer
+    reads as ``huge`` filled in with its bit count, anything else by its
+    type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return huge.format(value.bit_length())
+        return f"a {type(value).__name__} too long to print"
+
+
 def require_int(value, error: type[Exception], where: str) -> int:
     """``value`` as a Python int if it is a Python or numpy integer other
     than a bool.  Anything else, a float included, raises ``error``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{where}: expected an integer, got {value!r}")
+        raise error(f"{where}: expected an integer, got {shown(value)}")
     return operator.index(value)
 
 
@@ -113,7 +123,7 @@ class PureState:
     def __post_init__(self):
         dims = tuple(require_int(n, ValidationError, "dims") for n in self.dims)
         if len(dims) == 0 or any(n < 1 for n in dims):
-            raise ValidationError(f"dims must be positive, got {dims}")
+            raise ValidationError(f"dims must be positive, got {shown(dims)}")
         check_size_guards(dims)
         total = math.prod(dims)
         try:
@@ -195,12 +205,12 @@ class Bipartition:
         left = tuple(sorted(require_int(x, ValidationError, "left") for x in self.left))
         if len(left) == 0 or len(left) >= total:
             raise ValidationError(
-                f"left side {left} must be a nonempty proper subset of 1..{total}"
+                f"left side {shown(left)} must be a nonempty proper subset of 1..{total}"
             )
         if len(set(left)) != len(left):
-            raise ValidationError(f"duplicate subsystem labels in {left}")
+            raise ValidationError(f"duplicate subsystem labels in {shown(left)}")
         if left[0] < 1 or left[-1] > total:
-            raise ValidationError(f"labels in {left} must lie in 1..{total}")
+            raise ValidationError(f"labels in {shown(left)} must lie in 1..{total}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "total", total)
 
@@ -219,7 +229,7 @@ class Bipartition:
     def left_axes(self, m: int) -> list[int]:
         """The left side's 0-based slots in a state of ``m`` subsystems."""
         if self.total != m:
-            raise ValidationError(f"partition of {self.total} subsystems applied to {m}")
+            raise ValidationError(f"partition of {self.total} subsystems applied to {shown(m)}")
         return [j - 1 for j in self.left]
 
     def canonical(self) -> "Bipartition":

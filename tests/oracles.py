@@ -8,9 +8,10 @@ twice the squared 2x2 determinant, which is what the concurrence
 normalization expects.  The unfolding and marginal oracles transpose
 ``state.tensor`` themselves, apart from the library's ``states.unfold``.
 
-The single-trial path draws one invariance trial at a time: uniform
-doubles from ``Generator.random``, then the library's own Box-Muller,
-QR and rotation helpers on a batch of one.
+The single-trial path draws one invariance trial at a time: ``trial_rng``
+rebuilds trial k's place in the experiment's stream, then uniform
+doubles from ``Generator.random`` go through the library's own
+Box-Muller, QR and rotation helpers on a batch of one.
 """
 
 from __future__ import annotations
@@ -125,6 +126,14 @@ def grid_norm_sq(grid) -> float:
     """Sum of squared moduli of all entries."""
     grid = np.asarray(grid)
     return float(np.sum(grid.real ** 2 + grid.imag ** 2))
+
+
+def trial_rng(seed: int, k: int, dims) -> np.random.Generator:
+    """Generator at the first word of trial ``k`` in the stream of an
+    experiment with ``seed`` on ``dims``: PCG64 seeded with
+    ``SeedSequence(seed)``, advanced ``k * sum 2 n^2`` raw words."""
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    return np.random.Generator(bits.advance(k * sum(2 * n * n for n in dims)))
 
 
 def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "pretty",
     "save_state",
     "separability_report",
-    "trial_rng",
     "validate",
 ]
 

@@ -21,13 +21,19 @@ from entwedge import (
     invariance_experiment,
     multipartite_measure,
     normalize,
-    trial_rng,
 )
 import entwedge
 from entwedge import lu, states
 from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
 from conftest import bell_state, ghz_state, random_state
-from oracles import apply_local, haar_unitary, partial_trace, purity, standard_normals
+from oracles import (
+    apply_local,
+    haar_unitary,
+    partial_trace,
+    purity,
+    standard_normals,
+    trial_rng,
+)
 
 
 class TestStandardNormals:
@@ -152,6 +158,7 @@ class TestApplyLocal:
 
 
 class TestTrialRng:
+    # the oracle's trial k: the experiment's stream advanced k trials
     def test_reconstructible_substreams(self):
         for trial in (0, 1, 17):
             a = trial_rng(123, trial, (2, 3)).random(4)
@@ -167,18 +174,17 @@ class TestTrialRng:
         b = trial_rng(2, 0, (2,)).random(4)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1)])
-    def test_out_of_range_refused(self, seed, trial):
-        # a negative trial would wrap to the end of the PCG64 period
-        with pytest.raises(ValidationError):
-            trial_rng(seed, trial, (2,))
+    @pytest.mark.parametrize("seed, trials", [(-1, 0), (2**64, 0)])
+    def test_out_of_range_refused(self, seed, trials):
+        # SeedSequence takes any nonnegative integer; the contract is 64 bits
+        with pytest.raises(ValidationError, match="seed"):
+            invariance_experiment(bell_state(), trials=trials, seed=seed)
 
-    @pytest.mark.parametrize("trial, dims", [(1, (-2,)), (3, (0,)), (1, (2, 0)), (1, ())])
-    def test_dims_below_one_refused(self, trial, dims):
-        # (-2,) would read trial 1 at word 8, as if dims were (2,), and
-        # (0,) would hand every trial trial 0's words
-        with pytest.raises(ValidationError, match="dims must be positive"):
-            trial_rng(0, trial, dims)
+    def test_bad_seed_is_named_before_the_price(self):
+        # over the invariance guard and unnormalized, yet the seed is named
+        state = PureState((64, 64), np.zeros(64 * 64, dtype=np.complex128))
+        with pytest.raises(ValidationError, match=r"seed < 2\*\*64, got -1$"):
+            invariance_experiment(state, seed=-1)
 
 
 class TestInvarianceExperiment:
@@ -270,15 +276,20 @@ class TestInvarianceExperiment:
         assert calls == [state]
 
     def test_work_guard_fires_before_validation_and_draws(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("the stream was built before the guard")
+        made = []
+        real = np.random.SeedSequence
 
-        monkeypatch.setattr(lu, "trial_rng", no_draw)
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
         # unnormalized on purpose: the guard fires before validation
         for dims, trials in (((64, 64), 1000), ((2, 2), 10 ** 9), ((1, 4096), 1)):
             state = PureState(dims, np.zeros(math.prod(dims), dtype=np.complex128))
             with pytest.raises(TooLargeError, match="the invariance guard"):
                 invariance_experiment(state, trials=trials)
+        assert made == []
 
     def test_work_guard_boundary(self, monkeypatch):
         monkeypatch.setattr(lu, "MAX_INVARIANCE_WORK", 10 * lu._trial_work((2, 2)))
@@ -361,13 +372,14 @@ class TestBatchedTrials:
         # trial k is the oracle's haar_unitary per slot from trial k's
         # words, then its apply_local and the public measure, bit for bit
         state = random_state(rng, dims)
-        run = invariance_experiment(state, trials=12, seed=8)
         fn = bipartite_concurrence if len(dims) == 2 else multipartite_measure
         baseline = fn(state).value
-        for k, deviation in enumerate(run.deviations):
-            rng_k = trial_rng(8, k, dims)
-            gates = [haar_unitary(n, rng_k) for n in dims]
-            assert fn(apply_local(state, gates)).value - baseline == deviation
+        for seed in (8, 2**64 - 1):
+            run = invariance_experiment(state, trials=12, seed=seed)
+            for k, deviation in enumerate(run.deviations):
+                rng_k = trial_rng(seed, k, dims)
+                gates = [haar_unitary(n, rng_k) for n in dims]
+                assert fn(apply_local(state, gates)).value - baseline == deviation
 
     @pytest.mark.parametrize("per_chunk", [100, 7])
     def test_one_seed_sequence_per_experiment(self, monkeypatch, per_chunk):

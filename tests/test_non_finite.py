@@ -9,6 +9,7 @@ refused too, rather than truncated.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from entwedge import (
     enumerate_bipartitions,
     invariance_experiment,
     load_state,
+    multipartite_measure,
     normalize,
     separability_report,
-    trial_rng,
     validate,
 )
-from entwedge.errors import ParseError, ValidationError
+from entwedge.errors import EntwedgeError, ParseError, ValidationError
 from conftest import bell_state
 
 HUGE = st.integers(10 ** 399, 10 ** 400 - 1)
@@ -110,9 +111,6 @@ INTEGER_SITES = {
     "PureState.dims": (lambda v: PureState((2, v), [1, 0, 0, 0]), ValidationError),
     "Bipartition.total": (lambda v: Bipartition((1,), v), ValidationError),
     "Bipartition.left": (lambda v: Bipartition((v,), 3), ValidationError),
-    "trial_rng.seed": (lambda v: trial_rng(v, 0, (2,)), ValidationError),
-    "trial_rng.trial": (lambda v: trial_rng(0, v, (2,)), ValidationError),
-    "trial_rng.dims": (lambda v: trial_rng(0, 1, (2, v)), ValidationError),
     "invariance.trials": (lambda v: invariance_experiment(bell_state(), trials=v), ValidationError),
     "invariance.seed": (
         lambda v: invariance_experiment(bell_state(), trials=2, seed=v), ValidationError
@@ -126,6 +124,29 @@ INTEGER_SITES = {
 def test_integer_arguments_are_checked(site, value):
     call, error = INTEGER_SITES[site]
     with pytest.raises(error, match="expected an integer"):
+        call(value)
+
+
+# The other places a refusal message shows a caller's value.
+PRINTED_SITES = {
+    "Bipartition.left_axes": lambda v: Bipartition((1,), 2).left_axes(v),
+    "separability.threshold": lambda v: separability_report(bell_state(), threshold=v),
+    "bipartite.norm_constant": lambda v: bipartite_concurrence(bell_state(), norm_constant=v),
+    "multipartite.norm_constant": lambda v: multipartite_measure(bell_state(), norm_constant=v),
+    "invariance.norm_constant": (
+        lambda v: invariance_experiment(bell_state(), trials=1, norm_constant=v)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [10 ** 5000, -(10 ** 5000), Fraction(10 ** 5000, 3)], ids=["big", "-big", "big/3"]
+)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES) + sorted(PRINTED_SITES))
+def test_values_too_long_to_print_are_refused(site, value, int_digit_limit):
+    # repr() of each value raises a bare ValueError past 4300 digits
+    call = INTEGER_SITES[site][0] if site in INTEGER_SITES else PRINTED_SITES[site]
+    with pytest.raises(EntwedgeError):
         call(value)
 
 
