@@ -10,7 +10,9 @@ Grammar (whitespace between tokens is ignored)::
     atom    := INT | DECIMAL | 'i' | 'sqrt' '(' INT ['/' INT] ')'
 
 Juxtaposed kets tensor together, so ``|0>|1>`` means the same as
-``|0,1>``.  Ket indices are 0-based.  Scalars are kept exact as
+``|0,1>``.  Ket indices are 0-based.  The parser only reads: a scalar
+chain keeps its text as written and the exact value of each atom, and
+``evaluate`` divides it out.  Scalars are kept exact as
 ``(re + im*i) * sqrt(rad)`` with rational parts and a square-free
 integer radicand.  Amplitudes accumulate in that exact form, in one
 flat table keyed by multi-index and radicand, and are converted to
@@ -19,26 +21,25 @@ floating point once, at the very end of evaluation.
 One walk of the syntax tree reads its slot dims and the price of
 expanding it: ``parse_ket`` takes the slot count from it, and
 ``evaluate`` the dims and the price.  A ``sqrt(p/q)`` radicand is
-capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``, and
-a scalar chain must have text ``pretty`` can print; before it is
-divided out, its atom count times their bits may not exceed
-``MAX_EXPANSION_BITS``.  Parentheses nest
-at most ``MAX_NESTING`` deep.  Size guards run on the syntax tree, so
-an expression naming too many slots or too large a total dimension, or
-one whose expansion would take more than ``MAX_EXPANSION`` exact steps
-or more than ``MAX_EXPANSION_BITS`` steps times bits of the numbers
-they work on, is refused before any product is expanded or any
-amplitude allocated.  Each two-term factor doubles the expansion, so
-twenty ``(1+sqrt(p))`` factors, 255 bytes, would otherwise run for
-tens of minutes.
+capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``.
+Parentheses nest at most ``MAX_NESTING`` deep.  Size guards run on the
+syntax tree, so an expression naming too many slots or too large a
+total dimension, or one whose expansion would take more than
+``MAX_EXPANSION`` exact steps or more than ``MAX_EXPANSION_BITS``
+steps times bits of the numbers they work on, is refused before any
+product is expanded, any chain divided or any amplitude allocated.
+Each two-term factor doubles the expansion, so twenty ``(1+sqrt(p))``
+factors, 255 bytes, would otherwise run for tens of minutes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import KetSyntaxError, ParseError, TooLargeError, ValidationError
 from .states import PureState, check_size_guards, sparse_state
@@ -65,8 +66,9 @@ MAX_EXPANSION = 2 ** 14
 # (0.77...7 + sqrt(p)) with 1000-digit decimals, 6185 steps on 73118
 # bits, took 0.7-1.0 s; at the cap, 35 juxtaposed 4000-digit decimals
 # take 0.5-0.6 s and twelve such factors with 67-digit decimals 0.2-0.4 s
-# on a shared 2-CPU x86-64 host.  The tests and the benchmark price at
-# most 33153.
+# on a shared 2-CPU x86-64 host.  The tests price at most 298995, a
+# quotient of three 3000-digit decimals, and the benchmark at most 31248
+# over seeds 0-19.
 MAX_EXPANSION_BITS = 2 ** 26
 
 
@@ -158,8 +160,30 @@ class ExactScalar:
         return ExactScalar(-self.re, -self.im, self.rad)
 
     def to_complex(self) -> complex:
-        r = math.sqrt(self.rad)
-        return complex(float(self.re) * r, float(self.im) * r)
+        if self.rad.bit_length() <= 1000:
+            r = math.sqrt(self.rad)
+            return complex(float(self.re) * r, float(self.im) * r)
+        # sqrt(rad) alone would overflow a float though the product fits
+        return complex(_times_root(self.re, self.rad), _times_root(self.im, self.rad))
+
+
+def _times_root(q: Fraction, rad: int) -> float:
+    """``q * sqrt(rad)`` rounded once from the exact ``q^2 rad = n/d``.
+
+    ``isqrt(n 4^k // d)`` holds about 64 bits of ``sqrt(n/d) 2^k``; its
+    last bit is set when the root is inexact (round to odd), so the
+    conversion to float rounds correctly.  ``OverflowError`` if the
+    value does not fit a float.
+    """
+    n, d = q.numerator * q.numerator * rad, q.denominator * q.denominator
+    k = 64 - (n.bit_length() - d.bit_length()) // 2
+    n, d = (n << 2 * k, d) if k >= 0 else (n, d << -2 * k)
+    scaled = n // d
+    root = math.isqrt(scaled)
+    if root * root != scaled or scaled * d != n:
+        root |= 1
+    value = math.ldexp(float(root), -k)
+    return -value if q < 0 else value
 
 
 ZERO = ExactScalar.make(0)
@@ -175,7 +199,10 @@ class KetNode:
 
 @dataclass(frozen=True)
 class ScalarNode:
-    value: ExactScalar
+    # a chain atom ('/' atom)* as written, whitespace dropped and digits
+    # in ASCII, and each atom's exact value; evaluate divides them out
+    text: str
+    atoms: tuple
 
 
 @dataclass(frozen=True)
@@ -203,19 +230,20 @@ def _shape(node) -> tuple[tuple[int, ...], int, int, int]:
     is the slot count, and summed terms must agree on it.  ``terms``
     bounds the entries of the amplitude table: a ket or a scalar counts
     1, a product multiplies, a sum adds.  ``steps`` bounds the exact
-    products and additions :func:`_walk` makes: a leaf counts 1, and
-    every partial product and every sum adds its terms to the steps of
-    its parts.  ``bits`` prices the size of the numbers those steps work
-    on: a leaf counts the bits of its rational parts' numerators and
-    denominators and of its radicand, a product adds its factors' bits
-    and a sum takes their max plus one.
+    products, divisions and additions :func:`_walk` makes: a ket counts
+    1 and a scalar chain one per atom, and every partial product and
+    every sum adds its terms to the steps of its parts.  ``bits`` prices
+    the size of the numbers those steps work on: a ket counts 1 and a
+    chain the bits of its atoms' numerators, denominators and
+    radicands, a product adds its factors' bits and a sum takes their
+    max plus one.
     """
     if isinstance(node, KetNode):
         return tuple([x + 1 for x in node.indices]), 1, 1, 1
     if isinstance(node, ScalarNode):
-        v = node.value
-        ints = (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)
-        return (), 1, 1, sum([x.bit_length() for x in ints])
+        ints = [x for v in node.atoms
+                for x in (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)]
+        return (), 1, len(node.atoms), sum([x.bit_length() for x in ints])
     if isinstance(node, ProductNode):
         dims, terms, steps, bits = _shape(node.factors[0])
         dims = list(dims)  # a long product of kets appends in linear time
@@ -351,7 +379,7 @@ class _Parser:
             self.take("RPAREN")
             return inner
         if kind in ("INT", "DECIMAL", "IDENT"):
-            return ScalarNode(self.scalar())
+            return self.scalar()
         got = self.peek()[1] or "end of input"
         raise KetSyntaxError(f"expected a scalar, ket, or '(', got {got!r}", col)
 
@@ -366,33 +394,18 @@ class _Parser:
         return KetNode(tuple(indices))
 
     # scalar := atom ('/' atom)*
-    def scalar(self) -> ExactScalar:
+    def scalar(self) -> ScalarNode:
+        start = self.pos
         atoms = [self.atom()]
         while self.peek()[0] == "SLASH":
             _, _, col = self.take("SLASH")
             atoms.append(self.atom())
             if atoms[-1].is_zero():
                 raise KetSyntaxError("division by zero", col)
-        if len(atoms) == 1:
-            return atoms[0]
-        # Each division reduces fractions as large as all the atoms so
-        # far, so the chain costs about its length times their bits.
-        bits = sum(_shape(ScalarNode(atom))[3] for atom in atoms)
-        if len(atoms) * bits > MAX_EXPANSION_BITS:
-            raise TooLargeError(
-                f"dividing out the scalar costs {len(atoms)} steps times {bits} bits, "
-                f"beyond the guard of {MAX_EXPANSION_BITS}"
-            )
-        value = atoms[0]
-        for atom in atoms[1:]:
-            value = value / atom
-        # An atom alone prints, but a chain of divisions can grow its
-        # numbers past what pretty prints as text that parses again.
-        try:
-            _scalar_text(value)
-        except ValueError as exc:
-            raise KetSyntaxError(str(exc), col) from None
-        return value
+        text = "".join([word for _, word, _ in self.tokens[start:self.pos]])
+        if not text.isascii():  # the only other characters are decimal digits
+            text = "".join([c if c.isascii() else str(int(c)) for c in text])
+        return ScalarNode(text, tuple(atoms))
 
     # atom := INT | DECIMAL | 'i' | 'sqrt' '(' INT ['/' INT] ')'
     def atom(self) -> ExactScalar:
@@ -429,14 +442,14 @@ class _Parser:
 def parse_ket(text: str) -> KetExpr:
     """Parse an expression, checking syntax and slot-count consistency.
 
+    Nothing is computed: a scalar chain keeps its atoms, and
+    :func:`evaluate` prices and divides them.
+
     Raises
     ------
     ParseError
         On any syntax problem, as a :class:`KetSyntaxError` with a 1-based
         column, or when summed subexpressions carry different slot counts.
-    TooLargeError
-        When a chain of divisions costs more than ``MAX_EXPANSION_BITS``
-        atoms times bits.
     """
     parser = _Parser(text)
     root = parser.expr()
@@ -446,51 +459,19 @@ def parse_ket(text: str) -> KetExpr:
     return KetExpr(root, len(_shape(root)[0]))
 
 
-# --- canonical printing ----------------------------------------------------
-
-def _fraction_text(q: Fraction | int) -> str:
-    try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    except ValueError:  # past Python's limit on the digits str() prints
-        raise ValueError("scalar has too many digits to print") from None
-
-
-def _scalar_text(s: ExactScalar) -> str:
-    """Text for ``s`` that parses back to it.  ``ValueError`` if there is
-    none: a mixed value, or a number or radicand past what parses."""
-    if s.is_zero():
-        return "0"
-    if s.re != 0 and s.im != 0:
-        raise ValueError("mixed real/imaginary scalars cannot print as one atom")
-    coef = s.re if s.im == 0 else s.im
-    magnitude = abs(coef)
-    if s.rad == 1:
-        body = _fraction_text(magnitude)
-    else:
-        folded = magnitude * magnitude * s.rad
-        unfolded = magnitude.numerator ** 2 * s.rad
-        if folded.numerator * folded.denominator <= MAX_RADICAND:
-            # fold the rational part under the root: q*sqrt(r) = sqrt(q^2 r)
-            body = f"sqrt({_fraction_text(folded)})"
-        elif unfolded <= MAX_RADICAND:
-            # the folded radicand carries b^2 and would pass the parser's cap
-            body = f"sqrt({unfolded})/{_fraction_text(magnitude.denominator)}"
-        else:
-            raise ValueError(f"scalar needs a radicand beyond the cap of {MAX_RADICAND}")
-    if s.im == 0:
-        return body if coef > 0 else body + "/i/i"
-    if coef > 0:
-        return "i" if body == "1" else body + "/i/i/i"
-    return body + "/i"
-
+# --- printing ------------------------------------------------------------
 
 def pretty(expr) -> str:
-    """Canonical text for an expression; reparsing it rebuilds the same tree."""
+    """Text for an expression; reparsing it rebuilds the same tree.
+
+    Scalar chains print as written, whitespace dropped and digits in
+    ASCII; kets, products and sums print in one spacing.
+    """
     node = expr.root if isinstance(expr, KetExpr) else expr
     if isinstance(node, KetNode):
         return "|" + ",".join(str(x) for x in node.indices) + ">"
     if isinstance(node, ScalarNode):
-        return _scalar_text(node.value)
+        return node.text
     if isinstance(node, ProductNode):
         parts = []
         for factor in node.factors:
@@ -528,7 +509,7 @@ def _walk(node) -> dict:
         return {(node.indices, ONE.rad): ONE}
     if isinstance(node, ScalarNode):
         table = {}
-        _amp_add(table, (), node.value)
+        _amp_add(table, (), reduce(operator.truediv, node.atoms))
         return table
     if isinstance(node, ProductNode):
         amps = _walk(node.factors[0])

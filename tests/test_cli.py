@@ -380,7 +380,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, "--expr", text)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert "dividing out the scalar costs 100 steps" in err
+        assert "expanding the expression costs 102 steps times 797501 bits" in err
 
     @pytest.mark.parametrize("command", ["parse", "measure", "separability", "invariance"])
     def test_exponential_expansion_is_three(self, capsys, command):
@@ -506,15 +506,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, ket", [("parse", "|0>"), ("measure", "|0,0>")])
-    def test_unprintable_scalar_is_one(self, capsys, int_digit_limit, command, ket):
-        # pretty cannot print the quotient, so parsing refuses it
-        text = "0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3" + ket
+    def test_long_quotient_is_not_a_parse_error(self, capsys, int_digit_limit, command, ket):
+        # the quotient has more digits in lowest terms than Python prints,
+        # but the chain prints as written; its value is 21
+        chain = "0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3"
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, command, "--expr", text)
+        code, out, err = run_cli(capsys, command, "--expr", chain + ket)
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (1, "")
-        assert err.startswith("error: scalar has too many digits to print")
-        assert err.count("\n") == 1
+        if command == "parse":
+            assert (code, err) == (0, "")
+            assert out.splitlines() == [f"expression: {chain} |0>", "dims: 1",
+                                        "amp |0>: re=21.0 im=0.0"]
+        else:
+            assert (code, out) == (2, "")
+            assert err == "error: state norm is 21.0, not 1 within 1e-09\n"
 
     def test_deep_nesting_is_one(self, capsys):
         # 400 levels would exhaust the recursive parser's stack without the cap

@@ -90,6 +90,19 @@ ROUND_TRIP_CORPUS = [
     "((|0>))",
     "2 3 |0>",
     "0.6 |0> + 0.8 i |1>",
+    "507923/sqrt(53939) |0>",
+    "1000000000/sqrt(3) |0>",
+    "sqrt(2)/0.000000001 |0>",
+]
+
+
+# The 20 largest primes below 2**53, each a radicand under the cap.
+BIG_PRIMES = [
+    9007199254740881, 9007199254740847, 9007199254740761, 9007199254740727,
+    9007199254740677, 9007199254740653, 9007199254740649, 9007199254740623,
+    9007199254740613, 9007199254740571, 9007199254740563, 9007199254740541,
+    9007199254740529, 9007199254740509, 9007199254740481, 9007199254740439,
+    9007199254740397, 9007199254740311, 9007199254740307, 9007199254740299,
 ]
 
 
@@ -268,15 +281,20 @@ class TestParsing:
         assert expr.root == SumNode(((-1, KetNode((0,))),))
 
     def test_scalar_chain(self):
-        expr = parse_ket("sqrt(2)/2")
-        assert expr.root == ScalarNode(ExactScalar.make(Fraction(1, 2), 0, 2))
+        # the chain stays as written; evaluate divides it out
+        expr = parse_ket("sqrt(2) / 2")
+        assert expr.root == ScalarNode("sqrt(2)/2", (ExactScalar.make(1, 0, 2), ExactScalar.make(2)))
         assert expr.arity == 0
+        assert ketlang._walk(expr.root) == {((), 2): ExactScalar.make(Fraction(1, 2), 0, 2)}
 
     def test_equivalent_root_half_spellings_agree_exactly(self):
         forms = ["sqrt(2)/2", "sqrt(1/2)", "1/sqrt(2)"]
-        scalars = [parse_ket(text).root.value for text in forms]
-        assert scalars[0] == scalars[1] == scalars[2]
-        floats = {s.to_complex() for s in scalars}
+        roots = [parse_ket(f"{text} |0>").root for text in forms]
+        # three trees, one exact amplitude table and one float
+        assert len(set(roots)) == 3
+        tables = [ketlang._walk(root) for root in roots]
+        assert tables[0] == tables[1] == tables[2]
+        floats = {evaluate(root).amplitudes[0] for root in roots}
         assert len(floats) == 1
 
     def test_mixed_arity_sum_refused(self):
@@ -313,7 +331,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text, shown",
-        [("|\u0663>", "|3>"), ("|\uff11>", "|1>"), ("\uff10.5|\u0661>", "1/2 |1>")],
+        [("|\u0663>", "|3>"), ("|\uff11>", "|1>"), ("\uff10.5|\u0661>", "0.5 |1>")],
         ids=["arabic-indic", "fullwidth", "fullwidth-decimal"],
     )
     def test_decimal_digits_of_any_script_parse(self, text, shown):
@@ -325,21 +343,21 @@ class TestParsing:
         # trial division to sqrt(n) needs about 10**8 steps on the prime
         # just below the cap
         start = time.perf_counter()
-        value = parse_ket(f"sqrt({prime})").root.value
+        (value,) = parse_ket(f"sqrt({prime})").root.atoms
         assert time.perf_counter() - start < 0.5
         assert value == ExactScalar(Fraction(1), Fraction(0), Fraction(prime))
 
     def test_radicand_cap(self):
         assert MAX_RADICAND == 2 ** 53
-        assert parse_ket(f"sqrt({2 ** 53})").root.value == ExactScalar.make(2 ** 26, 0, 2)
+        assert parse_ket(f"sqrt({2 ** 53})").root.atoms == (ExactScalar.make(2 ** 26, 0, 2),)
         for text in (f"sqrt({2 ** 53 + 1})", f"2 sqrt(2/{2 ** 53 + 1}) |0>"):
             with pytest.raises(KetSyntaxError) as info:
                 parse_ket(text)
             assert info.value.column == text.index("sqrt") + 1
             assert "cap" in str(info.value)
         # the cap applies in lowest terms
-        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").root.value == (
-            ExactScalar.make(1, 0, 2)
+        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").root.atoms == (
+            ExactScalar.make(1, 0, 2),
         )
 
     @pytest.mark.parametrize("text, column", [
@@ -354,7 +372,7 @@ class TestParsing:
 
     def test_number_at_digit_limit_parses(self, int_digit_limit):
         assert parse_ket(f"|0,{'1' * 4300}>").root.indices[1] == int("1" * 4300)
-        assert parse_ket(f"0.{'1' * 4299} |0>").root.factors[0].value.re < 1
+        assert parse_ket(f"0.{'1' * 4299} |0>").root.factors[0].atoms[0].re < 1
 
     def test_nesting_cap(self):
         assert MAX_NESTING == 64
@@ -375,38 +393,45 @@ class TestParsing:
         state = evaluate(expr)
         assert state.amplitudes[0] == 1.0  # i**64
 
-    @pytest.mark.parametrize("text", ["1000000000/sqrt(3) |0>", "sqrt(2)/0.000000001 |0>"])
-    def test_scalar_without_printable_radicand_refused(self, text):
-        # 10**9 sqrt(3)/3 and 10**9 sqrt(2) need a radicand past the cap
-        # in any printed form
-        with pytest.raises(KetSyntaxError) as info:
-            parse_ket(text)
-        assert info.value.column == text.index("/") + 1
-        assert "cap" in str(info.value)
-        # the same value is fine once a later division shrinks it again
-        assert parse_ket("1000000000/sqrt(3)/1000000000").root.value == (
-            ExactScalar.make(1, 0, Fraction(1, 3))
-        )
+    @pytest.mark.parametrize("text, value", [
+        ("1000000000/sqrt(3) |0>", 10 ** 9 / math.sqrt(3)),
+        ("sqrt(2)/0.000000001 |0>", math.sqrt(2) * 10 ** 9),
+    ], ids=["over-sqrt3", "sqrt2-over-decimal"])
+    def test_chain_past_radicand_cap_parses(self, text, value):
+        # 10**9 sqrt(3)/3 and 10**9 sqrt(2) fold into no radicand under
+        # the cap, but the chain prints as written
+        expr = parse_ket(text)
+        assert pretty(expr) == text
+        assert evaluate(expr).amplitudes[0] == pytest.approx(value, rel=1e-15)
+        # and a later division shrinks the value exactly
+        assert ketlang._walk(parse_ket("1000000000/sqrt(3)/1000000000").root) == {
+            ((), 3): ExactScalar.make(1, 0, Fraction(1, 3))
+        }
 
     def test_unit_scalar_past_radicand_cap_refused(self):
-        # sqrt(p)/sqrt(5)/0.2 is sqrt(5p) with no rational part, and 5p
-        # is past the cap
-        text = "sqrt(9007199254740991)/sqrt(5)/0.2 |0>"
-        with pytest.raises(KetSyntaxError, match="radicand beyond the cap") as info:
-            parse_ket(text)
-        assert info.value.column == text.rindex("/") + 1
+        # sqrt(p)/sqrt(5)/0.2 is sqrt(5p): written as one atom its
+        # radicand is past the cap, but the cap reads written radicands,
+        # so the chain parses and evaluates to the same value
+        p = 9007199254740991
+        with pytest.raises(KetSyntaxError, match="beyond the cap") as info:
+            parse_ket(f"|0> sqrt({5 * p})")
+        assert info.value.column == 5
+        text = f"sqrt({p})/sqrt(5)/0.2 |0>"
+        assert pretty(parse_ket(text)) == text
+        amplitude = evaluate(parse_ket(text)).amplitudes[0]
+        assert amplitude == pytest.approx(math.sqrt(5 * p), rel=1e-15)
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text, value", [
         # a quotient of three 3000-digit decimals, in lowest terms
-        "0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3 |0>",
-        # sqrt(2)/10^8000, whose denominator prints after sqrt(2)
-        "sqrt(2)/1" + "0" * 4000 + "/1" + "0" * 4000 + " |0>",
+        ("0." + "7" * 3000 + "/0." + "3" * 2999 + "1/0." + "1" * 2999 + "3 |0>", 21.0),
+        # sqrt(2)/10^8000, which underflows to zero
+        ("sqrt(2)/1" + "0" * 4000 + "/1" + "0" * 4000 + " |0>", 0.0),
     ], ids=["rational", "radical"])
-    def test_scalar_past_printed_digits_refused(self, int_digit_limit, text):
-        # every literal parses, but pretty could not print the value
-        with pytest.raises(KetSyntaxError, match="too many digits to print") as info:
-            parse_ket(text)
-        assert info.value.column == text.rindex("/") + 1
+    def test_chain_past_printed_digits_parses(self, int_digit_limit, text, value):
+        # the value has more digits than Python prints, the chain does not
+        expr = parse_ket(text)
+        assert pretty(expr) == text
+        assert evaluate(expr).amplitudes[0] == pytest.approx(value, rel=1e-15)
 
     def test_whitespace_ignored(self):
         assert parse_ket("  |0,0>   +|1,1> ").root == parse_ket("|0,0>+|1,1>").root
@@ -428,19 +453,22 @@ class TestPretty:
 
     def test_canonical_spellings(self):
         assert pretty(parse_ket("|0>|1>")) == "|0> |1>"
-        assert pretty(parse_ket("sqrt(9) |0>")) == "3 |0>"
-        assert pretty(parse_ket("sqrt(3)/2 |1>")) == "sqrt(3/4) |1>"
         assert pretty(parse_ket("+|0>")) == "|0>"
+        # scalar chains print as written, without whitespace
+        assert pretty(parse_ket("sqrt(9) |0>")) == "sqrt(9) |0>"
+        assert pretty(parse_ket("sqrt(3) / 2 |1>")) == "sqrt(3)/2 |1>"
+        assert pretty(parse_ket("1/sqrt( 2 )|0>")) == "1/sqrt(2) |0>"
+        assert pretty(parse_ket("0.5 |0>")) == "0.5 |0>"
 
     def test_negative_and_imaginary_scalars(self):
-        # pure phases print as division-by-i chains
+        # division-by-i chains print as written and evaluate to phases
         assert pretty(parse_ket("1/i/i")) == "1/i/i"
         assert pretty(parse_ket("2/i")) == "2/i"
         assert pretty(parse_ket("i")) == "i"
-        assert parse_ket("1/i/i").root.value == ExactScalar.make(-1)
+        assert ketlang._walk(parse_ket("1/i/i").root) == {((), 1): ExactScalar.make(-1)}
 
     def test_radicand_past_cap_prints_unfolded(self):
-        # folded under the root this would print sqrt(1/500000000000000000)
+        # as written, not folded under the root as sqrt(1/500000000000000000)
         expr = parse_ket("sqrt(2)/1000000000 |0>")
         assert pretty(expr) == "sqrt(2)/1000000000 |0>"
         assert parse_ket(pretty(expr)).root == expr.root
@@ -451,20 +479,18 @@ class TestPretty:
     @example("sqrt(2)/1000000000 |0>")
     @example("sqrt(3)/2 |1>")
     def test_generated_round_trip(self, text):
-        try:
-            expr = parse_ket(text)
-        except KetSyntaxError as exc:
-            # the only refusal the generator can hit is a radicand cap
-            assert "cap" in str(exc)
-            return
+        expr = parse_ket(text)
         printed = pretty(expr)
         assert parse_ket(printed).root == expr.root
         assert pretty(parse_ket(printed)) == printed
 
-    def test_mixed_scalar_cannot_print(self):
-        node = ScalarNode(ExactScalar.make(1, 1))
-        with pytest.raises(ValueError):
-            pretty(node)
+    def test_mixed_scalar_prints_as_a_sum(self):
+        # no chain has a mixed value; 1 + i is a sum of two chains
+        expr = parse_ket("(1+i)|0>")
+        one, i = ScalarNode("1", (ExactScalar.make(1),)), ScalarNode("i", (ExactScalar.make(0, 1),))
+        assert expr.root.factors[0] == SumNode(((1, one), (1, i)))
+        assert pretty(expr) == "(1 + i) |0>"
+        assert evaluate(expr).amplitudes[0] == 1 + 1j
 
 
 class TestEvaluate:
@@ -525,6 +551,22 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(parse_ket("1" + "0" * 308 + " sqrt(5) |0>"))
 
+    @pytest.mark.parametrize("text, exact", [
+        (" ".join(f"sqrt({p})" for p in BIG_PRIMES) + " |0>", lambda root: root),
+        ("1/" + "/".join(f"sqrt({p})" for p in BIG_PRIMES) + " |0>", lambda root: 1 / root),
+    ], ids=["product", "chain"])
+    def test_amplitude_past_float_radicand(self, text, exact):
+        # the radicand, their product, has 1060 bits and its root alone
+        # overflows a float, though the amplitude fits
+        product = math.prod(BIG_PRIMES)
+        assert product.bit_length() == 1060
+        root = Fraction(math.isqrt(product * 10 ** 40), 10 ** 20)
+        amplitude = evaluate(parse_ket(text)).amplitudes[0]
+        assert amplitude == pytest.approx(float(exact(root)), rel=1e-15)
+        # an amplitude that really overflows is still refused
+        with pytest.raises(ValidationError, match="overflows a float"):
+            evaluate(parse_ket("1" + "0" * 500 + " " + text))
+
     def test_distribution_over_sums(self):
         state = evaluate(parse_ket("(|0> + |1>) (|0> - |1>)"))
         np.testing.assert_allclose(
@@ -583,24 +625,27 @@ class TestGuardsBeforeExpansion:
             evaluate(expr)
 
     def test_division_chain_is_priced_before_dividing(self, monkeypatch):
-        # 100 decimals of 1200 digits, 120 KB: dividing as it parsed took
+        # 100 decimals of 1200 digits, 120 KB: dividing them out took
         # 0.65 s, each division reducing ever larger fractions
         def no_division(*args):
             raise AssertionError("divided before the chain was priced")
 
         monkeypatch.setattr(ExactScalar, "__truediv__", no_division)
         text = "/".join(["0." + "7" * 1200] * 100) + "|0>"
-        with pytest.raises(TooLargeError, match="costs 100 steps times 797500 bits"):
-            parse_ket(text)
+        expr = parse_ket(text)
+        # 100 steps for the chain, 1 for the ket and 1 for their product
+        with pytest.raises(TooLargeError, match="costs 102 steps times 797501 bits"):
+            evaluate(expr)
 
     def test_division_chain_boundary(self, monkeypatch):
         # 3 prices 2 + 1 bits of re, 0 + 1 of im and 1 of the radicand;
-        # 4 prices 3 + 1 + 0 + 1 + 1: two atoms of 11 bits in all
-        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 2 * 11)
-        assert parse_ket("3/4 |0>").root.factors[0].value == ExactScalar.make(Fraction(3, 4))
-        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 2 * 11 - 1)
-        with pytest.raises(TooLargeError, match="2 steps times 11 bits"):
-            parse_ket("3/4 |0>")
+        # 4 prices 3 + 1 + 0 + 1 + 1: two atoms of 11 bits in all, one
+        # step each, then the ket and the product add a step and a bit
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 4 * 12)
+        assert evaluate(parse_ket("3/4 |0>")).amplitudes[0] == 0.75
+        monkeypatch.setattr(ketlang, "MAX_EXPANSION_BITS", 4 * 12 - 1)
+        with pytest.raises(TooLargeError, match="4 steps times 12 bits"):
+            evaluate(parse_ket("3/4 |0>"))
 
     def test_expansion_cap_boundary(self, monkeypatch):
         # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
@@ -622,14 +667,15 @@ class TestGuardsBeforeExpansion:
             evaluate(expr)
 
     def test_expansion_bits(self):
-        # a leaf counts the bits of its numerators, denominators and
-        # radicand; a product adds, a sum takes the max plus one
+        # a chain counts the bits of its atoms' numerators, denominators
+        # and radicands; a product adds, a sum takes the max plus one
         def size(node):
             return ketlang._shape(node)[1:]
 
-        assert size(parse_ket("3/4 |0>").root)[2] == 2 + 3 + 0 + 1 + 1 + 1
+        three, four = 2 + 1 + 0 + 1 + 1, 3 + 1 + 0 + 1 + 1
+        assert size(parse_ket("3/4 |0>").root)[2] == three + four + 1
         assert size(parse_ket("i sqrt(5) |0>").root)[2] == 4 + 6 + 1
-        assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)").root)[2] == 8 + 1
+        assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)").root)[2] == 12 + 1
         long = parse_ket("(0." + "7" * 1000 + "+sqrt(2)) |0>").root
         assert size(long)[2] > 2 * 3300
 
