@@ -21,12 +21,15 @@ complex128).  A pair product wider than that is summed in row blocks;
 the split into blocks starts at vectors longer than 90 entries, where
 the result can differ from one unblocked sum in the last bits.
 
-``split_work`` counts the kernel's products for a list of splits: the
-one price every measure, verdict and invariance trial pays, held to
-``MAX_SPLIT_WORK`` by ``check_split_work`` before anything is validated.
-The same check holds the amplitudes ``split_residuals`` unfolds, one
-copy of the state per split, to ``MAX_UNFOLD_ENTRIES``: a split with a
-one-row side costs no products but is still unfolded whole.
+``check_split_work`` counts the kernel's products for a list of splits:
+the one price every measure, verdict and invariance trial pays, held to
+``MAX_SPLIT_WORK`` before anything is validated.  It also bounds memory.
+A split with a one-row side has no 2x2 minors, so its residual is 0 and
+``split_residuals`` never unfolds it.  Every other split has two or more
+rows on both sides and costs at least ``D**2 / 4`` products on a state
+of ``D`` amplitudes, so the ``k <= 127`` splits a call may unfold hold
+at most ``min(127 D, 4 MAX_SPLIT_WORK / D) <= 712741`` amplitudes
+(11 MB of complex128); an invariance chunk holds at most ``m * 2**16``.
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ _BLOCK_ENTRIES = 1 << 13
 # slowest accepted call found, C on (200, 222), took 10.6-11.2 s at a
 # 38 MB peak on a shared 2-CPU x86-64 host.
 MAX_SPLIT_WORK = 10 ** 9
-
-# Most amplitudes one state's splits may unfold, ``len(lefts) *
-# prod(dims)``: 2**19 entries (8 MB of complex128), just above the
-# 127 * 4096 of a report under a total-dimension cap of 4096.
-MAX_UNFOLD_ENTRIES = 1 << 19
 
 
 def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
@@ -103,35 +101,22 @@ def minor_pair_sum(mat: np.ndarray):
     return float(totals[0]) if single else totals
 
 
-def split_work(dims, lefts) -> int:
+def check_split_work(dims, lefts) -> int:
     """Products :func:`split_residuals` makes for the splits ``lefts`` of
     a state on ``dims``: per split, the row pairs of its shorter side
-    times its longer side squared, as :func:`minor_pair_sum` pairs."""
+    times its longer side squared, as :func:`minor_pair_sum` pairs.
+    ``TooLargeError`` above ``MAX_SPLIT_WORK``.  Reads dims only, so it
+    runs before validation."""
     total = math.prod(dims)
     work = 0
     for left in lefts:
         r = math.prod(dims[ax] for ax in left)
         short, long = sorted((r, total // r))
         work += short * (short - 1) // 2 * long * long
-    return work
-
-
-def check_split_work(dims, lefts) -> int:
-    """:func:`split_work` of ``lefts`` on ``dims``; ``TooLargeError``
-    above ``MAX_SPLIT_WORK``, or when unfolding the splits passes
-    ``MAX_UNFOLD_ENTRIES``.  Reads dims only, so it runs before
-    validation."""
-    work = split_work(dims, lefts)
     if work > MAX_SPLIT_WORK:
         raise TooLargeError(
             f"kernel work of {work} products on dims {tuple(dims)} exceeds the "
             f"measure guard of {MAX_SPLIT_WORK}"
-        )
-    entries = len(lefts) * math.prod(dims)
-    if entries > MAX_UNFOLD_ENTRIES:
-        raise TooLargeError(
-            f"unfolding {entries} amplitudes on dims {tuple(dims)} exceeds the "
-            f"measure guard of {MAX_UNFOLD_ENTRIES}"
         )
     return work
 
@@ -141,17 +126,23 @@ def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:
     rows: entry ``[t, s]`` is row t's at the split with the 0-based slots
     ``lefts[s]`` on the rows.  Trusts its arguments.
 
-    A split's shape ``(r, D / r)`` follows from ``dims``, so splits are
+    A split with a one-row side, ``r == 1`` or ``r == D``, has no 2x2
+    minors: it is never unfolded and its residual is exactly 0.0, which
+    is what the kernel returns on a one-row matrix.  The shape ``(r, D /
+    r)`` of any other split follows from ``dims``, so those splits are
     grouped by row count r, and each group of k is unfolded once for the
     whole stack: ``k * T * D`` entries, at most ``m * 2**16`` (8 MB at
     m = 8) for a ``lu.CHUNK_AMPLITUDES`` chunk.  The kernel runs once per
     row and group.  One call per group on the whole stack is a one-line
     change with bitwise equal results; it waits on the benchmark harness,
     whose peak memory grows with the op rate (ROADMAP item 1)."""
+    total = math.prod(dims)
     groups = {}
     for s, left in enumerate(lefts):
-        groups.setdefault(math.prod(dims[ax] for ax in left), []).append(s)
-    residuals = np.empty((len(rows), len(lefts)))
+        r = math.prod(dims[ax] for ax in left)
+        if 1 < r < total:
+            groups.setdefault(r, []).append(s)
+    residuals = np.zeros((len(rows), len(lefts)))
     for r, members in groups.items():
         stack = np.empty((len(rows), len(members), r, rows.shape[1] // r), np.complex128)
         for k, s in enumerate(members):

@@ -110,7 +110,6 @@ def cmd_measure(args) -> int:
         "norm_constant": result.norm_constant,
         "value": result.value,
         "term_sum": result.term_sum,
-        "note": None,  # kept, always null, so the document keeps its keys
     }
     lines = [
         f"kind: {result.kind.value}",

@@ -15,9 +15,9 @@ the top left singular vectors of the single-subsystem unfoldings, and
 the tensor product of the factors is checked against the input up to a
 global phase.  An economy SVD of an ``(r, c)`` unfolding costs
 ``r * c * min(r, c)``: at most twice the kernel's products on that split
-when both sides have two or more indices, and ``O(prod(dims))``, which
-the unfold guard bounds, when one side has one.  So the report pays only
-the kernel's price.
+when both sides have two or more indices, and ``O(prod(dims))`` when one
+side has one, on a state the size guard already holds to ``2**20``
+amplitudes.  So the report pays only the kernel's price.
 """
 
 from __future__ import annotations

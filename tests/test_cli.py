@@ -51,7 +51,7 @@ class TestMeasure:
         assert doc["term_sum"] == pytest.approx(0.5, abs=1e-12)
         assert doc["input"]["expr"] == BELL_EXPR
         assert doc["input"]["state"] is None
-        assert doc["note"] is None
+        assert "note" not in doc
 
     def test_ghz3_machine(self, capsys):
         code, out, _ = run_cli(
@@ -84,7 +84,7 @@ class TestMeasure:
         doc = json.loads(out)
         assert doc["measure_kind"] == "bipartite_concurrence"
         assert doc["value"] == entwedge.multipartite_measure(state).value
-        assert doc["note"] is None
+        assert "note" not in doc
 
     def test_state_file_input(self, capsys, tmp_path):
         path = str(tmp_path / "bell.json")
@@ -252,6 +252,37 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         assert out.endswith("\n")
 
+    def test_default_outputs_across_processes(self, tmp_path):
+        # identical invocations in fresh interpreters, hashing strings
+        # differently, on one BLAS thread: the same bytes on stdout
+        path = str(tmp_path / "state234.json")
+        save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
+        runs = []
+        for param in DEFAULT_OUTPUT_CASES:
+            name, command = param.values
+            expr = DEFAULT_OUTPUT_INPUTS[name]
+            source = ["--state", path] if expr is None else ["--expr", expr]
+            runs.append([*DEFAULT_OUTPUT_COMMANDS[command], *source])
+        code = "\n".join([
+            "import json, sys",
+            "from entwedge.cli import cli_main",
+            "for argv in json.loads(sys.argv[1]):",
+            "    print(f'exit {cli_main(argv)}', flush=True)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(runs)],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"exit 0\n") == len(runs)
+        assert outputs[0] == outputs[1]
+
     def test_measure(self, capsys, tmp_path, rng):
         path = str(tmp_path / "state.json")
         save_state(random_state(rng, (3, 2, 2)), path)
@@ -342,18 +373,23 @@ class TestExitCodes:
         assert "exceeds the measure guard" in err
 
     @pytest.mark.parametrize("command, expr", [
-        # a one-row split, free of products, unfolding a 2**20-entry state
+        # a one-row split: no minors, so nothing to unfold or sum
         ("separability", "|0,1048575>"),
-        # 127 free splits, each unfolding the 16 MB state
+        # 127 splits, each with a one-row side, on a 2**20-entry state
         ("separability", "|1048575,0,0,0,0,0,0,0>"),
         ("measure", "|1048575,0,0,0,0,0,0,0>"),
     ])
-    def test_free_kernel_with_costly_rest_is_three(self, capsys, command, expr):
+    def test_free_kernel_with_costly_rest_is_accepted(self, capsys, command, expr):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, "--expr", expr)
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (3, "")
-        assert "exceeds the measure guard" in err
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        if command == "measure":
+            assert out.endswith("value: 0.0\nterm sum: 0.0\n")
+        else:
+            splits = [line for line in out.splitlines() if line.startswith("split ")]
+            assert splits and all(line.endswith(": residual=0.0 separable") for line in splits)
+            assert "fully separable: yes\n" in out
 
     def test_wide_product_is_certified(self, capsys):
         # (2, 8192): one row pair times 8192^2 columns for the kernel,

@@ -246,17 +246,17 @@ class TestSelection:
 class TestSplitWork:
     def test_one_row_costs_nothing(self):
         # a one-row side has no row pairs, however long the other side
-        assert _kernels.split_work((1, 4096), [[0]]) == 0
-        assert _kernels.split_work((3, 1, 2), [[1]]) == 0
+        assert _kernels.check_split_work((1, 4096), [[0]]) == 0
+        assert _kernels.check_split_work((3, 1, 2), [[1]]) == 0
 
     def test_pairs_along_the_shorter_side(self):
         # (3, 8) has 3 row pairs times 8^2 columns; (8, 3) is paired
         # after the same transpose the kernel makes
-        assert _kernels.split_work((3, 8), [[0]]) == 3 * 8 ** 2
-        assert _kernels.split_work((8, 3), [[0]]) == 3 * 8 ** 2
+        assert _kernels.check_split_work((3, 8), [[0]]) == 3 * 8 ** 2
+        assert _kernels.check_split_work((8, 3), [[0]]) == 3 * 8 ** 2
         # splits add, and both sides of a split price the same
-        assert _kernels.split_work((2, 3, 4), [[0], [1], [2]]) == 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
-        assert _kernels.split_work((2, 3, 4), [[0, 2]]) == _kernels.split_work((2, 3, 4), [[1]])
+        assert _kernels.check_split_work((2, 3, 4), [[0], [1], [2]]) == 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
+        assert _kernels.check_split_work((2, 3, 4), [[0, 2]]) == _kernels.check_split_work((2, 3, 4), [[1]])
 
     @pytest.mark.parametrize("dims", [(2, 2), (64, 64), (5, 2), (2, 3, 4), (1, 512), (3, 1, 2)])
     def test_is_the_kernel_term_of_trial_work(self, dims):
@@ -264,7 +264,7 @@ class TestSplitWork:
         # singleton split otherwise
         lefts = [[0]] if len(dims) == 2 else [[j] for j in range(len(dims))]
         gates = sum(n ** 3 for n in dims)
-        assert lu._trial_work(dims) == lu._TRIAL_FLOOR + gates + _kernels.split_work(dims, lefts)
+        assert lu._trial_work(dims) == lu._TRIAL_FLOOR + gates + _kernels.check_split_work(dims, lefts)
 
     def test_costliest_call_under_a_total_of_4096_is_accepted(self):
         # separability_report on (2,2,2,2,4,4,4,4) reads all 127 splits;
@@ -274,26 +274,23 @@ class TestSplitWork:
         assert _kernels.check_split_work(dims, lefts) == 977010688
         assert 977010688 <= _kernels.MAX_SPLIT_WORK
 
-    def test_widest_unfold_under_a_total_of_4096_is_accepted(self):
-        # a report on 8 subsystems unfolds the state once per split
-        assert 127 * 4096 <= _kernels.MAX_UNFOLD_ENTRIES
-
-    def test_free_splits_still_pay_their_unfold(self):
+    def test_free_splits_are_never_unfolded(self, monkeypatch):
         # every split of (2**20, 1, ..., 1) has a one-row side, so it
-        # prices no products, but unfolding 127 copies would take 2 GB
+        # prices no products and has no minors to sum
         dims = (1 << 20,) + (1,) * 7
         lefts = [part.left_axes(8) for part in enumerate_bipartitions(8)]
-        assert _kernels.split_work(dims, lefts) == 0
-        message = r"unfolding 133169152 amplitudes on dims \(1048576, 1, 1, 1, 1, 1, 1, 1\) exceeds the measure guard of 524288"
-        with pytest.raises(TooLargeError, match=message):
-            _kernels.check_split_work(dims, lefts)
+        assert _kernels.check_split_work(dims, lefts) == 0
 
-    def test_unfold_boundary(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "MAX_UNFOLD_ENTRIES", 3 * 24)
-        assert _kernels.check_split_work((2, 3, 4), [[0], [1], [2]]) == 12 ** 2 + 3 * 8 ** 2 + 6 * 6 ** 2
-        monkeypatch.setattr(_kernels, "MAX_UNFOLD_ENTRIES", 3 * 24 - 1)
-        with pytest.raises(TooLargeError, match="unfolding 72 amplitudes"):
-            _kernels.check_split_work((2, 3, 4), [[0], [1], [2]])
+        def unfold(rows, dims, left):
+            # fail at the first call, before 127 copies of 16 MB are made
+            raise AssertionError(f"split {left} was unfolded")
+
+        monkeypatch.setattr(_kernels, "unfold", unfold)
+        rows = np.zeros((1, 1 << 20), np.complex128)
+        rows[0, -1] = 1.0
+        residuals = _kernels.split_residuals(rows, dims, lefts)
+        assert residuals.shape == (1, 127)
+        assert not residuals.any()
 
     def test_guard_boundary(self, monkeypatch):
         monkeypatch.setattr(_kernels, "MAX_SPLIT_WORK", 3 * 8 ** 2)

@@ -26,6 +26,7 @@ from entwedge.errors import (
 )
 from entwedge import _kernels, separability
 from entwedge.separability import CERTIFICATE_TOL
+from entwedge.states import unfold
 from conftest import (
     bell_state,
     bell_x_bell_state,
@@ -343,17 +344,21 @@ class TestValidateOnce:
     @pytest.mark.parametrize(
         "dims",
         [(3, 4), (2, 3, 2), (2, 2, 2, 2), (1, 3, 2, 2), (2,) * 8, (4, 4, 4, 4),
-         (8, 8, 8), (2, 3, 4)],
+         (8, 8, 8), (2, 3, 4), (3, 1), (1, 1, 4, 4), (2, 1, 1, 3)],
     )
     def test_residuals_match_checked_route(self, rng, dims):
         # grouping the splits by shape changes no bits: each residual is
-        # what a kernel call on its split alone gives
+        # what a kernel call on its split alone gives, and a split with a
+        # one-row side, never unfolded, reads what the kernel gives on it
         state = random_state(rng, dims)
         report = separability_report(state)
         for part, verdict in report.per_partition.items():
             left = part.left_axes(len(dims))
             alone = _kernels.split_residuals(state.amplitudes[None], dims, [left])
             assert verdict.residual == alone[0, 0]
+            if math.prod(dims[ax] for ax in left) in (1, state.total_dim):
+                mat = unfold(state.amplitudes[None], dims, left)[0]
+                assert verdict.residual.hex() == _kernels.minor_pair_sum(mat).hex()
 
 
 class TestGrouping:
