@@ -16,6 +16,7 @@ size guard refuses the computation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -92,68 +93,66 @@ def _load_input(args) -> tuple[PureState, dict]:
     return evaluate(parse_ket(args.expr)), echo
 
 
-def _emit(doc: dict, output: str, text_lines) -> None:
-    if output == "machine":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _write_json(doc: dict) -> None:
+    """Write ``doc`` as indented JSON as it is encoded: ``json.dumps``
+    would hold the whole text at once, and ``json.dump`` would send each
+    of the encoder's millions of chunks through ``sys.stdout`` alone."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def cmd_measure(args) -> int:
     state, echo = _load_input(args)
     result = _auto_measure(state, args.norm_constant)
-    doc = {
-        "command": "measure",
-        "input": echo,
-        "measure_kind": result.kind.value,
-        "norm_constant": result.norm_constant,
-        "value": result.value,
-        "term_sum": result.term_sum,
-    }
-    lines = [
-        f"kind: {result.kind.value}",
-        f"norm constant: {result.norm_constant!r}",
-        f"value: {result.value!r}",
-        f"term sum: {result.term_sum!r}",
-    ]
-    _emit(doc, args.output, lines)
+    if args.output == "machine":
+        _write_json({
+            "command": "measure",
+            "input": echo,
+            "measure_kind": result.kind.value,
+            "norm_constant": result.norm_constant,
+            "value": result.value,
+            "term_sum": result.term_sum,
+        })
+    else:
+        print(f"kind: {result.kind.value}")
+        print(f"norm constant: {result.norm_constant!r}")
+        print(f"value: {result.value!r}")
+        print(f"term sum: {result.term_sum!r}")
     return 0
 
 
 def cmd_separability(args) -> int:
     state, echo = _load_input(args)
     report = separability_report(state, threshold=args.threshold)
-    partitions = [
-        {"left": list(part.left), "residual": verdict.residual,
-         "separable": verdict.separable}
-        for part, verdict in report.per_partition.items()
-    ]
-    certificate = None
-    if report.certificate is not None:
-        certificate = [
-            [{"re": float(z.real), "im": float(z.imag)} for z in factor]
-            for factor in report.certificate
-        ]
-    doc = {
-        "command": "separability",
-        "input": echo,
-        "threshold": report.threshold,
-        "partitions": partitions,
-        "fully_separable": report.fully_separable,
-        "genuinely_entangled": report.genuinely_entangled,
-        "certificate": certificate,
-        "certificate_error": report.certificate_error,
-    }
-    lines = [f"threshold: {report.threshold!r}"]
-    for part, verdict in report.per_partition.items():
-        word = "separable" if verdict.separable else "entangled"
-        lines.append(f"split {part}: residual={verdict.residual!r} {word}")
-    lines.append(f"fully separable: {'yes' if report.fully_separable else 'no'}")
-    lines.append(f"genuinely entangled: {'yes' if report.genuinely_entangled else 'no'}")
-    if report.certificate_error is not None:
-        lines.append(f"certificate reconstruction error: {report.certificate_error!r}")
-    _emit(doc, args.output, lines)
+    if args.output == "machine":
+        _write_json({
+            "command": "separability",
+            "input": echo,
+            "threshold": report.threshold,
+            "partitions": [
+                {"left": part.left, "residual": verdict.residual,
+                 "separable": verdict.separable}
+                for part, verdict in report.per_partition.items()
+            ],
+            "fully_separable": report.fully_separable,
+            "genuinely_entangled": report.genuinely_entangled,
+            "certificate": None if report.certificate is None else [
+                [{"re": float(z.real), "im": float(z.imag)} for z in factor]
+                for factor in report.certificate
+            ],
+            "certificate_error": report.certificate_error,
+        })
+    else:
+        print(f"threshold: {report.threshold!r}")
+        for part, verdict in report.per_partition.items():
+            word = "separable" if verdict.separable else "entangled"
+            print(f"split {part}: residual={verdict.residual!r} {word}")
+        print(f"fully separable: {'yes' if report.fully_separable else 'no'}")
+        print(f"genuinely entangled: {'yes' if report.genuinely_entangled else 'no'}")
+        if report.certificate_error is not None:
+            print(f"certificate reconstruction error: {report.certificate_error!r}")
     return 0
 
 
@@ -162,25 +161,24 @@ def cmd_invariance(args) -> int:
     run = invariance_experiment(
         state, trials=args.trials, seed=args.seed, norm_constant=args.norm_constant
     )
-    doc = {
-        "command": "invariance",
-        "input": echo,
-        "measure_kind": run.measure_kind,
-        "norm_constant": run.norm_constant,
-        "baseline_value": run.baseline_value,
-        "seed": run.seed,
-        "trials": run.trials,
-        "max_abs_deviation": run.max_abs_deviation,
-        "deviations": list(run.deviations) if run.deviations is not None else None,
-    }
-    lines = [
-        f"measure: {run.measure_kind}",
-        f"baseline value: {run.baseline_value!r}",
-        f"seed: {run.seed}",
-        f"trials: {run.trials}",
-        f"max abs deviation: {run.max_abs_deviation!r}",
-    ]
-    _emit(doc, args.output, lines)
+    if args.output == "machine":
+        _write_json({
+            "command": "invariance",
+            "input": echo,
+            "measure_kind": run.measure_kind,
+            "norm_constant": run.norm_constant,
+            "baseline_value": run.baseline_value,
+            "seed": run.seed,
+            "trials": run.trials,
+            "max_abs_deviation": run.max_abs_deviation,
+            "deviations": run.deviations,
+        })
+    else:
+        print(f"measure: {run.measure_kind}")
+        print(f"baseline value: {run.baseline_value!r}")
+        print(f"seed: {run.seed}")
+        print(f"trials: {run.trials}")
+        print(f"max abs deviation: {run.max_abs_deviation!r}")
     return 0
 
 

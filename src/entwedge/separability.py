@@ -130,8 +130,10 @@ def _reconstruction_error(state: PureState, factors) -> float:
     """Distance between the factor product and the state, minimized over
     a global phase."""
     rebuilt = reduce(np.kron, factors)
-    overlap = np.vdot(rebuilt, state.amplitudes)
-    if abs(overlap) == 0.0:
-        return float(np.linalg.norm(rebuilt))  # orthogonal, no phase helps
-    aligned = state.amplitudes * (overlap.conjugate() / abs(overlap))
-    return float(np.linalg.norm(rebuilt - aligned))
+    # numpy's pairwise sums, where BLAS would split a long vector by its
+    # thread count and round differently with each
+    overlap = np.sum(rebuilt.conj() * state.amplitudes)
+    gap = rebuilt  # orthogonal, no phase helps
+    if abs(overlap) != 0.0:
+        gap = rebuilt - state.amplitudes * (overlap.conjugate() / abs(overlap))
+    return float(np.sqrt(np.sum(np.abs(gap) ** 2)))

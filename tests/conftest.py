@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import entwedge
 from entwedge import PureState
 
 
@@ -81,3 +83,27 @@ HOSTILE_STATE_FILES = {
     "can't decode byte 0xff": b"\xff\xfe" + '{"dims": [2]}'.encode("utf-16-le"),
     "4300 digits": b'{"dims": [' + b"1" * 5000 + b'], "amplitudes": []}',
 }
+
+
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this
+    checkout's entwedge, with ``extra`` variables set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# Child-process code that prints the child's peak resident memory in KB.
+# On Linux ru_maxrss starts at the parent's peak when spawned, while
+# VmHWM counts this process alone.
+PRINT_PEAK_KB = "\n".join([
+    "import resource, sys",
+    "try:",
+    "    with open('/proc/self/status') as status:",
+    "        peak = int(next(l for l in status if l.startswith('VmHWM:')).split()[1])",
+    "except (OSError, StopIteration):",
+    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+    "    peak = peak // 1024 if sys.platform == 'darwin' else peak",
+    "print(peak)",
+])

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 import math
-import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import entwedge
 from entwedge import lu, save_state
 from entwedge.cli import cli_main
-from conftest import HOSTILE_STATE_FILES, bell_state, random_state
+from entwedge.ketlang import MAX_NESTING
+from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
 
 BELL_EXPR = "sqrt(1/2) (|0,0> + |1,1>)"
 GHZ3_EXPR = "sqrt(1/2) (|0,0,0> + |1,1,1>)"
@@ -254,7 +259,7 @@ class TestDeterminism:
 
     def test_default_outputs_across_processes(self, tmp_path):
         # identical invocations in fresh interpreters, hashing strings
-        # differently, on one BLAS thread: the same bytes on stdout
+        # differently, on one and on two BLAS threads: the same bytes
         path = str(tmp_path / "state234.json")
         save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
         runs = []
@@ -269,18 +274,37 @@ class TestDeterminism:
             "for argv in json.loads(sys.argv[1]):",
             "    print(f'exit {cli_main(argv)}', flush=True)",
         ])
-        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
         outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for count in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-c", code, json.dumps(runs)],
-                capture_output=True, env=env, timeout=120,
+                [sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                env=child_env(PYTHONHASHSEED=count, OPENBLAS_NUM_THREADS=count), timeout=120,
             )
             assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0].count(b"exit 0\n") == len(runs)
+        assert outputs[0] == outputs[1]
+
+    def test_certificate_error_ignores_blas_threads(self, tmp_path):
+        # a (1, 16384) state is a product with one 16384-entry factor, long
+        # enough that a BLAS dot product or norm would split it by threads
+        path = str(tmp_path / "wide.json")
+        save_state(random_state(np.random.default_rng(14), (1, 16384)), path)
+        code = "\n".join([
+            "import sys",
+            "from entwedge.cli import cli_main",
+            "for output in ('text', 'machine'):",
+            "    assert cli_main(['separability', '--state', sys.argv[1], '--output', output]) == 0",
+        ])
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, path], capture_output=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            outputs.append(proc.stdout)
+        assert b"\ncertificate reconstruction error: " in outputs[0]
         assert outputs[0] == outputs[1]
 
     def test_measure(self, capsys, tmp_path, rng):
@@ -628,12 +652,188 @@ class TestExitCodes:
 
 class TestModuleEntryPoint:
     def test_runs_as_module(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "entwedge.cli", "measure", "--expr", BELL_EXPR],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("kind: bipartite_concurrence\n")
+
+
+class TestMemory:
+    def test_text_output_builds_no_certificate_entries(self):
+        # the certificate of |0,1048575> has 2**20 + 1 entries, and a JSON
+        # object for each takes a run past 300 MB; the text output prints
+        # none of them, so it builds none
+        code = "\n".join([
+            "from entwedge.cli import cli_main",
+            "assert cli_main(['separability', '--expr', '|0,1048575>']) == 0",
+            PRINT_PEAK_KB,
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *lines, peak = proc.stdout.splitlines()
+        assert lines == [
+            "threshold: 1e-10",
+            "split {1}: residual=0.0 separable",
+            "fully separable: yes",
+            "genuinely entangled: no",
+            "certificate reconstruction error: 0.0",
+        ]
+        assert int(peak) < 192 * 1024
+
+
+# Atoms at the edges where short inputs once escaped as Python errors or
+# bought unbounded work: literals at Python's 4300-digit limit, nesting
+# at MAX_NESTING and past the interpreter's stack, radicands at the cap,
+# indices at the 2**20 total, non-ASCII digits, zero divisors and long
+# '/' chains.
+LONG = "9" * 4300
+HUGE = 10 ** 4300 - 1  # LONG's value, built without reading digits
+INDEX_ATOMS = ["1048575", "1048576", "524287", "\u0663", LONG, LONG + "9", "0" * 4301]
+SCALAR_ATOMS = [
+    "0.6", "0.8", "i", "sqrt(1/2)", "sqrt(3/4)", "2", "0", "1/0", "sqrt(1/0)", "1/3/7",
+    f"sqrt({2 ** 53})", f"sqrt({2 ** 53 + 1})", f"sqrt(1/{2 ** 53})",
+    "0." + "7" * 4299, "7" * 4301, "0." + "7" * 4301, "1" + "0" * 400, "0." + "0" * 400 + "1",
+    "/".join(["0." + "7" * 1200] * 100),
+]
+FLAG_VALUES = [
+    "nan", "-nan", "inf", "-inf", "-0.0", "0", "1", "3", "1e308", "5e-324", "-1",
+    "1000000000", str(2 ** 64 - 1), str(2 ** 64), LONG, LONG + "9",
+]
+COMMAND_FLAGS = {
+    "measure": ("--norm-constant",),
+    "separability": ("--threshold",),
+    "invariance": ("--trials", "--seed", "--norm-constant"),
+    "parse": (),
+}
+
+indices = st.one_of(st.integers(0, 3).map(str), st.sampled_from(INDEX_ATOMS))
+kets = st.lists(indices, min_size=1, max_size=9).map(lambda xs: "|" + ",".join(xs) + ">")
+expr_trees = st.recursive(
+    st.one_of(kets, st.sampled_from(SCALAR_ATOMS)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(" ".join),
+        st.tuples(inner, st.sampled_from(["+", "-"]), inner).map(" ".join),
+        inner.map("({})".format),
+    ),
+    max_leaves=8,
+)
+# nesting at the cap and one past it, and deep enough to exhaust the
+# stack without it, whatever recursion limit hypothesis runs under
+expressions = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.sampled_from([0] * 5 + [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 10000]),
+        expr_trees,
+    ).map(lambda t: t[0] + "(" * t[1] + t[2] + ")" * t[1]),
+    st.text(alphabet="|<>,()+-/. 0123456789isqrt\u0663", max_size=30),
+)
+
+# A valid state document, the paths a mutation may replace or delete, and
+# what it may put there: JSON's NaN and infinities, -0.0, integers past
+# the float range and at the digit limit, and values of the wrong type.
+STATE_DOC = {
+    "dims": [2, 2],
+    "amplitudes": [{"idx": [0, 0], "re": 0.6, "im": 0.0}, {"idx": [1, 1], "re": 0.0, "im": 0.8}],
+}
+DOC_PATHS = [
+    ("dims",), ("dims", 0), ("dims", 1), ("amplitudes",), ("amplitudes", 0),
+    ("amplitudes", 0, "idx"), ("amplitudes", 0, "idx", 1), ("amplitudes", 1, "re"),
+    ("amplitudes", 1, "im"), ("extra",),
+]
+DELETE = object()
+DOC_VALUES = [
+    DELETE, math.nan, math.inf, -math.inf, -0.0, 0, 1, 2, 1e308, 10 ** 400, HUGE, -1,
+    2 ** 20, True, None, "2", [], {}, [HUGE, HUGE], [2] * 9,
+]
+
+
+def mutated(doc, path, value):
+    """Put a copy of ``value`` at ``path`` in ``doc``, or delete what is
+    there; a path an earlier mutation cut off is left alone."""
+    *parents, last = path
+    try:
+        for key in parents:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@st.composite
+def state_files(draw):
+    doc = copy.deepcopy(STATE_DOC)
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(DOC_PATHS),
+                                               st.sampled_from(DOC_VALUES)), max_size=3)):
+        mutated(doc, path, value)
+    data = json.dumps(doc).encode()
+    return data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 3)) == 0 else data
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv, state = [command], None
+    if command != "parse" and draw(st.booleans()):
+        state = draw(st.one_of(state_files(), st.sampled_from(sorted(HOSTILE_STATE_FILES.values()))))
+    else:
+        # joined to its flag, so an expression may start with '-'
+        argv.append("--expr=" + draw(expressions))
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(FLAG_VALUES))}")
+    if command != "parse" and draw(st.booleans()):
+        argv.append("--output=machine")
+    return argv, state
+
+
+class TestInputEdge:
+    @settings(
+        max_examples=300, derandomize=True, deadline=None, database=None,
+        # the digit limit holds for the whole run, so no example resets it
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                               HealthCheck.function_scoped_fixture],
+    )
+    @given(case=argvs())
+    # one past refusal each, whatever the generator reaches: nesting past
+    # the stack, a literal past the digit limit, dims whose product has
+    # more digits than Python prints, from a ket and from a state file
+    @example(case=(["parse", "--expr=" + "(" * 10000 + "|0>" + ")" * 10000], None))
+    @example(case=(["parse", f"--expr=|{LONG}9>"], None))
+    @example(case=(["measure", f"--expr=|{LONG},{LONG}>"], None))
+    @example(case=(["measure"], f'{{"dims": [{LONG}, {LONG}], "amplitudes": []}}'.encode()))
+    def test_every_input_exits_with_its_code(self, tmp_path_factory, int_digit_limit, case):
+        # every input either runs or is refused with its error class's
+        # code and one error: line, in bounded time; only argparse's
+        # usage error leaves cli_main as an exception
+        argv, state = case
+        if state is not None:
+            path = tmp_path_factory.getbasetemp() / "edge-state.json"
+            path.write_bytes(state)
+            argv = [*argv, f"--state={path}"]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli_main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == "", argv
+            code = None
+        # the costliest input the grammar can write, a 2**20-entry
+        # certificate as machine output, takes about 5 s
+        assert time.perf_counter() - start < 10.0, argv
+        if code is None:
+            assert "usage: entwedge" in err.getvalue()
+        elif code == 0:
+            assert err.getvalue() == "" and out.getvalue().endswith("\n"), argv
+        else:
+            assert code in (1, 2, 3) and out.getvalue() == "", argv
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

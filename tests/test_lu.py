@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
 import subprocess
 import sys
 
@@ -22,10 +21,9 @@ from entwedge import (
     multipartite_measure,
     normalize,
 )
-import entwedge
 from entwedge import lu, states
 from entwedge.errors import NotNormalizedError, TooLargeError, ValidationError
-from conftest import bell_state, ghz_state, random_state
+from conftest import PRINT_PEAK_KB, bell_state, child_env, ghz_state, random_state
 from oracles import (
     apply_local,
     haar_unitary,
@@ -326,27 +324,16 @@ class TestMemory:
         # memory; the invariance budget allows no gate past n = 584
         assert lu._trial_work((1, 585)) > lu.MAX_INVARIANCE_WORK >= lu._trial_work((1, 584))
         code = "\n".join([
-            "import resource, sys",
             "import numpy as np",
             "from entwedge import PureState, invariance_experiment",
             "amps = np.zeros(584, dtype=np.complex128)",
             "amps[0] = 1.0",
             "assert invariance_experiment(PureState((1, 584), amps), trials=1).trials == 1",
-            # on Linux ru_maxrss starts at the parent's peak when spawned,
-            # while VmHWM counts this process alone
-            "try:",
-            "    with open('/proc/self/status') as status:",
-            "        peak = int(next(l for l in status if l.startswith('VmHWM:')).split()[1])",
-            "except (OSError, StopIteration):",
-            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
-            "    peak = peak // 1024 if sys.platform == 'darwin' else peak",
-            "print(peak)",  # KB
+            PRINT_PEAK_KB,
         ])
-        src = os.path.dirname(os.path.dirname(os.path.abspath(entwedge.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) <= 128 * 1024
