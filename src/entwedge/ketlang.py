@@ -160,10 +160,8 @@ class ExactScalar:
         return ExactScalar(-self.re, -self.im, self.rad)
 
     def to_complex(self) -> complex:
-        if self.rad.bit_length() <= 1000:
-            r = math.sqrt(self.rad)
-            return complex(float(self.re) * r, float(self.im) * r)
-        # sqrt(rad) alone would overflow a float though the product fits
+        # each part rounded once, correctly, from its exact value, which
+        # may fit a float where sqrt(rad) alone would overflow
         return complex(_times_root(self.re, self.rad), _times_root(self.im, self.rad))
 
 
@@ -171,9 +169,10 @@ def _times_root(q: Fraction, rad: int) -> float:
     """``q * sqrt(rad)`` rounded once from the exact ``q^2 rad = n/d``.
 
     ``isqrt(n 4^k // d)`` holds about 64 bits of ``sqrt(n/d) 2^k``; its
-    last bit is set when the root is inexact (round to odd), so the
-    conversion to float rounds correctly.  ``OverflowError`` if the
-    value does not fit a float.
+    last bit is set when the root is inexact (round to odd), so
+    ``root 2^-k``, rounded once by int division or ``float``, is the
+    value correctly rounded, subnormals included.  ``OverflowError`` if
+    the value does not fit a float.
     """
     n, d = q.numerator * q.numerator * rad, q.denominator * q.denominator
     k = 64 - (n.bit_length() - d.bit_length()) // 2
@@ -182,8 +181,8 @@ def _times_root(q: Fraction, rad: int) -> float:
     root = math.isqrt(scaled)
     if root * root != scaled or scaled * d != n:
         root |= 1
-    value = math.ldexp(float(root), -k)
-    return -value if q < 0 else value
+    value = root / (1 << k) if k >= 0 else float(root << -k)
+    return -value if q.numerator < 0 else value
 
 
 ZERO = ExactScalar.make(0)

@@ -29,7 +29,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .states import PureState, enumerate_bipartitions, is_finite, shown, unfold, validate
+from .states import (
+    PureState, _sq_norms, enumerate_bipartitions, is_finite, shown, unfold, validate,
+)
 
 DEFAULT_THRESHOLD = 1e-10
 
@@ -130,10 +132,9 @@ def _reconstruction_error(state: PureState, factors) -> float:
     """Distance between the factor product and the state, minimized over
     a global phase."""
     rebuilt = reduce(np.kron, factors)
-    # numpy's pairwise sums, where BLAS would split a long vector by its
-    # thread count and round differently with each
+    # a pairwise sum, as in _sq_norms, which no BLAS thread count changes
     overlap = np.sum(rebuilt.conj() * state.amplitudes)
     gap = rebuilt  # orthogonal, no phase helps
     if abs(overlap) != 0.0:
         gap = rebuilt - state.amplitudes * (overlap.conjugate() / abs(overlap))
-    return float(np.sqrt(np.sum(np.abs(gap) ** 2)))
+    return float(np.sqrt(_sq_norms(gap)))

@@ -167,13 +167,19 @@ def _scaled(amplitudes: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared 2-norms along the last axis, in numpy's pairwise sums:
+    BLAS would split a long row by thread count, rounding differently."""
+    return np.sum(np.abs(rows) ** 2, axis=-1)
+
+
 def _norm(amplitudes: np.ndarray) -> float:
-    """The 2-norm of flat complex ``amplitudes``, taken on them
-    :func:`_scaled`, so it holds the digits of one as small as 1e-200;
-    ``inf`` past the float range."""
+    """The 2-norm of flat complex ``amplitudes``, the square root of
+    :func:`_sq_norms` taken on them :func:`_scaled`, so it holds the
+    digits of one as small as 1e-200; ``inf`` past the float range."""
     scaled, exponent = _scaled(amplitudes)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(scaled), exponent))
+        return float(np.ldexp(np.sqrt(_sq_norms(scaled)), exponent))
 
 
 def sparse_state(dims, entries) -> PureState:
@@ -266,7 +272,7 @@ def check_unit_norms(rows: np.ndarray) -> None:
     underflows is named at its size.
     """
     with np.errstate(over="ignore"):  # inf fails the check like any misfit
-        sq = np.sum(np.abs(rows) ** 2, axis=1)
+        sq = _sq_norms(rows)
     # written as "not <=" because every comparison with NaN is False
     bad = np.flatnonzero(~(np.abs(sq - 1.0) <= DEFAULT_NORM_TOL))
     if bad.size:
@@ -278,8 +284,8 @@ def normalize(state: PureState) -> PureState:
 
     The amplitudes are first scaled by an exact power of two that brings
     the largest part near 1, so a state as small as 1e-200 or as large
-    as 1e200 normalizes.  Where computing ``|a|`` neither overflows nor
-    underflows, the result is bitwise ``a / |a|``.
+    as 1e200 normalizes.  Where no square overflows or underflows, the
+    result is bitwise ``a / sqrt(_sq_norms(a))``.
 
     Raises
     ------
@@ -288,7 +294,7 @@ def normalize(state: PureState) -> PureState:
         infinite amplitude).
     """
     scaled, _ = _scaled(state.amplitudes)
-    nrm = float(np.linalg.norm(scaled))
+    nrm = float(np.sqrt(_sq_norms(scaled)))
     if nrm == 0.0:
         raise ValidationError("cannot normalize the zero vector")
     if not math.isfinite(nrm):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import entwedge
-from entwedge import lu, save_state
+from entwedge import PureState, lu, save_state
 from entwedge.cli import cli_main
 from entwedge.ketlang import MAX_NESTING
 from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
@@ -306,6 +306,36 @@ class TestDeterminism:
             outputs.append(proc.stdout)
         assert b"\ncertificate reconstruction error: " in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_norms_ignore_blas_threads(self, tmp_path):
+        # the norm in a refusal and normalize's quotient, on states long
+        # enough that a BLAS norm would split them by threads
+        path = str(tmp_path / "loose.json")
+        rng = np.random.default_rng(16)
+        amps = rng.standard_normal(2 ** 16) + 1j * rng.standard_normal(2 ** 16)
+        save_state(PureState((1, 2 ** 16), amps), path)
+        code = "\n".join([
+            "import hashlib, sys",
+            "import numpy as np",
+            "from entwedge import PureState, load_state, normalize",
+            "from entwedge.cli import cli_main",
+            "print(cli_main(['measure', '--state', sys.argv[1]]))",
+            "rng = np.random.default_rng(20)",
+            "z = rng.standard_normal(2 ** 20) + 1j * rng.standard_normal(2 ** 20)",
+            "for state in (load_state(sys.argv[1]), PureState((1, 2 ** 20), z)):",
+            "    print(hashlib.sha256(normalize(state).amplitudes.tobytes()).hexdigest())",
+        ])
+        runs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, path], capture_output=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith(b"2\n")
+            assert proc.stderr.startswith(b"error: state norm is ")
+            runs.append((proc.stdout, proc.stderr))
+        assert runs[0] == runs[1]
 
     def test_measure(self, capsys, tmp_path, rng):
         path = str(tmp_path / "state.json")

@@ -514,6 +514,26 @@ class TestEvaluate:
             state.amplitudes, ghz_state(3).amplitudes, atol=1e-15
         )
 
+    # each part of an amplitude is rounded once, to the float nearest its
+    # exact value: sqrt(p/q) lies between the midpoints to its neighbours
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+    @example(2, 7)
+    def test_root_amplitude_is_correctly_rounded(self, p, q):
+        x = complex(evaluate(parse_ket(f"sqrt({p}/{q})|0>")).amplitudes[0]).real
+        low = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+        high = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        assert low * low <= Fraction(p, q) <= high * high
+
+    # a rational part is rounded as float() rounds the exact fraction,
+    # subnormals included, where rounding to 53 bits first would not
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 10 ** 6), st.integers(300, 330))
+    @example(984916, 314)
+    def test_subnormal_amplitude_is_correctly_rounded(self, n, e):
+        amp = evaluate(parse_ket(f"{n}/1{'0' * e}|0>")).amplitudes[0]
+        assert amp == float(Fraction(n, 10 ** e))
+
     def test_decimal_amplitudes_exact(self):
         state = evaluate(parse_ket("0.6 |0> + 0.8 i |1>"))
         assert state.amplitudes[0] == 0.6

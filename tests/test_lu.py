@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import subprocess
@@ -220,20 +219,10 @@ class TestInvarianceExperiment:
         assert run.max_abs_deviation == 0.0
         assert run.deviations == ()
 
-    def test_deviation_cap(self, monkeypatch):
-        full = invariance_experiment(bell_state(), trials=6, seed=1)
-        monkeypatch.setattr(lu, "PER_TRIAL_CAP", 5)
-        run = invariance_experiment(bell_state(), trials=6, seed=1)
-        assert run.deviations is None
-        assert run.max_abs_deviation <= 1e-9
-        # above the cap only the running max is kept; it is the same max
-        assert run == dataclasses.replace(full, deviations=None)
-
-    @pytest.mark.parametrize("per_chunk, cap", [(100, 10000), (1, 10000), (1, 5)])
-    def test_nan_deviation_reaches_the_max(self, monkeypatch, per_chunk, cap):
+    @pytest.mark.parametrize("per_chunk", [100, 1])
+    def test_nan_deviation_reaches_the_max(self, monkeypatch, per_chunk):
         # a NaN term sum at trial 3 (in the first chunk, or in a later one
-        # when chunks hold one trial) makes the maximum NaN, with or
-        # without the per-trial list
+        # when chunks hold one trial) makes the maximum NaN
         real = lu.measure_rows
         done = []
 
@@ -247,11 +236,9 @@ class TestInvarianceExperiment:
 
         monkeypatch.setattr(lu, "measure_rows", nan_at_three)
         monkeypatch.setattr(lu, "CHUNK_AMPLITUDES", chunk_budget(bell_state(), per_chunk))
-        monkeypatch.setattr(lu, "PER_TRIAL_CAP", cap)
         run = invariance_experiment(bell_state(), trials=6, seed=1)
         assert math.isnan(run.max_abs_deviation)
-        if run.deviations is not None:
-            assert [math.isnan(d) for d in run.deviations] == [k == 3 for k in range(6)]
+        assert [math.isnan(d) for d in run.deviations] == [k == 3 for k in range(6)]
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
     def test_validates_state_once(self, monkeypatch, rng, dims):
@@ -294,6 +281,17 @@ class TestInvarianceExperiment:
         assert len(invariance_experiment(bell_state(), trials=10).deviations) == 10
         with pytest.raises(TooLargeError):
             invariance_experiment(bell_state(), trials=11)
+
+    def test_longest_run_returns_every_deviation(self):
+        # the price bounds the list: (1, 1) allows the most trials of any
+        # dims, and a run of that many still returns each deviation
+        state = PureState((1, 1), [1.0])
+        trials = lu.MAX_INVARIANCE_WORK // lu._trial_work((1, 1))
+        run = invariance_experiment(state, trials=trials)
+        assert len(run.deviations) == trials
+        assert run.max_abs_deviation == max(map(abs, run.deviations))
+        with pytest.raises(TooLargeError, match=f"allows at most {trials} trials"):
+            invariance_experiment(state, trials=trials + 1)
 
     def test_trial_work(self):
         floor = lu._TRIAL_FLOOR
