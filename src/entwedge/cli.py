@@ -10,14 +10,17 @@ here: everything that affects results arrives through flags.
 Exit codes: 0 on success, otherwise the ``exit_code`` of the error
 raised: 1 for parse or syntax problems (expression text, state files),
 2 for validation problems (normalization, arity, dimensions), 3 when a
-size guard refuses the computation.
+size guard refuses the computation.  ``main`` exits 141 (128 + SIGPIPE)
+with nothing on stderr when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
+import os
 import sys
 
 from .errors import EntwedgeError
@@ -206,7 +209,25 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    """Run ``cli_main`` on ``sys.argv`` and raise ``SystemExit`` with its
+    code.  The collector is left frozen: everything numpy and entwedge
+    built at import moves to the permanent generation, so the
+    interpreter's shutdown frees it by reference count instead of
+    traversing it."""
+    try:
+        try:
+            code = cli_main()
+        finally:
+            # None when the process started with descriptor 1 closed
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the reader is gone, so what is still
+        # buffered goes to devnull, and the shutdown flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

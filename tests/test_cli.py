@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import entwedge
 from entwedge import PureState, lu, save_state
-from entwedge.cli import cli_main
+from entwedge.cli import cli_main, main
 from entwedge.ketlang import MAX_NESTING
 from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
 
@@ -688,6 +690,102 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("kind: bipartite_concurrence\n")
+
+
+# How the console script and perfbench start a run: main() on sys.argv
+LAUNCH_MAIN = "from entwedge.cli import main; main()"
+# one refusal per exit code, then argparse's usage error
+REFUSALS = [
+    pytest.param(1, ("measure", "--expr", "|0> +"), id="parse"),
+    pytest.param(2, ("measure", "--expr", "|0,0> + |1,1>"), id="validation"),
+    pytest.param(3, ("separability", "--expr", "|255,255>"), id="size"),
+    pytest.param(2, ("measure", "--expr", BELL_EXPR, "--measure", "multipartite"), id="usage"),
+]
+# a (1, 2**16) product: its certificate makes a machine document of
+# several MB, far past a pipe's buffer
+BIG_DOCUMENT = ("separability", "--expr", "|0,65535>", "--output", "machine")
+
+
+def in_process(capsys, argv):
+    """``cli_main``'s exit code, stdout and stderr as bytes, with
+    argparse's ``SystemExit`` read as its code."""
+    try:
+        code = cli_main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def run_main(argv, **kwargs):
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH_MAIN, *argv], stderr=subprocess.PIPE,
+        env=child_env(), timeout=120, **kwargs,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMain:
+    @pytest.mark.parametrize("name, command", DEFAULT_OUTPUT_CASES)
+    def test_default_outputs_match_cli_main(self, capsys, tmp_path, name, command):
+        expr = DEFAULT_OUTPUT_INPUTS[name]
+        if expr is None:
+            path = str(tmp_path / "state234.json")
+            save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
+            source = ("--state", path)
+        else:
+            source = ("--expr", expr)
+        argv = (*DEFAULT_OUTPUT_COMMANDS[command], *source)
+        assert run_main(argv) == in_process(capsys, argv)
+
+    @pytest.mark.parametrize("code, argv", REFUSALS)
+    def test_refusals_match_cli_main(self, capsys, code, argv):
+        want = in_process(capsys, argv)
+        assert want[0] == code
+        assert run_main(argv) == want
+
+    def test_large_document_arrives_whole(self, capsys):
+        # nothing still buffered is lost at exit
+        assert run_main(BIG_DOCUMENT) == in_process(capsys, BIG_DOCUMENT)
+
+    @pytest.mark.parametrize("argv", [BIG_DOCUMENT, ("parse", "--expr", BELL_EXPR)],
+                             ids=["machine", "parse"])
+    def test_closed_stdout_exits_141_silently(self, argv):
+        # the reader is gone before the first byte: 128 + SIGPIPE, and no
+        # traceback, whether a write or the final flush meets the pipe
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _, err = run_main(argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (code, err) == (141, b"")
+
+    def test_no_stdout_at_all(self):
+        # started with descriptor 1 closed, print writes nothing, as in
+        # cli_main, and nothing is left to flush
+        start = "import os, subprocess, sys; os.close(1); sys.exit(subprocess.call(sys.argv[1:]))"
+        launch = "import sys; assert sys.stdout is None; " + LAUNCH_MAIN
+        proc = subprocess.run(
+            [sys.executable, "-c", start, sys.executable, "-c", launch, "parse", "--expr", BELL_EXPR],
+            stderr=subprocess.PIPE, env=child_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("argv", [("measure", "--expr", BELL_EXPR), ("measure", "--expr", "|0>")])
+    def test_raises_system_exit_in_process(self, capsys, monkeypatch, argv):
+        want = in_process(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["entwedge", *argv])
+        try:
+            with pytest.raises(SystemExit) as info:
+                main()
+            # the shutdown collection is skipped by freezing what exists
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        out, err = capsys.readouterr()
+        assert (info.value.code, out.encode(), err.encode()) == want
 
 
 class TestMemory:
