@@ -27,7 +27,7 @@ from .errors import EntwedgeError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
 from .measures import _auto_measure
-from .separability import separability_report
+from .separability import DEFAULT_THRESHOLD, separability_report
 from .statefile import load_state
 from .states import PureState
 
@@ -61,14 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = subs.add_parser("measure", help="concurrence on two subsystems, E otherwise")
     _input_flags(measure)
-    measure.add_argument("--norm-constant", type=float, default=2.0,
-                         help="prefactor under the square root (default 2)")
     _output_flag(measure)
     measure.set_defaults(func=cmd_measure)
 
     separability = subs.add_parser("separability", help="residuals for every bipartition")
     _input_flags(separability)
-    separability.add_argument("--threshold", type=float, default=1e-10,
+    separability.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                               help="residual at or below this counts as separable")
     _output_flag(separability)
     separability.set_defaults(func=cmd_separability)
@@ -77,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     _input_flags(invariance)
     invariance.add_argument("--trials", type=int, default=1000, help="number of rounds")
     invariance.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    invariance.add_argument("--norm-constant", type=float, default=2.0,
-                            help="prefactor under the square root (default 2)")
     _output_flag(invariance)
     invariance.set_defaults(func=cmd_invariance)
 
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(args) -> tuple[PureState, dict]:
-    echo = {"expr": getattr(args, "expr", None), "state": getattr(args, "state", None)}
+    echo = {"expr": args.expr, "state": args.state}
     if args.state is not None:
         return load_state(args.state), echo
     return evaluate(parse_ket(args.expr)), echo
@@ -108,7 +104,7 @@ def _write_json(doc: dict) -> None:
 
 def cmd_measure(args) -> int:
     state, echo = _load_input(args)
-    result = _auto_measure(state, args.norm_constant)
+    result = _auto_measure(state)
     if args.output == "machine":
         _write_json({
             "command": "measure",
@@ -161,9 +157,7 @@ def cmd_separability(args) -> int:
 
 def cmd_invariance(args) -> int:
     state, echo = _load_input(args)
-    run = invariance_experiment(
-        state, trials=args.trials, seed=args.seed, norm_constant=args.norm_constant
-    )
+    run = invariance_experiment(state, trials=args.trials, seed=args.seed)
     if args.output == "machine":
         _write_json({
             "command": "invariance",

@@ -66,7 +66,8 @@ _TRIAL_FLOOR = 3000
 class InvarianceRun:
     """Outcome of one seeded invariance experiment: ``deviations`` holds
     each trial's value minus ``baseline_value``, in trial order, and
-    ``max_abs_deviation`` their largest modulus (0.0 for no trials)."""
+    ``max_abs_deviation`` their largest modulus (0.0 for no trials).
+    ``norm_constant`` is always the measures' ``NORM_CONSTANT``."""
 
     seed: int
     trials: int
@@ -173,12 +174,7 @@ def _trial_work(dims) -> int:
     return _TRIAL_FLOOR + sum(n ** 3 for n in dims) + kernel
 
 
-def invariance_experiment(
-    state: PureState,
-    trials: int = 1000,
-    seed: int = 0,
-    norm_constant: float = 2.0,
-) -> InvarianceRun:
+def invariance_experiment(state: PureState, trials: int = 1000, seed: int = 0) -> InvarianceRun:
     """Measure drift under per-subsystem Haar unitaries.
 
     Runs ``trials`` independent rounds; round k rotates every subsystem
@@ -192,8 +188,8 @@ def invariance_experiment(
     refused with ``TooLargeError`` when the re-measure's kernel price
     passes the measure guard or trials times :func:`_trial_work` passes
     ``MAX_INVARIANCE_WORK``.  The baseline measure then checks the state
-    and ``norm_constant`` once; the rotated states' norms are checked
-    before they are re-measured.
+    once; the rotated states' norms are checked before they are
+    re-measured.
 
     ``deviations`` carries every trial's deviation, a list the price
     bounds at 66622 trials, on dims (1, 1).  ``max_abs_deviation`` is
@@ -213,7 +209,7 @@ def invariance_experiment(
             f"({per_trial} a trial)"
         )
     bits = np.random.PCG64(np.random.SeedSequence(seed))
-    baseline = _auto_measure(state, norm_constant)
+    baseline = _auto_measure(state)
     dims = state.dims
     deviations = []
     step = _chunk_trials(dims)
@@ -225,7 +221,7 @@ def invariance_experiment(
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)
         check_unit_norms(rotated)
-        values = _values(measure_rows(baseline.kind, rotated, dims), baseline.norm_constant)
+        values = _values(measure_rows(baseline.kind, rotated, dims))
         deviations.extend((values - baseline.value).tolist())
     return InvarianceRun(
         seed=seed,

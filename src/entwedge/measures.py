@@ -16,23 +16,22 @@ price for the splits :func:`_splits` names, validation, term sum,
 result), and the invariance experiment reads it directly for each chunk
 of rotated states.
 
-``norm_constant`` is the measures' one setting: positive, at most
-``MAX_NORM_CONSTANT``, 2 by default, and reported back in every
-result.  Input is refused unless its squared norm is within
-``DEFAULT_NORM_TOL`` of 1.
+The prefactor is the constant ``NORM_CONSTANT = 2``, reported back in
+every result as ``norm_constant``; any other prefactor N is
+``sqrt(N * term_sum)`` of the reported term sum.  Input is refused
+unless its squared norm is within ``DEFAULT_NORM_TOL`` of 1.
 
-For a normalized two-qubit state with ``norm_constant = 2`` the
-bipartite value reduces to ``2 |a_00 a_11 - a_10 a_01|``, and the
-multipartite value on two subsystems is exactly twice the bipartite one,
-bit for bit, since both read the one split there.  So there is no
-measure selector: the command line and the invariance experiment both
-take C on two subsystems and E otherwise, from one private helper, and
-E's doubling on two subsystems is ``norm_constant = 8``.
+For a normalized two-qubit state the bipartite value reduces to
+``2 |a_00 a_11 - a_10 a_01|``, and the multipartite value on two
+subsystems is exactly twice the bipartite one, bit for bit, since both
+read the one split there.  So there is no measure selector: the command
+line and the invariance experiment both take C on two subsystems and E
+otherwise, from one private helper, and E on two subsystems is
+``sqrt(8 * term_sum)`` of C's term sum.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,11 +39,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .states import PureState, is_finite, shown, validate
+from .states import PureState, validate
 
-# Every term sum is below 16, at most 2m residuals each below 1 with m at
-# most 8, so a norm_constant up to this keeps every value finite.
-MAX_NORM_CONSTANT = sys.float_info.max / 16
+# The prefactor under every measure's square root.
+NORM_CONSTANT = 2.0
 
 
 class MeasureKind(Enum):
@@ -56,7 +54,8 @@ class MeasureKind(Enum):
 class MeasureResult:
     """A measure value together with how it was assembled.
 
-    ``value == sqrt(norm_constant * term_sum)`` always holds, so the raw
+    ``norm_constant`` is always ``NORM_CONSTANT``, and
+    ``value == sqrt(norm_constant * term_sum)`` holds bitwise, so the raw
     pair sum can be recovered without re-deriving the prefactor.
     """
 
@@ -73,11 +72,11 @@ def _splits(m: int) -> list:
     return [[0]] if m == 2 else [[j] for j in range(m)]
 
 
-def _values(term_sums, norm_constant: float):
-    """``sqrt(norm_constant * term_sum)`` of one term sum or elementwise
+def _values(term_sums):
+    """``sqrt(NORM_CONSTANT * term_sum)`` of one term sum or elementwise
     over an array of them: one IEEE multiply and one correctly rounded
     sqrt, so an array entry is bitwise the scalar result."""
-    return np.sqrt(norm_constant * term_sums)
+    return np.sqrt(NORM_CONSTANT * term_sums)
 
 
 def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
@@ -105,19 +104,10 @@ def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
     return weight * sums
 
 
-def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> MeasureResult:
-    """The ``kind`` measure of ``state``, refusing in this order a bad
-    ``norm_constant``, the wrong arity, a kernel price past the measure
-    guard and an unnormalized state."""
-    # zero would read every state as a product, a negative prefactor fails
-    # in sqrt and a non-finite or larger one gives nan or inf; float()
-    # keeps the reported constant a plain float
-    if not is_finite(norm_constant) or not 0 < norm_constant <= MAX_NORM_CONSTANT:
-        raise ValidationError(
-            f"norm_constant must be positive and at most {MAX_NORM_CONSTANT!r}, "
-            f"got {shown(norm_constant)}"
-        )
-    norm_constant = float(norm_constant)
+def _measure(kind: MeasureKind, state: PureState) -> MeasureResult:
+    """The ``kind`` measure of ``state``, refusing in this order the
+    wrong arity, a kernel price past the measure guard and an
+    unnormalized state."""
     m = state.num_subsystems
     if kind is MeasureKind.BIPARTITE_CONCURRENCE and m != 2:
         raise ValidationError(f"bipartite concurrence needs 2 subsystems, got {m}")
@@ -126,31 +116,26 @@ def _measure(kind: MeasureKind, state: PureState, norm_constant: float) -> Measu
     _kernels.check_split_work(state.dims, _splits(m))
     validate(state)
     term_sum = float(measure_rows(kind, state.amplitudes[None], state.dims)[0])
-    return MeasureResult(kind, float(_values(term_sum, norm_constant)), norm_constant, term_sum)
+    return MeasureResult(kind, float(_values(term_sum)), NORM_CONSTANT, term_sum)
 
 
-def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
+def bipartite_concurrence(state: PureState) -> MeasureResult:
     """Concurrence of a two-subsystem pure state.
 
     ``term_sum`` adds the squared moduli of all pairwise row wedges of
     the amplitude matrix, i.e. all squared 2x2 minors counted twice.
     The value is zero exactly on product states and reaches
-    ``sqrt(norm_constant * (1 - 1/min(N1, N2)))`` on maximally
-    entangled ones.
+    ``sqrt(2 (1 - 1/min(N1, N2)))`` on maximally entangled ones.
 
     Parameters
     ----------
     state : PureState
         Two-subsystem state; refused otherwise.
-    norm_constant : float
-        Prefactor under the square root, positive, at most ``MAX_NORM_CONSTANT``.
 
     Raises
     ------
     ValidationError
-        If ``norm_constant`` is not positive or passes
-        ``MAX_NORM_CONSTANT``, or the state does not have exactly two
-        subsystems.
+        If the state does not have exactly two subsystems.
     TooLargeError
         If the minor sum takes more than ``_kernels.MAX_SPLIT_WORK``
         products, as on (212, 212) or (2, 31623).
@@ -159,10 +144,10 @@ def bipartite_concurrence(state: PureState, norm_constant: float = 2.0) -> Measu
         rescale with :func:`~entwedge.states.normalize` first to accept
         it.
     """
-    return _measure(MeasureKind.BIPARTITE_CONCURRENCE, state, norm_constant)
+    return _measure(MeasureKind.BIPARTITE_CONCURRENCE, state)
 
 
-def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> MeasureResult:
+def multipartite_measure(state: PureState) -> MeasureResult:
     """Wedge measure over all multi-index pairs and all slots.
 
     ``term_sum = sum_K sum_L sum_j |a_K a_L - a_K' a_L'|^2`` with the
@@ -175,14 +160,11 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
     ----------
     state : PureState
         At least two subsystems.
-    norm_constant : float
-        Prefactor under the square root, positive, at most ``MAX_NORM_CONSTANT``.
 
     Raises
     ------
     ValidationError
-        If ``norm_constant`` is not positive or passes
-        ``MAX_NORM_CONSTANT``, or on fewer than two subsystems.
+        On fewer than two subsystems.
     TooLargeError
         If the singleton minor sums take more than
         ``_kernels.MAX_SPLIT_WORK`` products.
@@ -191,12 +173,12 @@ def multipartite_measure(state: PureState, norm_constant: float = 2.0) -> Measur
         rescale with :func:`~entwedge.states.normalize` first to accept
         it.
     """
-    return _measure(MeasureKind.MULTIPARTITE_E, state, norm_constant)
+    return _measure(MeasureKind.MULTIPARTITE_E, state)
 
 
-def _auto_measure(state: PureState, norm_constant: float) -> MeasureResult:
+def _auto_measure(state: PureState) -> MeasureResult:
     """C on two subsystems, E otherwise.  On two subsystems E would
     only double C, so there is no choice to make there."""
     two = state.num_subsystems == 2
     kind = MeasureKind.BIPARTITE_CONCURRENCE if two else MeasureKind.MULTIPARTITE_E
-    return _measure(kind, state, norm_constant)
+    return _measure(kind, state)

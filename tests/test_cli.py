@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import io
 import json
 import math
@@ -19,9 +20,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import entwedge
-from entwedge import PureState, lu, save_state
-from entwedge.cli import cli_main, main
+from entwedge import PureState, invariance_experiment, save_state
+from entwedge.cli import build_parser, cli_main, main
 from entwedge.ketlang import MAX_NESTING
+from entwedge.separability import DEFAULT_THRESHOLD
 from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
 
 BELL_EXPR = "sqrt(1/2) (|0,0> + |1,1>)"
@@ -70,27 +72,27 @@ class TestMeasure:
         assert doc["value"] == pytest.approx(math.sqrt(6.0), abs=1e-12)
 
     def test_norm_constant_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "--expr", BELL_EXPR, "--norm-constant", "1",
-            "--output", "machine",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["norm_constant"] == 1.0
-        assert doc["value"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        # the prefactor is a constant: scale the printed term sum for another
+        for command in ("measure", "invariance"):
+            with pytest.raises(SystemExit) as info:
+                cli_main([command, "--expr", BELL_EXPR, "--norm-constant", "1"])
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("usage: entwedge ")
+            assert "unrecognized arguments: --norm-constant 1" in err
 
     def test_norm_constant_eight_is_e_on_two_subsystems(self, capsys, tmp_path, rng):
-        # E on two subsystems is 2C, so there is no measure to pick there
+        # E on two subsystems is 2C, so there is no measure to pick there:
+        # it is sqrt(8 * term_sum) of the printed term sum, bit for bit
         state = random_state(rng, (3, 4))
         path = str(tmp_path / "state.json")
         save_state(state, path)
-        code, out, _ = run_cli(
-            capsys, "measure", "--state", path, "--norm-constant", "8", "--output", "machine"
-        )
+        code, out, _ = run_cli(capsys, "measure", "--state", path, "--output", "machine")
         assert code == 0
         doc = json.loads(out)
         assert doc["measure_kind"] == "bipartite_concurrence"
-        assert doc["value"] == entwedge.multipartite_measure(state).value
+        assert math.sqrt(8.0 * doc["term_sum"]) == entwedge.multipartite_measure(state).value
         assert "note" not in doc
 
     def test_state_file_input(self, capsys, tmp_path):
@@ -239,6 +241,17 @@ DEFAULT_OUTPUT_CASES = [
 ]
 
 
+def default_source(tmp_path, name) -> tuple:
+    """The input flags of a ``DEFAULT_OUTPUT_INPUTS`` entry, writing the
+    seeded (2, 3, 4) state file the entry without an expression names."""
+    expr = DEFAULT_OUTPUT_INPUTS[name]
+    if expr is not None:
+        return ("--expr", expr)
+    path = str(tmp_path / "state234.json")
+    save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
+    return ("--state", path)
+
+
 class TestDeterminism:
     def repeat(self, capsys, *argv):
         first = run_cli(capsys, *argv)
@@ -248,13 +261,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name, command", DEFAULT_OUTPUT_CASES)
     def test_default_outputs(self, capsys, tmp_path, name, command):
-        expr = DEFAULT_OUTPUT_INPUTS[name]
-        if expr is None:
-            path = str(tmp_path / "state234.json")
-            save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
-            source = ("--state", path)
-        else:
-            source = ("--expr", expr)
+        source = default_source(tmp_path, name)
         code, out, err = self.repeat(capsys, *DEFAULT_OUTPUT_COMMANDS[command], *source)
         assert (code, err) == (0, "")
         assert out.endswith("\n")
@@ -354,6 +361,46 @@ class TestDeterminism:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 7
+
+
+# the default outputs that report the prefactor
+PREFACTOR_CASES = [
+    param for param in DEFAULT_OUTPUT_CASES
+    if param.values[1] in ("measure-text", "measure-machine", "invariance-machine")
+]
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("name, command", PREFACTOR_CASES)
+    def test_prefactor_is_two(self, capsys, tmp_path, name, command):
+        # every reported value is bitwise sqrt(2 * term_sum)
+        source = default_source(tmp_path, name)
+        code, out, err = run_cli(capsys, *DEFAULT_OUTPUT_COMMANDS[command], *source)
+        assert (code, err) == (0, "")
+        if command == "measure-text":
+            fields = dict(line.split(": ", 1) for line in out.splitlines())
+            assert fields["norm constant"] == "2.0"
+            value, term_sum = float(fields["value"]), float(fields["term sum"])
+        else:
+            doc = json.loads(out)
+            assert doc["norm_constant"] == 2.0
+            if command == "invariance-machine":
+                value = doc["baseline_value"]
+                _, out, _ = run_cli(capsys, "measure", *source, "--output", "machine")
+                doc = json.loads(out)
+            else:
+                value = doc["value"]
+            term_sum = doc["term_sum"]
+        assert value.hex() == math.sqrt(2.0 * term_sum).hex()
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        separability = parser.parse_args(["separability", "--expr", BELL_EXPR])
+        assert separability.threshold == DEFAULT_THRESHOLD
+        invariance = parser.parse_args(["invariance", "--expr", BELL_EXPR])
+        params = inspect.signature(invariance_experiment).parameters
+        assert invariance.trials == params["trials"].default
+        assert invariance.seed == params["seed"].default
 
 
 class TestExitCodes:
@@ -529,15 +576,6 @@ class TestExitCodes:
         assert out == ""
         assert "threshold must be finite and nonnegative, got -1.0" in err
 
-    def test_non_finite_norm_constant_is_two(self, capsys):
-        for command in ("measure", "invariance"):
-            for bad in ("nan", "inf"):
-                code, _, err = run_cli(
-                    capsys, command, "--expr", BELL_EXPR, "--norm-constant", bad
-                )
-                assert code == 2
-                assert "norm_constant" in err
-
     def test_nan_state_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -548,19 +586,6 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "expected a finite number" in err
-
-    @pytest.mark.parametrize(
-        "bad", ["1e308", repr(sys.float_info.max), repr(sys.float_info.max / 3.0000000000000013)]
-    )
-    @pytest.mark.parametrize("command", ["measure", "invariance"])
-    def test_norm_constant_that_overflows_the_value_is_two(self, capsys, monkeypatch, command, bad):
-        # GHZ3's term sum is 3.0000000000000013, so the last constant
-        # leaves its value just finite; all are refused before any trial
-        monkeypatch.setattr(lu, "_chunk_normals", None)
-        code, out, err = run_cli(capsys, command, "--expr", GHZ3_EXPR, "--norm-constant", bad)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: norm_constant must be positive and at most ")
-        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "scale, shown",
@@ -629,9 +654,8 @@ class TestExitCodes:
             (["--state", "schema.json"], 1, "top level: unknown field 'extra'"),
             (["--state", "missing.json"], 1, "cannot read "),
             (["--expr", "|0>"], 2, "multipartite measure needs at least 2 subsystems"),
-            (["--expr", BELL_EXPR, "--norm-constant", "0"], 2, "norm_constant must be positive"),
         ],
-        ids=["mixed-slots", "no-kets", "schema", "unreadable", "one-subsystem", "zero-constant"],
+        ids=["mixed-slots", "no-kets", "schema", "unreadable", "one-subsystem"],
     )
     def test_exit_code_is_read_off_the_error(self, capsys, tmp_path, argv, code, message):
         # one raise site each of the kinds of refusal that share a class
@@ -729,14 +753,7 @@ def run_main(argv, **kwargs):
 class TestMain:
     @pytest.mark.parametrize("name, command", DEFAULT_OUTPUT_CASES)
     def test_default_outputs_match_cli_main(self, capsys, tmp_path, name, command):
-        expr = DEFAULT_OUTPUT_INPUTS[name]
-        if expr is None:
-            path = str(tmp_path / "state234.json")
-            save_state(random_state(np.random.default_rng(234), (2, 3, 4)), path)
-            source = ("--state", path)
-        else:
-            source = ("--expr", expr)
-        argv = (*DEFAULT_OUTPUT_COMMANDS[command], *source)
+        argv = (*DEFAULT_OUTPUT_COMMANDS[command], *default_source(tmp_path, name))
         assert run_main(argv) == in_process(capsys, argv)
 
     @pytest.mark.parametrize("code, argv", REFUSALS)
@@ -833,9 +850,9 @@ FLAG_VALUES = [
     "1000000000", str(2 ** 64 - 1), str(2 ** 64), LONG, LONG + "9",
 ]
 COMMAND_FLAGS = {
-    "measure": ("--norm-constant",),
+    "measure": (),
     "separability": ("--threshold",),
-    "invariance": ("--trials", "--seed", "--norm-constant"),
+    "invariance": ("--trials", "--seed"),
     "parse": (),
 }
 

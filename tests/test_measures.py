@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +14,14 @@ from entwedge import (
     PureState,
     bipartite_concurrence,
     evaluate,
+    invariance_experiment,
     multipartite_measure,
     normalize,
     parse_ket,
     separability_report,
 )
 from entwedge import _kernels
-from entwedge.measures import MAX_NORM_CONSTANT, _values, measure_rows
+from entwedge.measures import _values, measure_rows
 from entwedge.states import unfold
 from entwedge.errors import (
     NotNormalizedError,
@@ -248,7 +248,7 @@ class TestMeasureRows:
             got = measure_rows(want[0].kind, rows, dims)
             assert got.shape == (len(states),)
             assert [t.hex() for t in got.tolist()] == [w.term_sum.hex() for w in want]
-            values = _values(got, 2.0).tolist()
+            values = _values(got).tolist()
             assert [v.hex() for v in values] == [w.value.hex() for w in want]
 
 
@@ -326,28 +326,13 @@ class TestConfig:
         result = multipartite_measure(state)
         assert result.value == math.sqrt(result.norm_constant * result.term_sum)
 
-    def test_norm_constant_scales_value(self, rng):
-        state = random_state(rng, (2, 3))
-        base = bipartite_concurrence(state)
-        half = bipartite_concurrence(state, norm_constant=1.0)
-        assert half.value == pytest.approx(base.value / math.sqrt(2.0), rel=1e-12)
-        assert half.term_sum == base.term_sum
-        assert half.norm_constant == 1.0
-
     def test_invalid_config(self):
-        measures = [(bipartite_concurrence, bell_state()), (multipartite_measure, ghz_state(3))]
-        for measure, state in measures:
-            for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValidationError, match="norm_constant must be positive"):
-                    measure(state, norm_constant=bad)
-
-    def test_norm_constant_that_could_overflow_is_refused(self):
-        # term sums stay below 16, so the largest accepted constant keeps
-        # GHZ3's value finite; GHZ3's term sum is 3.0000000000000013, so
-        # the last refused constant would leave it just finite too
-        state = ghz_state(3)
-        assert math.isfinite(multipartite_measure(state, norm_constant=MAX_NORM_CONSTANT).value)
-        for bad in (1e308, sys.float_info.max, sys.float_info.max / 3.0000000000000013,
-                    math.nextafter(MAX_NORM_CONSTANT, math.inf)):
-            with pytest.raises(ValidationError, match="^norm_constant must be positive and at"):
-                multipartite_measure(state, norm_constant=bad)
+        # the prefactor is a constant, not a setting
+        calls = [
+            (bipartite_concurrence, bell_state()),
+            (multipartite_measure, ghz_state(3)),
+            (invariance_experiment, bell_state()),
+        ]
+        for call, state in calls:
+            with pytest.raises(TypeError, match="norm_constant"):
+                call(state, norm_constant=2.0)

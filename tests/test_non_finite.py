@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from entwedge import (
     Bipartition,
     PureState,
-    bipartite_concurrence,
     enumerate_bipartitions,
     invariance_experiment,
     load_state,
-    multipartite_measure,
     normalize,
     separability_report,
     validate,
@@ -67,15 +65,6 @@ def test_state_file_components(tmp_path_factory, literal, count, data):
     with pytest.raises(ParseError) as info:
         load_state(str(path))
     assert f"amplitudes[{bad}].{field}: expected a finite number" in str(info.value)
-
-
-@settings(max_examples=100, deadline=None)
-@given(NON_FINITE)
-def test_measure_config(value):
-    with pytest.raises(ValidationError, match="norm_constant must be positive"):
-        bipartite_concurrence(bell_state(), norm_constant=value)
-    with pytest.raises(ValidationError, match="norm_constant must be positive"):
-        invariance_experiment(bell_state(), trials=1, norm_constant=value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,11 +120,6 @@ def test_integer_arguments_are_checked(site, value):
 PRINTED_SITES = {
     "Bipartition.left_axes": lambda v: Bipartition((1,), 2).left_axes(v),
     "separability.threshold": lambda v: separability_report(bell_state(), threshold=v),
-    "bipartite.norm_constant": lambda v: bipartite_concurrence(bell_state(), norm_constant=v),
-    "multipartite.norm_constant": lambda v: multipartite_measure(bell_state(), norm_constant=v),
-    "invariance.norm_constant": (
-        lambda v: invariance_experiment(bell_state(), trials=1, norm_constant=v)
-    ),
 }
 
 
@@ -165,8 +149,6 @@ def test_numpy_integers_are_accepted():
 def test_non_real_numbers_are_refused(value):
     with pytest.raises(ValidationError):
         separability_report(bell_state(), threshold=value)
-    with pytest.raises(ValidationError, match="norm_constant must be positive"):
-        bipartite_concurrence(bell_state(), norm_constant=value)
 
 
 def test_numpy_bools_are_refused():
@@ -174,5 +156,3 @@ def test_numpy_bools_are_refused():
     for value in (np.True_, np.False_):
         with pytest.raises(ValidationError):
             separability_report(bell_state(), threshold=value)
-        with pytest.raises(ValidationError, match="norm_constant must be positive"):
-            bipartite_concurrence(bell_state(), norm_constant=value)
