@@ -136,7 +136,8 @@ def _check_unitary(stack: np.ndarray) -> None:
     ``UNITARITY_TOL`` componentwise."""
     gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
     defect = float(np.max(np.abs(gram - np.eye(stack.shape[-1]))))
-    if defect > UNITARITY_TOL:
+    # written as "not <=" because every comparison with NaN is False
+    if not defect <= UNITARITY_TOL:
         raise ValidationError(
             f"matrix deviates from unitary by {defect:.3e} (tol {UNITARITY_TOL:g})"
         )

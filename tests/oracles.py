@@ -104,6 +104,33 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
+def subset_impurities(state: PureState) -> list:
+    """``1 - tr rho_A^2`` over all ``2^m - 2`` proper subsets A of the
+    labels, each ``rho_A = M M^dagger`` of the matricization across A."""
+    m = len(state.dims)
+    impurities = []
+    for size in range(1, m):
+        for left in itertools.combinations(range(1, m + 1), size):
+            mat = matricize(state, Bipartition(left, m))
+            impurities.append(1.0 - purity(mat @ mat.conj().T))
+    return impurities
+
+
+def cmb_concurrence(state: PureState) -> float:
+    """Multipartite concurrence ``2^(1-m/2) sqrt(sum_A (1 - tr rho_A^2))``
+    over the proper subsets A (Carvalho, Mintert and Buchleitner, PRL
+    93, 230501 (2004))."""
+    return 2.0 ** (1 - len(state.dims) / 2) * math.sqrt(sum(subset_impurities(state)))
+
+
+def gme_concurrence(state: PureState) -> float:
+    """Genuine multipartite concurrence ``sqrt(2 min_S (1 - tr rho_S^2))``
+    over the bipartitions S (Ma et al., PRA 83, 062325 (2011)); a subset
+    and its complement have one purity, so the min runs over subsets,
+    and rounding below 0 reads 0."""
+    return math.sqrt(2.0 * max(0.0, min(subset_impurities(state))))
+
+
 def tripartite_term_sum(tensor: np.ndarray) -> float:
     """E's term sum on three subsystems, written out as three explicit
     slot terms from broadcast amplitude products.

@@ -2,7 +2,7 @@
 
 Each test covers one numbered criterion and prints a single
 ``criterion NN PASS/FAIL`` line with the measured quantities (visible
-under ``pytest -s``), then asserts.  Criteria 2, 3, 8, 9 and 12 are
+under ``pytest -s``), then asserts.  Criteria 2, 3, 8, 9, 12 and 13 are
 seeded sweeps; their seeds are fixed here so every run measures the
 same ensemble.
 """
@@ -42,6 +42,8 @@ from conftest import (
 )
 from oracles import (
     alt,
+    cmb_concurrence,
+    gme_concurrence,
     grid_norm_sq,
     pair_qubit_term_sum,
     partial_trace,
@@ -399,5 +401,66 @@ def test_criterion_12_what_e_sees_past_three_subsystems():
         f"3000 biseparable states per dims peak at E = {peak_text} (bound 2, "
         f"GHZ3 {ghz3:.4f}); Bell x Bell and GHZ4 both give E = {e_bb!r} / "
         f"{e_ghz4!r}, split profiles differ ({{1,2}}: 0 vs 0.5)",
+        ok,
+    )
+
+
+def _qubit_state(terms) -> PureState:
+    """Four qubits from ``{bit string: amplitude}``, normalized."""
+    vec = np.zeros(16, dtype=np.complex128)
+    for bits, amp in terms.items():
+        vec[int(bits, 2)] = amp
+    return PureState((2, 2, 2, 2), vec / math.sqrt(len(terms)))
+
+
+def higuchi_sudbery_state() -> PureState:
+    omega = np.exp(2j * math.pi / 3)
+    return _qubit_state({"0011": 1, "1100": 1, "1010": omega, "0101": omega,
+                         "1001": omega ** 2, "0110": omega ** 2})
+
+
+def cluster_state() -> PureState:
+    return _qubit_state({"0000": 1, "0011": 1, "1100": 1, "1111": -1})
+
+
+def test_criterion_13_e_against_the_generalized_concurrences():
+    # the abstract's first half: on two and three subsystems E is the
+    # generalized concurrence C_N of Carvalho, Mintert and Buchleitner
+    # (C = C_N and E = 2 C_N), whose marginals the oracle builds itself
+    rng = np.random.default_rng(1013)
+    worst, count = 0.0, 0
+    for m in (2, 3):
+        for dims in itertools.product((2, 3, 4), repeat=m):
+            for _ in range(3):
+                state = random_state(rng, dims)
+                if m == 2:
+                    value = bipartite_concurrence(state).value
+                else:
+                    value = multipartite_measure(state).value / 2.0
+                worst = max(worst, abs(value / cmb_concurrence(state) - 1.0))
+                count += 1
+    sweep_ok = worst <= 1e-12
+
+    # the second half: on four qubits E reads one value across two
+    # classes that C_N and the GME concurrence keep apart
+    states = {"GHZ4": ghz_state(4), "Bell x Bell": bell_x_bell_state(),
+              "HS": higuchi_sudbery_state(), "cluster": cluster_state()}
+    table = {name: (multipartite_measure(s).value, cmb_concurrence(s), gme_concurrence(s))
+             for name, s in states.items()}
+    cn_want = {"GHZ4": math.sqrt(7.0) / 2.0, "Bell x Bell": math.sqrt(7.0) / 2.0,
+               "HS": math.sqrt(2.0), "cluster": math.sqrt(2.0)}
+    four_ok = all(
+        e == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+        and c_n == pytest.approx(cn_want[name], rel=1e-12)
+        # sqrt of a rounded zero is about 1e-8, not 0
+        and (gme <= 1e-7 if name == "Bell x Bell" else gme == pytest.approx(1.0, rel=1e-12))
+        for name, (e, c_n, gme) in table.items()
+    )
+    ok = sweep_ok and four_ok
+    rows = "; ".join(f"{name}: E {e:.4f}, C_N {c_n:.4f}, GME {gme:.4f}"
+                     for name, (e, c_n, gme) in table.items())
+    _report(
+        13,
+        f"{count} seeded states on dims 2-4 per slot match C_N to rel {worst:.1e}; {rows}",
         ok,
     )

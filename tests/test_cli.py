@@ -110,15 +110,19 @@ class TestMeasure:
 
 class TestSeparability:
     def test_product_expression(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "separability", "--expr", "|0> |1>", "--output", "machine"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["fully_separable"] is True
-        assert doc["certificate_error"] <= 1e-12
-        assert doc["certificate"] is not None
-        assert all(p["separable"] for p in doc["partitions"])
+        # the certificate holds one basis vector per slot, up to phase
+        for expr, want in [("|0> |1>", [[1.0], [0.0, 1.0]]),
+                           ("|1,0,1>", [[0.0, 1.0], [1.0], [0.0, 1.0]])]:
+            code, out, err = run_cli(
+                capsys, "separability", "--expr", expr, "--output", "machine"
+            )
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["fully_separable"] is True
+            assert doc["certificate_error"] <= 1e-12
+            moduli = [[abs(complex(e["re"], e["im"])) for e in f] for f in doc["certificate"]]
+            assert moduli == want
+            assert all(p["separable"] for p in doc["partitions"])
 
     def test_bell_text(self, capsys):
         code, out, _ = run_cli(capsys, "separability", "--expr", BELL_EXPR)
@@ -183,12 +187,26 @@ class TestInvariance:
         assert doc["max_abs_deviation"] <= 1e-9
 
     def test_text_lines(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "invariance", "--expr", GHZ3_EXPR, "--trials", "3"
+        for expr, trials, kind in [(GHZ3_EXPR, "3", "multipartite_e"),
+                                   (BELL_EXPR, "10", "bipartite_concurrence")]:
+            code, out, err = run_cli(capsys, "invariance", "--expr", expr, "--trials", trials)
+            assert (code, err) == (0, "")
+            fields = dict(line.split(": ", 1) for line in out.splitlines())
+            assert list(fields) == ["measure", "baseline value", "seed", "trials",
+                                    "max abs deviation"]
+            assert (fields["measure"], fields["seed"], fields["trials"]) == (kind, "0", trials)
+            assert float(fields["max abs deviation"]) <= 1e-9
+
+    def test_longest_run_returns_every_deviation(self, capsys):
+        # the most trials the invariance price allows on any dims, on
+        # (1, 1); one more is refused (TestExitCodes)
+        code, out, err = run_cli(
+            capsys, "invariance", "--expr", "|0,0>", "--trials", "66622", "--output", "machine"
         )
-        assert code == 0
-        assert "measure: multipartite_e" in out
-        assert "trials: 3" in out
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["trials"] == 66622
+        assert len(doc["deviations"]) == 66622
 
 
 class TestParse:
@@ -549,6 +567,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("expr, trials", [
         (BELL_EXPR, "1000000000"),
+        ("|0,0>", "66623"),  # one past the longest run the price allows
         ("|63,63>", "1000"),  # about 0.25 s a trial on the current kernel
     ])
     def test_oversized_invariance_run_is_three(self, capsys, expr, trials):
@@ -714,6 +733,16 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("kind: bipartite_concurrence\n")
+
+    def test_children_import_the_tested_copy(self):
+        # child_env points a child at the entwedge this run imported,
+        # whether a checkout's src/ or an installed package
+        proc = subprocess.run(
+            [sys.executable, "-c", "import entwedge; print(entwedge.__file__)"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.samefile(proc.stdout.strip(), entwedge.__file__)
 
 
 # How the console script and perfbench start a run: main() on sys.argv

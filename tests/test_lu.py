@@ -108,6 +108,8 @@ class TestUnitaryGate:
             lu._check_unitary(2.0 * np.eye(2)[None])
         with pytest.raises(ValidationError):
             lu._check_unitary(np.array([[[1.0, 1.0], [0.0, 1.0]]]))
+        with pytest.raises(ValidationError):
+            lu._check_unitary(np.full((1, 2, 2), np.nan))
 
 
 class TestApplyLocal:
