@@ -9,10 +9,10 @@ generalized concurrence (Rungta et al., PRA 64, 042315 (2001)).  Every
 measure and every verdict is built from such residuals, and
 ``split_residuals`` is the one route to the kernel calls for them.
 
-It also takes an ``(S, R, C)`` stack of same-shape matrices and returns
+It takes an ``(S, R, C)`` stack of same-shape matrices and returns
 their S sums from one call.  Each row pair's product is broadcast over
-the stack while every matrix keeps its own per-pair sum, so a stacked
-result is bitwise the one-matrix call on that matrix.  Summation order
+the stack while every matrix keeps its own per-pair sum, so a matrix's
+sum is bitwise the same whatever else is in the stack.  Summation order
 is fixed, so repeated calls with the same input give bitwise-identical
 results.
 
@@ -74,18 +74,12 @@ def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
     return totals
 
 
-def minor_pair_sum(mat: np.ndarray):
-    """Sum of ``|M[mu,i] M[nu,j] - M[nu,i] M[mu,j]|^2`` over row pairs
-    ``mu < nu`` and all column pairs ``(i, j)``, i.e. every squared 2x2
-    minor of ``mat`` counted twice.  Equals ``1 - tr rho^2`` of the row
-    marginal when ``mat`` has unit Frobenius norm.
-
-    A 2-D ``mat`` gives a float; an ``(S, R, C)`` stack gives an array
-    of its S sums, each bitwise the one-matrix result."""
-    stack = np.asarray(mat)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
+def minor_pair_sum(stack: np.ndarray) -> np.ndarray:
+    """The ``(S,)`` sums of an ``(S, R, C)`` stack: for each matrix M,
+    ``|M[mu,i] M[nu,j] - M[nu,i] M[mu,j]|^2`` over row pairs ``mu < nu``
+    and all column pairs ``(i, j)``, i.e. every squared 2x2 minor of M
+    counted twice.  Equals ``1 - tr rho^2`` of the row marginal when M
+    has unit Frobenius norm."""
     count, R, C = stack.shape
     # The summand is symmetric under exchanging the row pair with the
     # column pair, so pair over whichever side is shorter.
@@ -98,7 +92,7 @@ def minor_pair_sum(mat: np.ndarray):
     for first in range(0, count, run):
         mats = np.ascontiguousarray(stack[first:first + run], dtype=np.complex128)
         totals[first:first + run] = _run_sums(mats, block)
-    return float(totals[0]) if single else totals
+    return totals
 
 
 def check_split_work(dims, lefts) -> int:
@@ -147,6 +141,5 @@ def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:
         stack = np.empty((len(rows), len(members), r, rows.shape[1] // r), np.complex128)
         for k, s in enumerate(members):
             stack[:, k] = unfold(rows, dims, lefts[s])
-        sums = [minor_pair_sum(mats) for mats in stack]
-        residuals[:, members] = np.reshape(sums, (len(rows), len(members)))
+        residuals[:, members] = [minor_pair_sum(mats) for mats in stack]
     return residuals

@@ -21,7 +21,8 @@ floating point once, at the very end of evaluation.
 One walk of the syntax tree reads its slot dims and the price of
 expanding it: ``parse_ket`` takes the slot count from it, and
 ``evaluate`` the dims and the price.  A ``sqrt(p/q)`` radicand is
-capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``.
+capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``, and
+factoring them all is priced against ``MAX_RADICAND_DIVISIONS``.
 Parentheses nest at most ``MAX_NESTING`` deep.  Size guards run on the
 syntax tree, so an expression naming too many slots or too large a
 total dimension, or one whose expansion would take more than
@@ -48,6 +49,11 @@ from .states import PureState, check_size_guards, sparse_state
 # off its square part trial-divides up to the cube root, about 2*10^5
 # steps at the cap; past 2**53 the radicand is not even an exact float.
 MAX_RADICAND = 2 ** 53
+
+# Most trial divisions, a cube root per sqrt atom charged before it is
+# factored, one expression's radicands may take: the twenty primes below
+# the cap take 4161280 and 0.5 s on a shared 2-CPU x86-64 host.
+MAX_RADICAND_DIVISIONS = 2 ** 22
 
 # Deepest parenthesis nesting accepted.  The parser, the printer and the
 # evaluator each recurse once per level, so without a cap a short input
@@ -318,6 +324,7 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.depth = 0
+        self.divisions = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -341,13 +348,12 @@ class _Parser:
 
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("PLUS", "MINUS"):
-            sign = -1 if self.take(self.peek()[0])[0] == "MINUS" else 1
-        terms = [(sign, self.term())]
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            sign = -1 if self.take(self.peek()[0])[0] == "MINUS" else 1
-            terms.append((sign, self.term()))
+        terms = []
+        while not terms or self.peek()[0] in ("PLUS", "MINUS"):
+            kind = self.peek()[0]
+            if kind in ("PLUS", "MINUS"):
+                self.take(kind)
+            terms.append((-1 if kind == "MINUS" else 1, self.term()))
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return SumNode(tuple(terms))
@@ -429,9 +435,15 @@ class _Parser:
             if den == 0:
                 raise KetSyntaxError("division by zero", den_col)
             rad = Fraction(num, den)
-            if rad.numerator * rad.denominator > MAX_RADICAND:
+            product = rad.numerator * rad.denominator
+            if product > MAX_RADICAND:
                 raise KetSyntaxError(
                     f"sqrt radicand {rad} is beyond the cap of {MAX_RADICAND}", col
+                )
+            self.divisions += round(product ** (1 / 3))
+            if self.divisions > MAX_RADICAND_DIVISIONS:
+                raise TooLargeError(
+                    f"factoring the sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions"
                 )
             return ExactScalar.make(1, 0, rad)
         got = word or "end of input"
@@ -449,6 +461,8 @@ def parse_ket(text: str) -> KetExpr:
     ParseError
         On any syntax problem, as a :class:`KetSyntaxError` with a 1-based
         column, or when summed subexpressions carry different slot counts.
+    TooLargeError
+        Past ``MAX_RADICAND_DIVISIONS``, before the radicands are factored.
     """
     parser = _Parser(text)
     root = parser.expr()

@@ -4,12 +4,12 @@ Randomness contract: an experiment reads one stream, PCG64 seeded with
 ``SeedSequence(seed)``.  Trial k on dims ``n_1 .. n_m`` takes raw words
 ``[k W, (k + 1) W)`` with ``W = sum_j 2 n_j^2``, slot j's gate the next
 ``2 n_j^2`` of them; ``tests/oracles.py`` rebuilds trial k alone by
-advancing the stream ``k W`` words.  Normal variates come from an
-explicit Box-Muller transform of uniform doubles rather than the
-generator's own normal method, pinning the exact variate stream to this
-module instead of to numpy internals.  A uniform double is
-``(w >> 11) * 2**-53`` for a raw word ``w``, which is what
-``Generator.random`` returns on PCG64.
+advancing the stream ``k W`` words.  Complex Gaussians come from an
+explicit Box-Muller transform of uniform doubles, cosine to the real
+part and sine to the imaginary, rather than the generator's own normal
+method, pinning the exact variate stream to this module instead of to
+numpy internals.  A uniform double is ``(w >> 11) * 2**-53`` for a raw
+word ``w``, which is what ``Generator.random`` returns on PCG64.
 
 The experiment itself applies one independent Haar unitary per subsystem
 and reports how far the measure moves: the bipartite concurrence on two
@@ -79,53 +79,47 @@ class InvarianceRun:
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Box-Muller along the last axis: the cosine normals of each row,
-    then its sine normals.
+    """Complex Gaussians from Box-Muller, entrywise: the cosine normal
+    is the real part and the sine normal the imaginary part.
 
     ``log1p(-u)`` keeps the argument strictly positive since ``u`` is
     drawn from [0, 1).
     """
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * math.pi * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
 def _chunk_normals(bits: np.random.PCG64, count: int, dims) -> list:
-    """The normals of the next ``count`` trials in ``bits``, one
-    ``(count, 2 n^2)`` array per slot.
+    """The complex Gaussians of the next ``count`` trials in ``bits``,
+    one ``(count, n, n)`` stack per slot.
 
-    Row t of slot j's array is bitwise the Box-Muller normals of the
-    next ``2 n_j^2`` uniform doubles from a ``Generator`` at trial t's
-    first word, after the earlier slots' draws: each slot uses ``n_j^2``
-    uniforms for the radii, then ``n_j^2`` for the angles.
+    Matrix t of slot j's stack is bitwise the Box-Muller Gaussians of
+    the next ``2 n_j^2`` uniform doubles from a ``Generator`` at trial
+    t's first word, after the earlier slots' draws: ``n_j^2`` uniforms
+    for the radii, then ``n_j^2`` for the angles.
     """
     total = sum(2 * n * n for n in dims)
     raw = bits.random_raw(count * total).reshape(count, total)
     uniforms = (raw >> np.uint64(11)) * 2.0 ** -53
     normals = []
-    start = 0
     for n in dims:
-        sq = n * n
-        normals.append(_box_muller(uniforms[:, start:start + sq],
-                                   uniforms[:, start + sq:start + 2 * sq]))
-        start += 2 * sq
+        radii, angles, uniforms = np.split(uniforms, [n * n, 2 * n * n], axis=1)
+        normals.append(_box_muller(radii, angles).reshape(count, n, n))
     return normals
 
 
-def _haar_stack(normals: np.ndarray, dim: int) -> np.ndarray:
-    """Haar unitaries, one per row of ``normals``.
+def _haar_stack(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries, one per matrix of a ``(T, n, n)`` stack ``z`` of
+    complex Gaussian matrices.
 
-    Row t of ``normals`` (shape ``(T, 2 dim^2)``) holds the real parts
-    and then the imaginary parts of a row-major complex Gaussian matrix.
-    The ``(T, dim, dim)`` stack is factored as ``Z = QR`` in one call,
-    and column k of each Q is multiplied by the phase ``r_kk / |r_kk|``
-    so that R's diagonal becomes real and positive; without this phase
-    fix Q is not Haar distributed (Mezzadri, Notices AMS 54, 592
-    (2007)).  LAPACK factors each matrix on its own, so a matrix's
-    result does not depend on what else is in the stack.
+    The stack is factored as ``Z = QR`` in one call, and column k of
+    each Q is multiplied by the phase ``r_kk / |r_kk|`` so that R's
+    diagonal becomes real and positive; without this phase fix Q is not
+    Haar distributed (Mezzadri, Notices AMS 54, 592 (2007)).  LAPACK
+    factors each matrix on its own, so a matrix's result does not depend
+    on what else is in the stack.
     """
-    sq = dim * dim
-    z = (normals[:, :sq] + 1j * normals[:, sq:]).reshape(-1, dim, dim)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
@@ -217,7 +211,7 @@ def invariance_experiment(state: PureState, trials: int = 1000, seed: int = 0) -
     for lo in range(0, trials, step):
         count = min(step, trials - lo)
         normals = _chunk_normals(bits, count, dims)
-        stacks = [_haar_stack(slot, n) for slot, n in zip(normals, dims)]
+        stacks = [_haar_stack(z) for z in normals]
         for gates in stacks:
             _check_unitary(gates)
         rotated = _rotate(state.amplitudes, dims, stacks)

@@ -35,7 +35,8 @@ from .states import (
 
 DEFAULT_THRESHOLD = 1e-10
 
-# A certificate must rebuild the state, up to global phase, this closely.
+# What tests and the benchmark hold product inputs' certificates to; the
+# report never reads it, and a certified state misses by sqrt(residual/2).
 CERTIFICATE_TOL = 1e-8
 
 # Moduli this close, relatively, to a factor's largest tie for the
@@ -110,14 +111,12 @@ def separability_report(
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate so the first component whose modulus is within
-    ``PHASE_TIE_RTOL`` of the largest is real and nonnegative, making the
-    factor independent of the SVD's choice of phase, ties included."""
+    """Rotate the unit vector ``v`` so the first component whose modulus
+    is within ``PHASE_TIE_RTOL`` of the largest is real and positive, making
+    the factor independent of the SVD's choice of phase, ties included."""
     modulus = np.abs(v)
     k = int(np.argmax(modulus >= modulus.max() * (1.0 - PHASE_TIE_RTOL)))
     z = v[k]
-    if z == 0:
-        return v
     return v * (z.conjugate() / abs(z))
 
 

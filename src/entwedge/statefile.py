@@ -33,15 +33,21 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def _parse_document(doc) -> PureState:
-    if not isinstance(doc, dict):
-        raise ParseError(f"top level: expected an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {"dims", "amplitudes"})
+def _object(raw, fields, where: str) -> None:
+    """Refuse ``raw`` unless it is an object with exactly ``fields``,
+    naming the first unknown, then the first missing, field."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object, got {type(raw).__name__}")
+    unknown = sorted(set(raw).difference(fields))
     if unknown:
-        raise ParseError(f"top level: unknown field {unknown[0]!r}")
-    for key in ("dims", "amplitudes"):
-        if key not in doc:
-            raise ParseError(f"top level: missing field {key!r}")
+        raise ParseError(f"{where}: unknown field {unknown[0]!r}")
+    for key in fields:
+        if key not in raw:
+            raise ParseError(f"{where}: missing field {key!r}")
+
+
+def _parse_document(doc) -> PureState:
+    _object(doc, ("dims", "amplitudes"), "top level")
     if not isinstance(doc["dims"], list) or not doc["dims"]:
         raise ParseError("dims: expected a nonempty list")
     dims = []
@@ -59,14 +65,7 @@ def _parse_document(doc) -> PureState:
     entries = {}
     for pos, raw in enumerate(doc["amplitudes"]):
         where = f"amplitudes[{pos}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        unknown = sorted(set(raw) - {"idx", "re", "im"})
-        if unknown:
-            raise ParseError(f"{where}: unknown field {unknown[0]!r}")
-        for key in ("idx", "re", "im"):
-            if key not in raw:
-                raise ParseError(f"{where}: missing field {key!r}")
+        _object(raw, ("idx", "re", "im"), where)
         if not isinstance(raw["idx"], list):
             raise ParseError(f"{where}.idx: expected a list")
         if len(raw["idx"]) != len(dims):

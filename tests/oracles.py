@@ -7,6 +7,8 @@ With that convention the squared norm of the wedge of two qubit rows is
 twice the squared 2x2 determinant, which is what the concurrence
 normalization expects.  The unfolding and marginal oracles transpose
 ``state.tensor`` themselves, apart from the library's ``states.unfold``.
+``row_pair_minor_sum`` is a copy of the library's blocked row-pair
+kernel, the bitwise reference the kernel is held to.
 
 The single-trial path draws one invariance trial at a time: ``trial_rng``
 rebuilds trial k's place in the experiment's stream, then uniform
@@ -76,6 +78,61 @@ def brute_minor_sum(mat: np.ndarray) -> float:
                     d = mat[mu, i] * mat[nu, j] - mat[nu, i] * mat[mu, j]
                     total += abs(d) ** 2
     return total
+
+
+# The row-pair kernel's cap on entries per temporary.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
+    """Per-matrix minor sums of a contiguous ``(s, rows, n)`` run with
+    ``rows <= n``, pairing rows and summing each pair's ``(n, n)``
+    product ``block`` rows at a time."""
+    s, rows, n = mats.shape
+    tails = mats[:, :, None, :]
+    heads = [mats[:, :, start:start + block, None] for start in range(0, n, block)]
+    totals = np.zeros(s)
+    for mu in range(rows):
+        for nu in range(mu + 1, rows):
+            # a pair's blocks add up on their own before joining the total
+            pair = None
+            for head in heads:
+                w = head[:, mu] * tails[:, nu] - head[:, nu] * tails[:, mu]
+                part = np.add.reduce((w.real ** 2 + w.imag ** 2).reshape(s, -1), axis=1)
+                pair = part if pair is None else pair + part
+            totals += pair
+    return totals
+
+
+def row_pair_minor_sum(mat: np.ndarray):
+    """Sum of ``|M[mu,i] M[nu,j] - M[nu,i] M[mu,j]|^2`` over row pairs
+    ``mu < nu`` and all column pairs ``(i, j)``, i.e. every squared 2x2
+    minor of ``mat`` counted twice.  Equals ``1 - tr rho^2`` of the row
+    marginal when ``mat`` has unit Frobenius norm.
+
+    A 2-D ``mat`` gives a float; an ``(S, R, C)`` stack gives an array
+    of its S sums, each bitwise the one-matrix result.
+
+    A copy of the library's blocked row-pair kernel, one-matrix shape
+    included, so that the recorded residuals keep a bitwise reference if
+    ``entwedge._kernels.minor_pair_sum`` changes its algorithm."""
+    stack = np.asarray(mat)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+    count, R, C = stack.shape
+    # The summand is symmetric under exchanging the row pair with the
+    # column pair, so pair over whichever side is shorter.
+    if R > C:
+        stack = stack.transpose(0, 2, 1)
+        R, C = C, R
+    block = min(C, max(1, _BLOCK_ENTRIES // C))
+    run = max(1, _BLOCK_ENTRIES // max(R * C, block * C))
+    totals = np.empty(count)
+    for first in range(0, count, run):
+        mats = np.ascontiguousarray(stack[first:first + run], dtype=np.complex128)
+        totals[first:first + run] = _run_sums(mats, block)
+    return float(totals[0]) if single else totals
 
 
 def pair_qubit_term_sum(amps: np.ndarray) -> float:
@@ -164,14 +221,18 @@ def trial_rng(seed: int, k: int, dims) -> np.random.Generator:
 
 
 def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on ``rng``'s next uniform doubles."""
+    """n standard normals via Box-Muller on ``rng``'s next uniform doubles:
+    the real parts of the complex Gaussians, then their imaginary parts."""
     pairs = (n + 1) // 2
-    return lu._box_muller(rng.random(pairs), rng.random(pairs))[:n]
+    z = lu._box_muller(rng.random(pairs), rng.random(pairs))
+    return np.concatenate([z.real, z.imag])[:n]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary from ``rng``'s next ``2 dim^2`` normals."""
-    return lu._haar_stack(standard_normals(rng, 2 * dim * dim)[None], dim)[0]
+    """Haar unitary from the complex Gaussians of ``rng``'s next
+    ``2 dim^2`` uniform doubles."""
+    z = lu._box_muller(rng.random(dim * dim), rng.random(dim * dim))
+    return lu._haar_stack(z.reshape(1, dim, dim))[0]
 
 
 def apply_local(state: PureState, gates) -> PureState:

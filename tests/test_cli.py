@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import entwedge
 from entwedge import PureState, invariance_experiment, save_state
 from entwedge.cli import build_parser, cli_main, main
-from entwedge.ketlang import MAX_NESTING
+from entwedge.ketlang import MAX_NESTING, MAX_RADICAND_DIVISIONS
 from entwedge.separability import DEFAULT_THRESHOLD
 from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
 
@@ -550,6 +550,18 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "steps to expand" in err
+
+    @pytest.mark.parametrize("command", ["parse", "measure"])
+    def test_costly_radicands_are_three(self, capsys, command):
+        # 200 pairs of primes below the cap, 9.2 KB: factoring the 400
+        # radicands as they were read took 10 s before they were priced
+        pair = f"sqrt({2 ** 53 - 111})/sqrt({2 ** 53 - 145})"
+        text = " ".join([pair] * 200) + " |0,0>"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert f"sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions" in err
 
     @pytest.mark.parametrize("command", ["parse", "measure", "separability", "invariance"])
     def test_long_decimal_expansion_is_three(self, capsys, command):

@@ -21,7 +21,14 @@ from entwedge.errors import TooLargeError
 from entwedge.measures import MeasureKind, measure_rows
 from entwedge.states import unfold
 from conftest import random_state
-from oracles import brute_minor_sum, brute_swap_sum, grid_norm_sq, matricize, wedge_pair
+from oracles import (
+    brute_minor_sum,
+    brute_swap_sum,
+    grid_norm_sq,
+    matricize,
+    row_pair_minor_sum,
+    wedge_pair,
+)
 
 
 class TestNumpyBackend:
@@ -39,15 +46,15 @@ class TestNumpyBackend:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (4, 4), (7, 3)])
     def test_minor_matches_bruteforce(self, rng, shape):
         mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = _kernels.minor_pair_sum(mat)
+        got = _kernels.minor_pair_sum(mat[None])[0]
         assert got == pytest.approx(brute_minor_sum(mat), rel=1e-12)
 
     def test_minor_wide_equals_tall(self, rng):
         # the summand is symmetric under swapping the row pair with the
         # column pair, so transposition must not change the result
         mat = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
-        a = _kernels.minor_pair_sum(mat)
-        b = _kernels.minor_pair_sum(mat.T.copy())
+        a = _kernels.minor_pair_sum(mat[None])[0]
+        b = _kernels.minor_pair_sum(mat.T.copy()[None])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -85,7 +92,7 @@ class TestNearProductAccuracy:
             mat = np.outer(left, right) / np.linalg.norm(left) / np.linalg.norm(right)
             mat = mat + eps * random_stack(rng, shape)
             mat /= np.linalg.norm(mat)
-            got = _kernels.minor_pair_sum(mat)
+            got = _kernels.minor_pair_sum(mat[None])[0]
             exact = exact_minor_sum(mat)
             assert got >= 0
             assert abs(Fraction(got) - exact) <= self.C * 2.0 ** -53 * math.sqrt(exact)
@@ -107,7 +114,7 @@ class TestWedgeIdentity:
     @pytest.mark.parametrize("shape", WEDGE_SHAPES)
     def test_matrix_is_sum_of_row_wedges(self, rng, shape):
         mat = random_stack(rng, shape)
-        assert _kernels.minor_pair_sum(mat) == pytest.approx(wedge_sum(mat), rel=1e-12)
+        assert _kernels.minor_pair_sum(mat[None])[0] == pytest.approx(wedge_sum(mat), rel=1e-12)
 
     @pytest.mark.parametrize("shape", WEDGE_SHAPES)
     def test_stack_is_sum_of_row_wedges(self, rng, shape):
@@ -122,7 +129,7 @@ class TestStack:
     @staticmethod
     def assert_bitwise_singles(stack):
         got = _kernels.minor_pair_sum(stack)
-        want = [_kernels.minor_pair_sum(mat) for mat in stack]
+        want = [_kernels.minor_pair_sum(mat[None])[0] for mat in stack]
         assert [float(x).hex() for x in got] == [x.hex() for x in want]
 
     def test_longer_than_one_run(self, rng):
@@ -140,7 +147,7 @@ class TestStack:
         self.assert_bitwise_singles(random_stack(rng, (3, 2, 256)))
 
     def test_one_row_reads_zero(self, rng):
-        assert _kernels.minor_pair_sum(random_stack(rng, (1, 7))) == 0.0
+        assert _kernels.minor_pair_sum(random_stack(rng, (1, 7))[None])[0] == 0.0
         assert list(_kernels.minor_pair_sum(random_stack(rng, (4, 1, 7)))) == [0.0] * 4
 
     def test_real_stack_matches_complex(self, rng):
@@ -148,6 +155,28 @@ class TestStack:
         got = _kernels.minor_pair_sum(stack)
         want = _kernels.minor_pair_sum(stack.astype(np.complex128))
         assert np.array_equal(got, want)
+
+
+class TestRowPairOracle:
+    # The stack-only kernel is bitwise the row-pair oracle, on its stack
+    # and on each matrix alone, through every branch of the blocking.
+    @pytest.mark.parametrize("shape", [
+        (5, 12, 3),  # R > C: paired after a transpose
+        (3, 3, 200),  # C > 90: each pair product summed in row blocks
+        (3, 2, 256),
+        (40, 8, 32),  # more matrices than one run holds
+        (7, 16, 16),
+        (4, 1, 7),  # one row: no minors
+    ])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+    def test_kernel_is_the_oracle(self, rng, shape, dtype):
+        stack = random_stack(rng, shape)
+        if not np.issubdtype(dtype, np.complexfloating):
+            stack = stack.real
+        stack = stack.astype(dtype)
+        got = [x.hex() for x in _kernels.minor_pair_sum(stack).tolist()]
+        assert got == [x.hex() for x in row_pair_minor_sum(stack).tolist()]
+        assert got == [row_pair_minor_sum(mat).hex() for mat in stack]
 
 
 class TestMemoryBound:
@@ -166,7 +195,7 @@ class TestMemoryBound:
 
     def test_wide_matrix(self, rng):
         mat = random_stack(rng, (2, 2048))
-        assert self.peak_bytes(lambda: _kernels.minor_pair_sum(mat)) < self.LIMIT
+        assert self.peak_bytes(lambda: _kernels.minor_pair_sum(mat[None])) < self.LIMIT
 
     def test_separability_report(self, rng):
         state = random_state(rng, (2, 2, 1024))
@@ -208,7 +237,7 @@ class TestSplitResiduals:
         assert got.shape == (5, len(lefts))
         for s, left in enumerate(lefts):
             for t, mat in enumerate(unfold(rows, dims, left)):
-                assert float(got[t, s]).hex() == _kernels.minor_pair_sum(mat).hex()
+                assert float(got[t, s]).hex() == _kernels.minor_pair_sum(mat[None])[0].hex()
 
     @staticmethod
     def count_kernel(monkeypatch) -> list:
@@ -240,7 +269,7 @@ class TestSelection:
         second = multipartite_measure(state).term_sum
         assert first == second
         mat = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        assert _kernels.minor_pair_sum(mat) == _kernels.minor_pair_sum(mat)
+        assert _kernels.minor_pair_sum(mat[None])[0] == _kernels.minor_pair_sum(mat[None])[0]
 
 
 class TestSplitWork:

@@ -23,6 +23,7 @@ from entwedge import ketlang
 from entwedge.ketlang import (
     MAX_NESTING,
     MAX_RADICAND,
+    MAX_RADICAND_DIVISIONS,
     ExactScalar,
     KetNode,
     ProductNode,
@@ -322,6 +323,21 @@ class TestParsing:
             parse_ket(text)
         assert info.value.column == column
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("+ + |0>", 3), ("- |0> - - |1>", 9), ("|0> + - |1>", 7), ("(-|0> -) |1>", 8)],
+    )
+    def test_sign_error_columns(self, text, column):
+        # one loop reads the optional first sign and every later one
+        with pytest.raises(KetSyntaxError) as info:
+            parse_ket(text)
+        assert info.value.column == column
+
+    def test_ket_after_slash_is_refused(self):
+        with pytest.raises(KetSyntaxError) as info:
+            parse_ket("1/|0>")
+        assert str(info.value) == "expected a scalar, got '|' (column 3)"
+
     @pytest.mark.parametrize("char", ["\u00b2", "\u2460"], ids=["superscript", "circled"])
     def test_digits_that_are_not_decimal_are_unexpected(self, char):
         # str.isdigit accepts both, but int() reads neither
@@ -587,11 +603,52 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="overflows a float"):
             evaluate(parse_ket("1" + "0" * 500 + " " + text))
 
+    @pytest.mark.parametrize("text, zero", [
+        ("(|0>+|1>) - |1>", (1,)),
+        ("sqrt(8)/2 |0> - sqrt(2) |0> + |1>", (0,)),
+    ])
+    def test_exact_cancellation_is_zero(self, text, zero):
+        # the exact sum cancels to ZERO before anything is rounded
+        table = ketlang._walk(parse_ket(text).root)
+        assert [scalar for (idx, _), scalar in table.items() if idx == zero] == [ketlang.ZERO]
+        amplitude = evaluate(parse_ket(text)).amplitudes[zero[0]]
+        assert amplitude == 0 and not np.signbit(amplitude.real)
+
     def test_distribution_over_sums(self):
         state = evaluate(parse_ket("(|0> + |1>) (|0> - |1>)"))
         np.testing.assert_allclose(
             state.amplitudes, [1.0, -1.0, 1.0, -1.0], atol=0
         )
+
+
+class TestRadicandBudget:
+    def test_budget(self):
+        # the twenty primes below the cap take 4161280 divisions
+        assert MAX_RADICAND_DIVISIONS == 2 ** 22
+        assert 20 * round(BIG_PRIMES[0] ** (1 / 3)) <= MAX_RADICAND_DIVISIONS
+
+    def test_charged_before_factoring(self, monkeypatch):
+        factored = []
+        real = ketlang._square_split
+
+        def counted(n):
+            factored.append(n)
+            return real(n)
+
+        monkeypatch.setattr(ketlang, "_square_split", counted)
+        # 1000 and 1001 each charge 10, and 30 > 25
+        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 25)
+        assert len(parse_ket("sqrt(1000) sqrt(1001/1) |0>").root.factors) == 3
+        assert factored == [1000, 1001]
+        factored.clear()
+        with pytest.raises(TooLargeError, match="^factoring the sqrt radicands takes over 25 divisions$"):
+            parse_ket("sqrt(1000) sqrt(1001) sqrt(1/1000) |0>")
+        assert factored == [1000, 1001]
+        # charged per expression and in lowest terms
+        parse_ket("sqrt(2000/2) sqrt(1) sqrt(3/3) |0>")
+        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 9)
+        with pytest.raises(TooLargeError):
+            parse_ket("sqrt(1000)")
 
 
 class TestGuardsBeforeExpansion:

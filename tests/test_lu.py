@@ -400,8 +400,8 @@ class TestBatchedTrials:
     def test_non_unitary_stack_is_refused(self, monkeypatch):
         real_stack = lu._haar_stack
 
-        def skewed(normals, dim):
-            stack = real_stack(normals, dim)
+        def skewed(z):
+            stack = real_stack(z)
             stack[-1] *= 1.0 + 1e-6  # one gate in the chunk is off
             return stack
 
@@ -433,14 +433,15 @@ class TestChunkDraws:
     )
     def test_rows_match_per_trial_draws(self, dims, seed, lo, count):
         normals = lu._chunk_normals(trial_rng(seed, lo, dims).bit_generator, count, dims)
-        assert [slot.shape for slot in normals] == [(count, 2 * n * n) for n in dims]
+        assert [slot.shape for slot in normals] == [(count, n, n) for n in dims]
         words = sum(2 * n * n for n in dims)
         for t in range(count):
             bits = np.random.PCG64(np.random.SeedSequence(seed))
             bits.advance((lo + t) * words)
             rng = np.random.Generator(bits)
             for slot, n in zip(normals, dims):
-                np.testing.assert_array_equal(slot[t], standard_normals(rng, 2 * n * n))
+                flat = np.concatenate([slot[t].real.ravel(), slot[t].imag.ravel()])
+                np.testing.assert_array_equal(flat, standard_normals(rng, 2 * n * n))
 
 
 class TestStackNormCheck:

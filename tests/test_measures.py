@@ -261,7 +261,7 @@ class TestMeasureRows:
         for t, term_sum in enumerate(got.tolist()):
             want = 0.0
             for j in range(len(dims)):
-                want += _kernels.minor_pair_sum(unfold(rows, dims, [j])[t])
+                want += _kernels.minor_pair_sum(unfold(rows, dims, [j])[t][None])[0]
             assert term_sum.hex() == (2.0 * want).hex()
 
 

@@ -224,6 +224,22 @@ class TestReport:
         again = separability_report(state).certificate
         assert [f.tobytes() for f in again] == [f.tobytes() for f in report.certificate]
 
+    @pytest.mark.parametrize("eps", [1e-6, 3e-6, 7e-6])
+    def test_certified_near_the_threshold_misses_by_root_half_residual(self, eps):
+        # CERTIFICATE_TOL is what certificates of product inputs are held
+        # to, not what a certified state gets: at the default threshold
+        # sqrt(1 - eps^2)|0,0> + eps|1,1> is certified, and its
+        # certificate misses by sqrt(residual / 2), about eps: 700x the
+        # tolerance at eps = 7e-6
+        amps = np.array([math.sqrt(1 - eps * eps), 0, 0, eps], dtype=np.complex128)
+        report = separability_report(PureState((2, 2), amps))
+        (verdict,) = report.per_partition.values()
+        assert verdict.residual == pytest.approx(2 * eps * eps, rel=1e-9)
+        assert report.fully_separable
+        assert report.certificate_error == pytest.approx(math.sqrt(verdict.residual / 2), rel=1e-9)
+        assert report.certificate_error == pytest.approx(eps, rel=1e-6)
+        assert report.certificate_error > 50 * CERTIFICATE_TOL
+
     def test_loose_threshold_is_caught_by_certificate(self):
         # verdicts follow the threshold, but the reconstruction error
         # still exposes that GHZ is nowhere near a product
@@ -358,7 +374,7 @@ class TestValidateOnce:
             assert verdict.residual == alone[0, 0]
             if math.prod(dims[ax] for ax in left) in (1, state.total_dim):
                 mat = unfold(state.amplitudes[None], dims, left)[0]
-                assert verdict.residual.hex() == _kernels.minor_pair_sum(mat).hex()
+                assert verdict.residual.hex() == _kernels.minor_pair_sum(mat[None])[0].hex()
 
 
 class TestGrouping:

@@ -71,6 +71,11 @@ class TestRoundTrip:
             save_state(PureState((2,), [bad, 1.0]), str(path))
         assert not path.exists()
 
+    def test_unwritable_path_is_a_parse_error(self, tmp_path):
+        # a directory cannot be opened for writing
+        with pytest.raises(ParseError, match="^cannot write "):
+            save_state(bell_state(), str(tmp_path))
+
 
 class TestLoad:
     def test_sparse_document(self, tmp_path):
@@ -161,6 +166,11 @@ class TestSchemaMessages:
     def test_amplitude_entry_not_object(self, tmp_path):
         doc = {"dims": [2], "amplitudes": [7]}
         self.check(tmp_path, doc, "amplitudes[0]: expected an object")
+
+    def test_amplitude_entry_names_its_type(self, tmp_path):
+        # the same check as the top level's, so the same message
+        doc = {"dims": [2], "amplitudes": [[0]]}
+        self.check(tmp_path, doc, "amplitudes[0]: expected an object, got list")
 
     def test_unknown_amplitude_field(self, tmp_path):
         doc = {"dims": [2], "amplitudes": [dict(amp([0]), phase=1.0)]}
