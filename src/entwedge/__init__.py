@@ -1,6 +1,6 @@
 """Wedge-product entanglement measures for pure multipartite states."""
 
-from .ketlang import KetExpr, evaluate, parse_ket, pretty
+from .ketlang import evaluate, parse_ket, pretty
 from .lu import InvarianceRun, invariance_experiment
 from .measures import (
     MeasureKind,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "InvarianceRun",
-    "KetExpr",
     "MeasureKind",
     "MeasureResult",
     "PureState",

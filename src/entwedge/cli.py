@@ -36,10 +36,7 @@ from .states import PureState
 _LEADING_MINUS = "; write one that starts with '-' as --expr='-...'"
 
 
-def _input_flags(sub: argparse.ArgumentParser, expr_only: bool = False) -> None:
-    if expr_only:
-        sub.add_argument("--expr", required=True, help="ket expression to parse" + _LEADING_MINUS)
-        return
+def _input_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="path to a JSON state file")
     group.add_argument("--expr", help="ket expression for the state" + _LEADING_MINUS)
@@ -79,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     invariance.set_defaults(func=cmd_invariance)
 
     parse = subs.add_parser("parse", help="parse an expression and print its amplitudes")
-    _input_flags(parse, expr_only=True)
+    parse.add_argument("--expr", required=True, help="ket expression to parse" + _LEADING_MINUS)
     parse.set_defaults(func=cmd_parse)
 
     return parser

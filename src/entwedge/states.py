@@ -144,10 +144,6 @@ class PureState:
         return len(self.dims)
 
     @property
-    def total_dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
         return self.amplitudes.reshape(self.dims)

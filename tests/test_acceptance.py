@@ -312,7 +312,7 @@ def test_criterion_11_text_formats_are_stable(tmp_path, capsys):
         first = parse_ket(text)
         printed = pretty(first)
         second = parse_ket(printed)
-        corpus_ok = corpus_ok and second.root == first.root and pretty(second) == printed
+        corpus_ok = corpus_ok and second == first and pretty(second) == printed
 
     rng = np.random.default_rng(1011)
     file_ok = True

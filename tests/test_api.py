@@ -8,7 +8,6 @@ from entwedge import errors
 PUBLIC_NAMES = [
     "Bipartition",
     "InvarianceRun",
-    "KetExpr",
     "MeasureKind",
     "MeasureResult",
     "PartitionVerdict",

@@ -235,6 +235,32 @@ class TestParse:
         assert lines[3] == "amp |2>: re=0.0 im=0.8"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("expr, expected", [
+        ("sqrt(1/3) (|0,0,1> + |0,1,0> + |1,0,0>)",
+         "expression: sqrt(1/3) (|0,0,1> + |0,1,0> + |1,0,0>)\n"
+         "dims: 2,2,2\n"
+         "amp |0,0,1>: re=0.5773502691896257 im=0.0\n"
+         "amp |0,1,0>: re=0.5773502691896257 im=0.0\n"
+         "amp |1,0,0>: re=0.5773502691896257 im=0.0\n"),
+        ("sqrt(2/7)|0,1>+sqrt(5/7)|1,0>",
+         "expression: sqrt(2/7) |0,1> + sqrt(5/7) |1,0>\n"
+         "dims: 2,2\n"
+         "amp |0,1>: re=0.5345224838248488 im=0.0\n"
+         "amp |1,0>: re=0.8451542547285166 im=0.0\n"),
+        ("1/i/i |0>",
+         "expression: 1/i/i |0>\n"
+         "dims: 1\n"
+         "amp |0>: re=-1.0 im=0.0\n"),
+        ("|\u0663,0>",
+         "expression: |3,0>\n"
+         "dims: 4,1\n"
+         "amp |3,0>: re=1.0 im=0.0\n"),
+    ], ids=["w3", "sqrt-2-7", "1-over-i-i", "arabic-indic-digit"])
+    def test_output_is_pinned(self, capsys, expr, expected):
+        # integer arithmetic and one correctly rounded conversion per
+        # part, so these strings hold on every platform
+        assert run_cli(capsys, "parse", "--expr", expr) == (0, expected, "")
+
 
 W3_EXPR = "sqrt(1/3) (|0,0,1> + |0,1,0> + |1,0,0>)"
 

@@ -264,33 +264,32 @@ class TestExactScalar:
 class TestParsing:
     def test_single_ket(self):
         expr = parse_ket("|0,1>")
-        assert expr.root == KetNode((0, 1))
-        assert expr.arity == 2
+        assert expr == KetNode((0, 1))
+        assert len(evaluate(expr).dims) == 2
 
     def test_juxtaposition_tensors(self):
         expr = parse_ket("|0>|1>")
-        assert expr.root == ProductNode((KetNode((0,)), KetNode((1,))))
-        assert expr.arity == 2
+        assert expr == ProductNode((KetNode((0,)), KetNode((1,))))
+        assert len(evaluate(expr).dims) == 2
 
     def test_sum_with_signs(self):
         expr = parse_ket("|0,0> - |1,1>")
-        assert isinstance(expr.root, SumNode)
-        assert [sign for sign, _ in expr.root.terms] == [1, -1]
+        assert isinstance(expr, SumNode)
+        assert [sign for sign, _ in expr.terms] == [1, -1]
 
     def test_leading_sign_wraps_single_term(self):
         expr = parse_ket("-|0>")
-        assert expr.root == SumNode(((-1, KetNode((0,))),))
+        assert expr == SumNode(((-1, KetNode((0,))),))
 
     def test_scalar_chain(self):
         # the chain stays as written; evaluate divides it out
         expr = parse_ket("sqrt(2) / 2")
-        assert expr.root == ScalarNode("sqrt(2)/2", (ExactScalar.make(1, 0, 2), ExactScalar.make(2)))
-        assert expr.arity == 0
-        assert ketlang._walk(expr.root) == {((), 2): ExactScalar.make(Fraction(1, 2), 0, 2)}
+        assert expr == ScalarNode("sqrt(2)/2", (ExactScalar.make(1, 0, 2), ExactScalar.make(2)))
+        assert ketlang._walk(expr) == {((), 2): ExactScalar.make(Fraction(1, 2), 0, 2)}
 
     def test_equivalent_root_half_spellings_agree_exactly(self):
         forms = ["sqrt(2)/2", "sqrt(1/2)", "1/sqrt(2)"]
-        roots = [parse_ket(f"{text} |0>").root for text in forms]
+        roots = [parse_ket(f"{text} |0>") for text in forms]
         # three trees, one exact amplitude table and one float
         assert len(set(roots)) == 3
         tables = [ketlang._walk(root) for root in roots]
@@ -359,20 +358,20 @@ class TestParsing:
         # trial division to sqrt(n) needs about 10**8 steps on the prime
         # just below the cap
         start = time.perf_counter()
-        (value,) = parse_ket(f"sqrt({prime})").root.atoms
+        (value,) = parse_ket(f"sqrt({prime})").atoms
         assert time.perf_counter() - start < 0.5
         assert value == ExactScalar(Fraction(1), Fraction(0), Fraction(prime))
 
     def test_radicand_cap(self):
         assert MAX_RADICAND == 2 ** 53
-        assert parse_ket(f"sqrt({2 ** 53})").root.atoms == (ExactScalar.make(2 ** 26, 0, 2),)
+        assert parse_ket(f"sqrt({2 ** 53})").atoms == (ExactScalar.make(2 ** 26, 0, 2),)
         for text in (f"sqrt({2 ** 53 + 1})", f"2 sqrt(2/{2 ** 53 + 1}) |0>"):
             with pytest.raises(KetSyntaxError) as info:
                 parse_ket(text)
             assert info.value.column == text.index("sqrt") + 1
             assert "cap" in str(info.value)
         # the cap applies in lowest terms
-        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").root.atoms == (
+        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").atoms == (
             ExactScalar.make(1, 0, 2),
         )
 
@@ -387,8 +386,8 @@ class TestParsing:
         assert info.value.column == column
 
     def test_number_at_digit_limit_parses(self, int_digit_limit):
-        assert parse_ket(f"|0,{'1' * 4300}>").root.indices[1] == int("1" * 4300)
-        assert parse_ket(f"0.{'1' * 4299} |0>").root.factors[0].atoms[0].re < 1
+        assert parse_ket(f"|0,{'1' * 4300}>").indices[1] == int("1" * 4300)
+        assert parse_ket(f"0.{'1' * 4299} |0>").factors[0].atoms[0].re < 1
 
     def test_nesting_cap(self):
         assert MAX_NESTING == 64
@@ -404,7 +403,7 @@ class TestParsing:
         # parentheses and the evaluator walks the full depth
         text = "(i " * MAX_NESTING + "|0>" + ")" * MAX_NESTING
         expr = parse_ket(text)
-        assert parse_ket(pretty(expr)).root == expr.root
+        assert parse_ket(pretty(expr)) == expr
         assert pretty(expr).count("(") == MAX_NESTING - 1
         state = evaluate(expr)
         assert state.amplitudes[0] == 1.0  # i**64
@@ -420,7 +419,7 @@ class TestParsing:
         assert pretty(expr) == text
         assert evaluate(expr).amplitudes[0] == pytest.approx(value, rel=1e-15)
         # and a later division shrinks the value exactly
-        assert ketlang._walk(parse_ket("1000000000/sqrt(3)/1000000000").root) == {
+        assert ketlang._walk(parse_ket("1000000000/sqrt(3)/1000000000")) == {
             ((), 3): ExactScalar.make(1, 0, Fraction(1, 3))
         }
 
@@ -450,7 +449,7 @@ class TestParsing:
         assert evaluate(expr).amplitudes[0] == pytest.approx(value, rel=1e-15)
 
     def test_whitespace_ignored(self):
-        assert parse_ket("  |0,0>   +|1,1> ").root == parse_ket("|0,0>+|1,1>").root
+        assert parse_ket("  |0,0>   +|1,1> ") == parse_ket("|0,0>+|1,1>")
 
 
 class TestPretty:
@@ -459,8 +458,7 @@ class TestPretty:
         first = parse_ket(text)
         printed = pretty(first)
         second = parse_ket(printed)
-        assert second.root == first.root
-        assert second.arity == first.arity
+        assert second == first
         assert pretty(second) == printed
 
     def test_corpus_is_large_enough(self):
@@ -481,13 +479,13 @@ class TestPretty:
         assert pretty(parse_ket("1/i/i")) == "1/i/i"
         assert pretty(parse_ket("2/i")) == "2/i"
         assert pretty(parse_ket("i")) == "i"
-        assert ketlang._walk(parse_ket("1/i/i").root) == {((), 1): ExactScalar.make(-1)}
+        assert ketlang._walk(parse_ket("1/i/i")) == {((), 1): ExactScalar.make(-1)}
 
     def test_radicand_past_cap_prints_unfolded(self):
         # as written, not folded under the root as sqrt(1/500000000000000000)
         expr = parse_ket("sqrt(2)/1000000000 |0>")
         assert pretty(expr) == "sqrt(2)/1000000000 |0>"
-        assert parse_ket(pretty(expr)).root == expr.root
+        assert parse_ket(pretty(expr)) == expr
         assert pretty(parse_ket("-sqrt(2)/1000000000/i")) == "-sqrt(2)/1000000000/i"
 
     @settings(max_examples=150, deadline=None)
@@ -497,14 +495,14 @@ class TestPretty:
     def test_generated_round_trip(self, text):
         expr = parse_ket(text)
         printed = pretty(expr)
-        assert parse_ket(printed).root == expr.root
+        assert parse_ket(printed) == expr
         assert pretty(parse_ket(printed)) == printed
 
     def test_mixed_scalar_prints_as_a_sum(self):
         # no chain has a mixed value; 1 + i is a sum of two chains
         expr = parse_ket("(1+i)|0>")
         one, i = ScalarNode("1", (ExactScalar.make(1),)), ScalarNode("i", (ExactScalar.make(0, 1),))
-        assert expr.root.factors[0] == SumNode(((1, one), (1, i)))
+        assert expr.factors[0] == SumNode(((1, one), (1, i)))
         assert pretty(expr) == "(1 + i) |0>"
         assert evaluate(expr).amplitudes[0] == 1 + 1j
 
@@ -609,7 +607,7 @@ class TestEvaluate:
     ])
     def test_exact_cancellation_is_zero(self, text, zero):
         # the exact sum cancels to ZERO before anything is rounded
-        table = ketlang._walk(parse_ket(text).root)
+        table = ketlang._walk(parse_ket(text))
         assert [scalar for (idx, _), scalar in table.items() if idx == zero] == [ketlang.ZERO]
         amplitude = evaluate(parse_ket(text)).amplitudes[zero[0]]
         assert amplitude == 0 and not np.signbit(amplitude.real)
@@ -619,6 +617,17 @@ class TestEvaluate:
         np.testing.assert_allclose(
             state.amplitudes, [1.0, -1.0, 1.0, -1.0], atol=0
         )
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: pretty(object()),
+        lambda: evaluate(object()),
+        lambda: evaluate(ProductNode((KetNode((0,)), object()))),
+    ], ids=["pretty", "evaluate", "evaluate-nested"])
+    def test_foreign_node_refused(self, call):
+        # a library caller's wrong argument, refused by pretty and _shape
+        with pytest.raises(TypeError, match="not a ket expression node"):
+            call()
 
 
 class TestRadicandBudget:
@@ -638,7 +647,7 @@ class TestRadicandBudget:
         monkeypatch.setattr(ketlang, "_square_split", counted)
         # 1000 and 1001 each charge 10, and 30 > 25
         monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 25)
-        assert len(parse_ket("sqrt(1000) sqrt(1001/1) |0>").root.factors) == 3
+        assert len(parse_ket("sqrt(1000) sqrt(1001/1) |0>").factors) == 3
         assert factored == [1000, 1001]
         factored.clear()
         with pytest.raises(TooLargeError, match="^factoring the sqrt radicands takes over 25 divisions$"):
@@ -687,7 +696,7 @@ class TestGuardsBeforeExpansion:
         "(" * 6 + "(|0>+|1>)" * 11 + ") 1" * 6,
     ])
     def test_unit_factors_count(self, text):
-        assert ketlang._shape(parse_ket(text).root)[1] == 2 ** 11
+        assert ketlang._shape(parse_ket(text))[1] == 2 ** 11
         peak, _ = peak_bytes_and_seconds(lambda: evaluate(parse_ket(text)))
         assert peak < 1 << 20
 
@@ -697,7 +706,6 @@ class TestGuardsBeforeExpansion:
         start = time.perf_counter()
         expr = parse_ket("|0>" * 30000)
         assert time.perf_counter() - start < 1.0
-        assert expr.arity == 30000
         with pytest.raises(TooLargeError, match="30000 subsystems"):
             evaluate(expr)
 
@@ -728,7 +736,7 @@ class TestGuardsBeforeExpansion:
         # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
         # each sum of two 1-bit kets prices 2 bits, and the product adds them
         expr = parse_ket("(|0>+|1>)" * 8)
-        assert ketlang._shape(expr.root)[1:] == (256, 8 * 4 + 508, 8 * 2)
+        assert ketlang._shape(expr)[1:] == (256, 8 * 4 + 508, 8 * 2)
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 540)
         assert evaluate(expr).dims == (2,) * 8
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 539)
@@ -750,17 +758,17 @@ class TestGuardsBeforeExpansion:
             return ketlang._shape(node)[1:]
 
         three, four = 2 + 1 + 0 + 1 + 1, 3 + 1 + 0 + 1 + 1
-        assert size(parse_ket("3/4 |0>").root)[2] == three + four + 1
-        assert size(parse_ket("i sqrt(5) |0>").root)[2] == 4 + 6 + 1
-        assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)").root)[2] == 12 + 1
-        long = parse_ket("(0." + "7" * 1000 + "+sqrt(2)) |0>").root
+        assert size(parse_ket("3/4 |0>"))[2] == three + four + 1
+        assert size(parse_ket("i sqrt(5) |0>"))[2] == 4 + 6 + 1
+        assert size(parse_ket("(3/4 |0> + sqrt(5) |1>)"))[2] == 12 + 1
+        long = parse_ket("(0." + "7" * 1000 + "+sqrt(2)) |0>")
         assert size(long)[2] > 2 * 3300
 
     def test_long_decimals_are_priced(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         text = "".join(f"(0.{'7' * 1000}+sqrt({p}))" for p in primes) + "|0>"
         expr = parse_ket(text)
-        terms, steps, bits = ketlang._shape(expr.root)[1:]
+        terms, steps, bits = ketlang._shape(expr)[1:]
         assert steps <= ketlang.MAX_EXPANSION < steps * bits
         peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
         assert peak < 1 << 20

@@ -341,7 +341,7 @@ class TestMemory:
 
 def chunk_budget(state, trials_per_chunk):
     """CHUNK_AMPLITUDES value giving chunks of exactly this many trials."""
-    per_trial = state.total_dim + sum(n * n for n in state.dims)
+    per_trial = state.amplitudes.size + sum(n * n for n in state.dims)
     return trials_per_chunk * per_trial
 
 

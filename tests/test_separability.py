@@ -372,7 +372,7 @@ class TestValidateOnce:
             left = part.left_axes(len(dims))
             alone = _kernels.split_residuals(state.amplitudes[None], dims, [left])
             assert verdict.residual == alone[0, 0]
-            if math.prod(dims[ax] for ax in left) in (1, state.total_dim):
+            if math.prod(dims[ax] for ax in left) in (1, state.amplitudes.size):
                 mat = unfold(state.amplitudes[None], dims, left)[0]
                 assert verdict.residual.hex() == _kernels.minor_pair_sum(mat[None])[0].hex()
 
