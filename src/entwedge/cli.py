@@ -27,7 +27,7 @@ from .errors import EntwedgeError
 from .ketlang import evaluate, parse_ket, pretty
 from .lu import invariance_experiment
 from .measures import _auto_measure
-from .separability import DEFAULT_THRESHOLD, separability_report
+from .separability import separability_report
 from .statefile import load_state
 from .states import PureState
 
@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     separability = subs.add_parser("separability", help="residuals for every bipartition")
     _input_flags(separability)
-    separability.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                              help="residual at or below this counts as separable")
     _output_flag(separability)
     separability.set_defaults(func=cmd_separability)
 
@@ -121,7 +119,7 @@ def cmd_measure(args) -> int:
 
 def cmd_separability(args) -> int:
     state, echo = _load_input(args)
-    report = separability_report(state, threshold=args.threshold)
+    report = separability_report(state)
     if args.output == "machine":
         _write_json({
             "command": "separability",

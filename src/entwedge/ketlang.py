@@ -50,10 +50,11 @@ from .states import PureState, check_size_guards, sparse_state
 # steps at the cap; past 2**53 the radicand is not even an exact float.
 MAX_RADICAND = 2 ** 53
 
-# Most trial divisions, a cube root per sqrt atom charged before it is
-# factored, one expression's radicands may be charged: the twenty primes
-# below the cap, 4161280, factor in 0.26-0.28 s on a shared 2-CPU host.
-MAX_RADICAND_DIVISIONS = 2 ** 22
+# Most trial divisions, 2 and the odd numbers up to a cube root per sqrt
+# atom charged before it is factored, one expression's radicands may be
+# charged: the twenty primes below the cap, 2080640, factor in 0.26-0.28 s
+# on a shared 2-CPU host.
+MAX_RADICAND_DIVISIONS = 2 ** 21
 
 # Deepest parenthesis nesting accepted.  The parser, the printer and the
 # evaluator each recurse once per level, so without a cap a short input
@@ -432,7 +433,7 @@ class _Parser:
                 raise KetSyntaxError(
                     f"sqrt radicand {rad} is beyond the cap of {MAX_RADICAND}", col
                 )
-            self.divisions += round(product ** (1 / 3))
+            self.divisions += (round(product ** (1 / 3)) + 1) // 2
             if self.divisions > MAX_RADICAND_DIVISIONS:
                 raise TooLargeError(
                     f"factoring the sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions"

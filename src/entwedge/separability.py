@@ -28,12 +28,10 @@ from functools import reduce
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
-from .states import (
-    PureState, _sq_norms, enumerate_bipartitions, is_finite, shown, unfold, validate,
-)
+from .states import PureState, _sq_norms, enumerate_bipartitions, unfold, validate
 
-DEFAULT_THRESHOLD = 1e-10
+# A split whose residual is at most this is separable.
+THRESHOLD = 1e-10
 
 # What tests and the benchmark hold product inputs' certificates to; the
 # report never reads it, and a certified state misses by sqrt(residual/2).
@@ -58,7 +56,8 @@ class SeparabilityReport:
     order (singletons first).  ``certificate`` holds one unit vector per
     subsystem when the state is fully separable, otherwise ``None``;
     ``certificate_error`` is the phase-aligned reconstruction distance.
-    ``genuinely_entangled`` is true when no split passes the threshold.
+    ``genuinely_entangled`` is true when no split passes the threshold,
+    and ``threshold`` is always :data:`THRESHOLD`.
     """
 
     threshold: float
@@ -69,31 +68,23 @@ class SeparabilityReport:
     genuinely_entangled: bool
 
 
-def separability_report(
-    state: PureState, threshold: float = DEFAULT_THRESHOLD
-) -> SeparabilityReport:
+def separability_report(state: PureState) -> SeparabilityReport:
     """Residual and verdict for all ``2**(m-1) - 1`` canonical splits.
 
     Full separability is decided by the single-subsystem splits alone;
     when they all pass, the per-subsystem factors are extracted and the
-    reconstruction is verified up to a global phase.  A non-finite or
-    negative threshold, or fewer than two subsystems, raises
-    :class:`ValidationError`.  Dims on which the kernel's work on all
-    splits passes the measure guard raise :class:`TooLargeError` before
-    validation.
+    reconstruction is verified up to a global phase.  Fewer than two
+    subsystems raise :class:`ValidationError`.  Dims on which the kernel's
+    work on all splits passes the measure guard raise
+    :class:`TooLargeError` before validation.
     """
-    # NaN or inf would decide every split, and a negative threshold would
-    # call a product state entangled; float() keeps verdicts plain bools
-    if not is_finite(threshold) or threshold < 0:
-        raise ValidationError(f"threshold must be finite and nonnegative, got {shown(threshold)}")
-    threshold = float(threshold)
     m = state.num_subsystems
     parts = enumerate_bipartitions(m)
     lefts = [part.left_axes(m) for part in parts]
     _kernels.check_split_work(state.dims, lefts)
     validate(state)
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0].tolist()
-    per = {part: PartitionVerdict(r, r <= threshold) for part, r in zip(parts, residuals)}
+    per = {part: PartitionVerdict(r, r <= THRESHOLD) for part, r in zip(parts, residuals)}
     # The singleton splits decide full separability; on two subsystems
     # {2} is {1} seen from the other side, so only {1} is enumerated.
     fully = all(verdict.separable for part, verdict in per.items() if len(part.left) == 1)
@@ -107,7 +98,7 @@ def separability_report(
         certificate = factors
         error = _reconstruction_error(state, factors)
     genuine = not any(verdict.separable for verdict in per.values())
-    return SeparabilityReport(threshold, per, fully, certificate, error, genuine)
+    return SeparabilityReport(THRESHOLD, per, fully, certificate, error, genuine)
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:

@@ -16,21 +16,26 @@ a save/load round trip reproduces amplitudes bit for bit.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .states import PureState, check_size_guards, is_finite, require_int, sparse_state
+from .states import PureState, check_size_guards, require_int, sparse_state
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
     # Python's json reads NaN, Infinity, 1e999 (as inf) and integer
-    # literals past the float range
-    if not is_finite(value):
+    # literals past the float range, which float() refuses
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _object(raw, fields, where: str) -> None:

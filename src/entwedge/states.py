@@ -61,19 +61,6 @@ def _subsystem_count(value, where: str) -> int:
     return m
 
 
-def is_finite(value) -> bool:
-    """True for a finite real number.  An integer past the float range
-    counts as infinite, and a non-real value as not finite, where
-    ``math.isfinite`` would raise on either; a bool, which it reads as 0
-    or 1, is not a number here."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):
-        return False
-
-
 def shown(value, huge: str = "an integer of {} bits") -> str:
     """``repr(value)`` for a refusal message.  Where Python will not
     print a number that long (past 4300 digits by default), an integer

@@ -23,7 +23,6 @@ import entwedge
 from entwedge import PureState, invariance_experiment, save_state
 from entwedge.cli import build_parser, cli_main, main
 from entwedge.ketlang import MAX_NESTING, MAX_RADICAND_DIVISIONS
-from entwedge.separability import DEFAULT_THRESHOLD
 from conftest import HOSTILE_STATE_FILES, PRINT_PEAK_KB, bell_state, child_env, random_state
 
 BELL_EXPR = "sqrt(1/2) (|0,0> + |1,1>)"
@@ -159,16 +158,71 @@ class TestSeparability:
         assert lines[at + 1] == "genuinely entangled: no"
 
     def test_threshold_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "separability", "--expr", GHZ3_EXPR, "--threshold", "0.6",
-            "--output", "machine",
-        )
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["threshold"] == 0.6
-        assert doc["fully_separable"] is True
-        # the certificate check still reports a large reconstruction error
-        assert doc["certificate_error"] > 0.1
+        # the threshold is a constant: every residual is printed for another cut
+        with pytest.raises(SystemExit) as info:
+            cli_main(["separability", "--expr", GHZ3_EXPR, "--threshold", "0.6"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: entwedge ")
+        assert "unrecognized arguments: --threshold 0.6" in err
+
+    @pytest.mark.parametrize("expr, expected", [
+        ("1/2 |0,0> + 1/2 |0,1> + 1/2 |1,0> - 1/2 |1,1>",
+         "threshold: 1e-10\n"
+         "split {1}: residual=0.5 entangled\n"
+         "fully separable: no\n"
+         "genuinely entangled: yes\n"),
+        ("|1,0,1>",
+         "threshold: 1e-10\n"
+         "split {1}: residual=0.0 separable\n"
+         "split {2}: residual=0.0 separable\n"
+         "split {3}: residual=0.0 separable\n"
+         "fully separable: yes\n"
+         "genuinely entangled: no\n"
+         "certificate reconstruction error: 0.0\n"),
+        ("1/2 (|0,0> + |1,1>) (|0> + |1>)",
+         "threshold: 1e-10\n"
+         "split {1}: residual=0.5 entangled\n"
+         "split {2}: residual=0.5 entangled\n"
+         "split {3}: residual=0.0 separable\n"
+         "fully separable: no\n"
+         "genuinely entangled: no\n"),
+    ], ids=["two-qubit-entangled", "basis-101", "bell-x-plus"])
+    def test_output_is_pinned(self, capsys, expr, expected):
+        # every amplitude, product and sum is exact in binary, so these
+        # strings hold on any BLAS build, with or without FMA; no
+        # certificate entry is pinned, as LAPACK may sign a zero either way
+        assert run_cli(capsys, "separability", "--expr", expr) == (0, expected, "")
+
+    def test_machine_output_is_pinned(self, capsys):
+        expr = "1/2 |0,0> + 1/2 |0,1> + 1/2 |1,0> - 1/2 |1,1>"
+        expected = "\n".join([
+            "{",
+            '  "command": "separability",',
+            '  "input": {',
+            f'    "expr": "{expr}",',
+            '    "state": null',
+            "  },",
+            '  "threshold": 1e-10,',
+            '  "partitions": [',
+            "    {",
+            '      "left": [',
+            "        1",
+            "      ],",
+            '      "residual": 0.5,',
+            '      "separable": false',
+            "    }",
+            "  ],",
+            '  "fully_separable": false,',
+            '  "genuinely_entangled": true,',
+            '  "certificate": null,',
+            '  "certificate_error": null',
+            "}",
+            "",
+        ])
+        got = run_cli(capsys, "separability", "--expr", expr, "--output", "machine")
+        assert got == (0, expected, "")
 
 
 class TestInvariance:
@@ -255,7 +309,12 @@ class TestParse:
          "expression: |3,0>\n"
          "dims: 4,1\n"
          "amp |3,0>: re=1.0 im=0.0\n"),
-    ], ids=["w3", "sqrt-2-7", "1-over-i-i", "arabic-indic-digit"])
+        # a zero chain adds no amplitude
+        ("0/2 |0> + |1>",
+         "expression: 0/2 |0> + |1>\n"
+         "dims: 2\n"
+         "amp |1>: re=1.0 im=0.0\n"),
+    ], ids=["w3", "sqrt-2-7", "1-over-i-i", "arabic-indic-digit", "zero-chain"])
     def test_output_is_pinned(self, capsys, expr, expected):
         # integer arithmetic and one correctly rounded conversion per
         # part, so these strings hold on every platform
@@ -438,10 +497,7 @@ class TestDefaults:
         assert value.hex() == math.sqrt(2.0 * term_sum).hex()
 
     def test_flag_defaults_are_the_library_defaults(self):
-        parser = build_parser()
-        separability = parser.parse_args(["separability", "--expr", BELL_EXPR])
-        assert separability.threshold == DEFAULT_THRESHOLD
-        invariance = parser.parse_args(["invariance", "--expr", BELL_EXPR])
+        invariance = build_parser().parse_args(["invariance", "--expr", BELL_EXPR])
         params = inspect.signature(invariance_experiment).parameters
         assert invariance.trials == params["trials"].default
         assert invariance.seed == params["seed"].default
@@ -615,23 +671,6 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "the invariance guard" in err
-
-    def test_nan_threshold_is_two(self, capsys):
-        code, out, err = run_cli(
-            capsys, "separability", "--expr", BELL_EXPR, "--threshold", "nan"
-        )
-        assert code == 2
-        assert out == ""
-        assert "threshold must be finite" in err
-
-    def test_negative_threshold_is_two(self, capsys):
-        # a product state would otherwise be reported entangled
-        code, out, err = run_cli(
-            capsys, "separability", "--expr", "|0,0>", "--threshold", "-1"
-        )
-        assert code == 2
-        assert out == ""
-        assert "threshold must be finite and nonnegative, got -1.0" in err
 
     def test_nan_state_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -918,7 +957,7 @@ FLAG_VALUES = [
 ]
 COMMAND_FLAGS = {
     "measure": (),
-    "separability": ("--threshold",),
+    "separability": (),
     "invariance": ("--trials", "--seed"),
     "parse": (),
 }

@@ -632,9 +632,9 @@ class TestEvaluate:
 
 class TestRadicandBudget:
     def test_budget(self):
-        # the twenty primes below the cap take 4161280 divisions
-        assert MAX_RADICAND_DIVISIONS == 2 ** 22
-        assert 20 * round(BIG_PRIMES[0] ** (1 / 3)) <= MAX_RADICAND_DIVISIONS
+        # the twenty primes below the cap take 2080640 divisions
+        assert MAX_RADICAND_DIVISIONS == 2 ** 21
+        assert 20 * ((round(BIG_PRIMES[0] ** (1 / 3)) + 1) // 2) <= MAX_RADICAND_DIVISIONS
 
     def test_charged_before_factoring(self, monkeypatch):
         factored = []
@@ -645,17 +645,17 @@ class TestRadicandBudget:
             return real(n)
 
         monkeypatch.setattr(ketlang, "_square_split", counted)
-        # 1000 and 1001 each charge 10, and 30 > 25
-        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 25)
+        # 1000 and 1001 each charge 5, and 15 > 12
+        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 12)
         assert len(parse_ket("sqrt(1000) sqrt(1001/1) |0>").factors) == 3
         assert factored == [1000, 1001]
         factored.clear()
-        with pytest.raises(TooLargeError, match="^factoring the sqrt radicands takes over 25 divisions$"):
+        with pytest.raises(TooLargeError, match="^factoring the sqrt radicands takes over 12 divisions$"):
             parse_ket("sqrt(1000) sqrt(1001) sqrt(1/1000) |0>")
         assert factored == [1000, 1001]
-        # charged per expression and in lowest terms
-        parse_ket("sqrt(2000/2) sqrt(1) sqrt(3/3) |0>")
-        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 9)
+        # charged per expression and in lowest terms, where 4000*4 would charge 13
+        parse_ket("sqrt(4000/4) sqrt(1) sqrt(3/3) |0>")
+        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 4)
         with pytest.raises(TooLargeError):
             parse_ket("sqrt(1000)")
 

@@ -1,4 +1,5 @@
-"""Non-finite numbers are refused on every input path, with typed errors.
+"""Non-finite numbers are refused with typed errors: as amplitudes, and as
+the numbers in a state file.
 
 The values are NaN, both infinities, ``1e999`` (which reads as infinity)
 and integers of 400 digits, which no float can hold.  Where the library
@@ -23,7 +24,6 @@ from entwedge import (
     invariance_experiment,
     load_state,
     normalize,
-    separability_report,
     validate,
 )
 from entwedge.errors import EntwedgeError, ParseError, ValidationError
@@ -65,13 +65,6 @@ def test_state_file_components(tmp_path_factory, literal, count, data):
     with pytest.raises(ParseError) as info:
         load_state(str(path))
     assert f"amplitudes[{bad}].{field}: expected a finite number" in str(info.value)
-
-
-@settings(max_examples=100, deadline=None)
-@given(NON_FINITE)
-def test_separability_threshold(value):
-    with pytest.raises(ValidationError):
-        separability_report(bell_state(), threshold=value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -119,7 +112,6 @@ def test_integer_arguments_are_checked(site, value):
 # The other places a refusal message shows a caller's value.
 PRINTED_SITES = {
     "Bipartition.left_axes": lambda v: Bipartition((1,), 2).left_axes(v),
-    "separability.threshold": lambda v: separability_report(bell_state(), threshold=v),
 }
 
 
@@ -143,16 +135,3 @@ def test_numpy_integers_are_accepted():
     run = invariance_experiment(bell_state(), trials=np.int64(2), seed=np.uint64(7))
     assert (run.trials, run.seed) == (2, 7)
     assert type(run.seed) is int
-
-
-@pytest.mark.parametrize("value", ["1e-3", 1j, None, True, False], ids=repr)
-def test_non_real_numbers_are_refused(value):
-    with pytest.raises(ValidationError):
-        separability_report(bell_state(), threshold=value)
-
-
-def test_numpy_bools_are_refused():
-    # read as 0 or 1 they would pass as numbers, like Python's bools
-    for value in (np.True_, np.False_):
-        with pytest.raises(ValidationError):
-            separability_report(bell_state(), threshold=value)

@@ -25,7 +25,7 @@ from entwedge.errors import (
     ValidationError,
 )
 from entwedge import _kernels, separability
-from entwedge.separability import CERTIFICATE_TOL
+from entwedge.separability import CERTIFICATE_TOL, THRESHOLD
 from entwedge.states import unfold
 from conftest import (
     bell_state,
@@ -37,10 +37,6 @@ from conftest import (
     w3_state,
 )
 from oracles import matricize, partial_trace, purity
-
-# |0,0>: every residual is exactly 0
-PRODUCT = PureState((2, 2), [1, 0, 0, 0])
-
 
 def residual(state: PureState, part: Bipartition) -> float:
     """The split's residual as the report gives it, keyed by its canonical side."""
@@ -124,20 +120,22 @@ class TestIsProductState:
         assert not separability_report(bell_x_zero_state()).fully_separable
 
     @pytest.mark.parametrize("dims", [(3, 3), (16, 16)])
-    def test_two_subsystems_read_one_split(self, rng, dims):
+    def test_two_subsystems_read_one_split(self, rng, monkeypatch, dims):
         # at a threshold equal to split {1}'s residual the verdict is
         # product, whichever order split {2}'s transpose would be summed in
         for _ in range(10):
             state = random_state(rng, dims)
             r = residual(state, Bipartition((1,), 2))
-            assert separability_report(state, threshold=r).fully_separable
-            below = math.nextafter(r, 0.0)
-            assert not separability_report(state, threshold=below).fully_separable
+            monkeypatch.setattr(separability, "THRESHOLD", r)
+            assert separability_report(state).fully_separable
+            monkeypatch.setattr(separability, "THRESHOLD", math.nextafter(r, 0.0))
+            assert not separability_report(state).fully_separable
 
-    def test_threshold_is_respected(self):
+    def test_threshold_is_respected(self, monkeypatch):
         # GHZ residuals are 0.5, so a huge threshold flips the verdict
         assert not separability_report(ghz_state(3)).fully_separable
-        assert separability_report(ghz_state(3), threshold=0.6).fully_separable
+        monkeypatch.setattr(separability, "THRESHOLD", 0.6)
+        assert separability_report(ghz_state(3)).fully_separable
 
 
 class TestReport:
@@ -240,10 +238,11 @@ class TestReport:
         assert report.certificate_error == pytest.approx(eps, rel=1e-6)
         assert report.certificate_error > 50 * CERTIFICATE_TOL
 
-    def test_loose_threshold_is_caught_by_certificate(self):
+    def test_loose_threshold_is_caught_by_certificate(self, monkeypatch):
         # verdicts follow the threshold, but the reconstruction error
         # still exposes that GHZ is nowhere near a product
-        report = separability_report(ghz_state(4), threshold=0.6)
+        monkeypatch.setattr(separability, "THRESHOLD", 0.6)
+        report = separability_report(ghz_state(4))
         assert report.fully_separable
         assert report.certificate_error > 0.1
 
@@ -252,29 +251,11 @@ class TestReport:
         with pytest.raises(ValidationError, match="need at least 2 subsystems, got 1"):
             separability_report(single)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_threshold_refused(self, bad):
-        with pytest.raises(ValidationError):
-            separability_report(bell_state(), threshold=bad)
-
-    @pytest.mark.parametrize("bad", [-1, -1e-300, np.float64(-0.5)])
-    def test_negative_threshold_refused(self, bad):
-        # residuals are never negative, so a negative threshold would call
-        # every split of a product state entangled
-        with pytest.raises(ValidationError, match="nonnegative"):
-            separability_report(PRODUCT, threshold=bad)
-
-    def test_negative_zero_threshold_accepted(self):
-        assert separability_report(PRODUCT, threshold=-0.0).fully_separable
-
     def test_threshold_recorded(self):
-        report = separability_report(bell_state(), threshold=1e-6)
-        assert report.threshold == 1e-6
+        assert separability_report(bell_state()).threshold == THRESHOLD
 
-    @pytest.mark.parametrize("threshold", [1e-3, np.float64(1e-3), np.float32(1e-3), 1])
-    def test_verdicts_are_json_values(self, threshold):
-        # a numpy threshold must not turn the verdicts into numpy bools
-        report = separability_report(bell_x_bell_state(), threshold=threshold)
+    def test_verdicts_are_json_values(self):
+        report = separability_report(bell_x_bell_state())
         for verdict in report.per_partition.values():
             assert type(verdict.separable) is bool
             json.dumps(dataclasses.asdict(verdict))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,10 @@ class TestLoad:
         doc = {"dims": [2], "amplitudes": [amp([0], re=1)]}
         state = load_state(write_doc(tmp_path, doc))
         assert state.amplitudes[0] == 1.0
+        # the largest integer that rounds below the float range
+        doc = {"dims": [2], "amplitudes": [amp([0], re=2 ** 1024 - 2 ** 970 - 1)]}
+        state = load_state(write_doc(tmp_path, doc))
+        assert state.amplitudes[0] == sys.float_info.max
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="^cannot read .*nope.json"):
@@ -210,8 +215,8 @@ class TestSchemaMessages:
 
     @pytest.mark.parametrize(
         "literal",
-        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
-        ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, str(2 ** 1024 - 2 ** 970)],
+        ids=["nan", "inf", "-inf", "1e999", "int-1e400", "int-rounds-to-2**1024"],
     )
     def test_component_not_finite(self, tmp_path, literal):
         path = tmp_path / "state.json"
