@@ -78,13 +78,15 @@ def separability_report(state: PureState) -> SeparabilityReport:
     work on all splits passes the measure guard raise
     :class:`TooLargeError` before validation.
     """
+    # float() keeps verdicts plain bools if THRESHOLD is set to a numpy scalar
+    threshold = float(THRESHOLD)
     m = state.num_subsystems
     parts = enumerate_bipartitions(m)
     lefts = [part.left_axes(m) for part in parts]
     _kernels.check_split_work(state.dims, lefts)
     validate(state)
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0].tolist()
-    per = {part: PartitionVerdict(r, r <= THRESHOLD) for part, r in zip(parts, residuals)}
+    per = {part: PartitionVerdict(r, r <= threshold) for part, r in zip(parts, residuals)}
     # The singleton splits decide full separability; on two subsystems
     # {2} is {1} seen from the other side, so only {1} is enumerated.
     fully = all(verdict.separable for part, verdict in per.items() if len(part.left) == 1)
@@ -98,7 +100,7 @@ def separability_report(state: PureState) -> SeparabilityReport:
         certificate = factors
         error = _reconstruction_error(state, factors)
     genuine = not any(verdict.separable for verdict in per.values())
-    return SeparabilityReport(THRESHOLD, per, fully, certificate, error, genuine)
+    return SeparabilityReport(threshold, per, fully, certificate, error, genuine)
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:

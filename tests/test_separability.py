@@ -254,7 +254,10 @@ class TestReport:
     def test_threshold_recorded(self):
         assert separability_report(bell_state()).threshold == THRESHOLD
 
-    def test_verdicts_are_json_values(self):
+    @pytest.mark.parametrize("threshold", [1e-3, np.float64(1e-3), np.float32(1e-3), 1])
+    def test_verdicts_are_json_values(self, monkeypatch, threshold):
+        # a numpy threshold must not turn the verdicts into numpy bools
+        monkeypatch.setattr(separability, "THRESHOLD", threshold)
         report = separability_report(bell_x_bell_state())
         for verdict in report.per_partition.values():
             assert type(verdict.separable) is bool
