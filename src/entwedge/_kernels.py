@@ -49,8 +49,9 @@ _BLOCK_ENTRIES = 1 << 13
 # Most kernel products one call may make: the smallest round number above
 # the costliest call a total-dimension cap of 4096 allowed, 977010688 for
 # separability_report on (2,2,2,2,4,4,4,4), which took 9.4 s.  The
-# slowest accepted call found, C on (200, 222), took 10.6-11.2 s at a
-# 38 MB peak on a shared 2-CPU x86-64 host.
+# slowest accepted call found, C on (200, 222), took 7.5-8.1 s as one
+# `entwedge measure --state` process (55 MB peak RSS, 5 runs timed by
+# hand, OPENBLAS_NUM_THREADS=1) on a shared 2-CPU x86-64 Xeon host.
 MAX_SPLIT_WORK = 10 ** 9
 
 

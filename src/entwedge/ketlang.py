@@ -20,15 +20,15 @@ floating point once, at the very end of evaluation.
 
 One walk of the syntax tree, whose root ``parse_ket`` returns, reads
 its slot dims and the price of expanding it: ``parse_ket`` checks the
-slot count, ``evaluate`` the dims and price.  A ``sqrt(p/q)`` radicand is
-capped: ``p*q``, in lowest terms, may not exceed ``MAX_RADICAND``, and
-factoring them all is priced against ``MAX_RADICAND_DIVISIONS``.
-Parentheses nest at most ``MAX_NESTING`` deep.  Size guards run on the
-syntax tree, so an expression naming too many slots or too large a
-total dimension, or one whose expansion would take more than
-``MAX_EXPANSION`` exact steps or more than ``MAX_EXPANSION_BITS``
-steps times bits of the numbers they work on, is refused before any
-product is expanded, any chain divided or any amplitude allocated.
+slot count, ``evaluate`` the dims and price.  Parentheses nest at most
+``MAX_NESTING`` deep.  Size guards run on the syntax tree, so an
+expression naming too many slots or too large a total dimension, or one
+whose expansion would take more than ``MAX_EXPANSION`` exact steps,
+more than ``MAX_EXPANSION_BITS`` steps times bits of the numbers they
+work on or more than ``MAX_RADICAND_DIVISIONS`` trial divisions to
+factor its ``sqrt`` radicands, is refused before any radicand is
+factored, any product expanded, any chain divided or any amplitude
+allocated.
 Each two-term factor doubles the expansion, so twenty ``(1+sqrt(p))``
 factors, 255 bytes, would otherwise run for tens of minutes.
 """
@@ -45,15 +45,10 @@ from functools import reduce
 from .errors import KetSyntaxError, ParseError, TooLargeError, ValidationError
 from .states import PureState, check_size_guards, sparse_state
 
-# Largest ``p*q`` (in lowest terms) accepted in ``sqrt(p/q)``.  Splitting
-# off its square part trial-divides up to the cube root, about 2*10^5
-# steps at the cap; past 2**53 the radicand is not even an exact float.
-MAX_RADICAND = 2 ** 53
-
-# Most trial divisions, 2 and the odd numbers up to a cube root per sqrt
-# atom charged before it is factored, one expression's radicands may be
-# charged: the twenty primes below the cap, 2080640, factor in 0.26-0.28 s
-# on a shared 2-CPU host.
+# Most trial divisions, 2 and the odd numbers up to each sqrt radicand's
+# cube root as _shape charges them, one expression may cost: the twenty
+# primes below 2**53, 2080640, take 0.26-0.28 s, and the 66-bit prime
+# 73786923518292655961, 2**21 alone, 0.34-0.47 s on a shared 2-CPU host.
 MAX_RADICAND_DIVISIONS = 2 ** 21
 
 # Deepest parenthesis nesting accepted.  The parser, the printer and the
@@ -110,8 +105,9 @@ def _square_split(n: int) -> tuple[int, int]:
 class ExactScalar:
     """Value ``(re + im*i) * sqrt(rad)`` with exact rational parts.
 
-    Kept canonical: ``rad`` is a square-free positive integer (1 when the
-    value is rational or zero), and the zero value is ``(0, 0, 1)``.
+    Kept canonical, parsed ``sqrt`` atoms aside: ``rad`` is a square-free
+    positive integer (1 when the value is rational or zero), and the zero
+    value is ``(0, 0, 1)``.
     """
 
     re: Fraction
@@ -204,7 +200,8 @@ class KetNode:
 @dataclass(frozen=True)
 class ScalarNode:
     # a chain atom ('/' atom)* as written, whitespace dropped and digits
-    # in ASCII, and each atom's exact value; evaluate divides them out
+    # in ASCII, and each atom's exact value; a sqrt(p/q) atom stays
+    # unfactored, as sqrt(p*q)/q, until evaluate divides them out
     text: str
     atoms: tuple
 
@@ -220,9 +217,9 @@ class SumNode:
     terms: tuple
 
 
-def _shape(node) -> tuple[tuple[int, ...], int, int, int]:
-    """``(dims, terms, steps, bits)`` of ``node``, read off the tree in
-    one walk.
+def _shape(node) -> tuple[tuple[int, ...], int, int, int, int]:
+    """``(dims, terms, steps, bits, divisions)`` of ``node``, read off
+    the tree in one walk.
 
     ``dims`` holds one past the largest index each slot uses; its length
     is the slot count, and summed terms must agree on it.  ``terms``
@@ -234,31 +231,38 @@ def _shape(node) -> tuple[tuple[int, ...], int, int, int]:
     the size of the numbers those steps work on: a ket counts 1 and a
     chain the bits of its atoms' numerators, denominators and
     radicands, a product adds its factors' bits and a sum takes their
-    max plus one.
+    max plus one.  ``divisions`` counts, per ``sqrt`` atom past 1, 2 and
+    the odd numbers up to its radicand's cube root, the most
+    :func:`_square_split` tries, and a product or a sum adds its parts'.
     """
     if isinstance(node, KetNode):
-        return tuple([x + 1 for x in node.indices]), 1, 1, 1
+        return tuple([x + 1 for x in node.indices]), 1, 1, 1, 0
     if isinstance(node, ScalarNode):
         ints = [x for v in node.atoms
                 for x in (*v.re.as_integer_ratio(), *v.im.as_integer_ratio(), v.rad)]
-        return (), 1, len(node.atoms), sum([x.bit_length() for x in ints])
+        # the clamp keeps the float cube root finite; past it is over budget anyway
+        divisions = sum([(round(min(v.rad, 2 ** 1000) ** (1 / 3)) + 1) // 2
+                         for v in node.atoms if v.rad > 1])
+        return (), 1, len(node.atoms), sum([x.bit_length() for x in ints]), divisions
     if isinstance(node, ProductNode):
-        dims, terms, steps, bits = _shape(node.factors[0])
+        dims, terms, steps, bits, divisions = _shape(node.factors[0])
         dims = list(dims)  # a long product of kets appends in linear time
         for factor in node.factors[1:]:
-            f_dims, f_terms, f_steps, f_bits = _shape(factor)
+            f_dims, f_terms, f_steps, f_bits, f_divisions = _shape(factor)
             dims += f_dims
             terms *= f_terms
             steps += f_steps + terms
             bits += f_bits
-        return tuple(dims), terms, steps, bits
+            divisions += f_divisions
+        return tuple(dims), terms, steps, bits, divisions
     if isinstance(node, SumNode):
-        shapes, terms, steps, bits = zip(*[_shape(term) for _, term in node.terms])
+        shapes, terms, steps, bits, divisions = zip(*[_shape(term) for _, term in node.terms])
         arities = {len(dims) for dims in shapes}
         if len(arities) > 1:
             raise ParseError(f"summed terms have different slot counts: {sorted(arities)}")
         total = sum(terms)
-        return tuple(map(max, zip(*shapes))), total, total + sum(steps), max(bits) + 1
+        return (tuple(map(max, zip(*shapes))), total, total + sum(steps), max(bits) + 1,
+                sum(divisions))
     raise TypeError(f"not a ket expression node: {node!r}")
 
 
@@ -317,7 +321,6 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.depth = 0
-        self.divisions = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -427,18 +430,9 @@ class _Parser:
             self.take("RPAREN")
             if den == 0:
                 raise KetSyntaxError("division by zero", den_col)
-            rad = Fraction(num, den)
-            product = rad.numerator * rad.denominator
-            if product > MAX_RADICAND:
-                raise KetSyntaxError(
-                    f"sqrt radicand {rad} is beyond the cap of {MAX_RADICAND}", col
-                )
-            self.divisions += (round(product ** (1 / 3)) + 1) // 2
-            if self.divisions > MAX_RADICAND_DIVISIONS:
-                raise TooLargeError(
-                    f"factoring the sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions"
-                )
-            return ExactScalar.make(1, 0, rad)
+            # in lowest terms as written, sqrt(p*q)/q; evaluate factors it
+            p, q = Fraction(num, den).as_integer_ratio()
+            return ExactScalar(Fraction(1, q), Fraction(0), p * q) if p else ZERO
         got = word or "end of input"
         raise KetSyntaxError(f"expected a scalar, got {got!r}", col)
 
@@ -454,8 +448,6 @@ def parse_ket(text: str):
     ParseError
         On any syntax problem, as a :class:`KetSyntaxError` with a 1-based
         column, or when summed subexpressions carry different slot counts.
-    TooLargeError
-        Past ``MAX_RADICAND_DIVISIONS``, before the radicands are factored.
     """
     parser = _Parser(text)
     root = parser.expr()
@@ -514,8 +506,9 @@ def _walk(node) -> dict:
     if isinstance(node, KetNode):
         return {(node.indices, ONE.rad): ONE}
     if isinstance(node, ScalarNode):
+        atoms = [ExactScalar.make(v.re, v.im, v.rad) for v in node.atoms]
         table = {}
-        _amp_add(table, (), reduce(operator.truediv, node.atoms))
+        _amp_add(table, (), reduce(operator.truediv, atoms))
         return table
     if isinstance(node, ProductNode):
         amps = _walk(node.factors[0])
@@ -541,7 +534,8 @@ def evaluate(expr) -> PureState:
     Each slot's dim is one past the largest index the kets use there;
     a zero term such as ``0|1,1>`` pads a slot.  The result is NOT
     normalized; whatever the expression says is what comes out.  The
-    size guards run on the syntax tree, before any product is expanded.
+    size guards run on the syntax tree, before any radicand is factored
+    or product expanded.
 
     Raises
     ------
@@ -549,13 +543,14 @@ def evaluate(expr) -> PureState:
         If the expression has no kets.
     TooLargeError
         If the expression has more than ``MAX_SUBSYSTEMS`` slots, the
-        dims multiply to more than ``MAX_TOTAL_DIM`` or expanding it
+        dims multiply to more than ``MAX_TOTAL_DIM``, expanding it
         takes more than ``MAX_EXPANSION`` steps or ``MAX_EXPANSION_BITS``
-        steps times bits.
+        steps times bits, or factoring its radicands more than
+        ``MAX_RADICAND_DIVISIONS`` divisions.
     ValidationError
         If an amplitude is too large for a float.
     """
-    dims, _, steps, bits = _shape(expr)
+    dims, _, steps, bits, divisions = _shape(expr)
     if not dims:
         raise ParseError("expression has no kets, so there is no state")
     check_size_guards(dims)
@@ -565,6 +560,10 @@ def evaluate(expr) -> PureState:
         raise TooLargeError(
             f"expanding the expression costs {steps} steps times {bits} bits, "
             f"beyond the guard of {MAX_EXPANSION_BITS}"
+        )
+    if divisions > MAX_RADICAND_DIVISIONS:
+        raise TooLargeError(
+            f"factoring the sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions"
         )
     # each multi-index sums its radicands' floats in the order they arose
     totals = {}

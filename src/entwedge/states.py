@@ -135,9 +135,6 @@ class PureState:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
         return self.amplitudes.reshape(self.dims)
 
-    def norm(self) -> float:
-        return _norm(self.amplitudes)
-
 
 def _scaled(amplitudes: np.ndarray) -> tuple[np.ndarray, int]:
     """``(x, e)``: the flat complex ``amplitudes`` times ``2**-e``, which
@@ -220,11 +217,6 @@ class Bipartition:
         if self.total != m:
             raise ValidationError(f"partition of {self.total} subsystems applied to {shown(m)}")
         return [j - 1 for j in self.left]
-
-    def canonical(self) -> "Bipartition":
-        if self.is_canonical:
-            return self
-        return Bipartition(self.right, self.total)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.left) + "}"

@@ -9,6 +9,9 @@ normalization expects.  The unfolding and marginal oracles transpose
 ``state.tensor`` themselves, apart from the library's ``states.unfold``.
 ``row_pair_minor_sum`` is a copy of the library's blocked row-pair
 kernel, the bitwise reference the kernel is held to.
+``square_split_divisions`` counts the trial divisors a copy of
+``ketlang._square_split``'s loop tries, which the radicand price must
+bound.
 
 The single-trial path draws one invariance trial at a time: ``trial_rng``
 rebuilds trial k's place in the experiment's stream, then uniform
@@ -239,3 +242,16 @@ def apply_local(state: PureState, gates) -> PureState:
     """``state`` with ``gates[j]`` applied to slot j alone."""
     stacks = [np.asarray(gate, dtype=np.complex128)[None] for gate in gates]
     return PureState(state.dims, lu._rotate(state.amplitudes, state.dims, stacks)[0])
+
+
+def square_split_divisions(n: int) -> int:
+    """Divisors ``ketlang._square_split`` tries on ``n >= 1``: its loop,
+    counting instead of splitting."""
+    count = 0
+    d = 2
+    while d * d * d <= n:
+        count += 1
+        while n % d == 0:
+            n //= d
+        d += 1 if d == 2 else 2
+    return count

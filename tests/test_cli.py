@@ -190,8 +190,9 @@ class TestSeparability:
          "genuinely entangled: no\n"),
     ], ids=["two-qubit-entangled", "basis-101", "bell-x-plus"])
     def test_output_is_pinned(self, capsys, expr, expected):
-        # every amplitude, product and sum is exact in binary, so these
-        # strings hold on any BLAS build, with or without FMA; no
+        # every amplitude is exact in binary, and the row-pair kernel adds
+        # exact products on them, so these strings are exact; an SVD
+        # kernel prints 0.5000000000000002 for bell-x-plus.  No
         # certificate entry is pinned, as LAPACK may sign a zero either way
         assert run_cli(capsys, "separability", "--expr", expr) == (0, expected, "")
 
@@ -699,12 +700,18 @@ class TestExitCodes:
         assert code == 2
         assert "overflows" in err
 
-    def test_radicand_beyond_cap_is_one(self, capsys):
+    @pytest.mark.parametrize("radicand, code, shown", [
+        (2 ** 53 + 1, 0, "amp |0>: re=94906265.62425156 im=0.0\n"),
+        (2 ** 67 - 1, 3, f"sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions\n"),
+    ], ids=["2**53+1", "2**67-1"])
+    def test_large_radicand_is_priced(self, capsys, radicand, code, shown):
+        # no cap on a radicand: one past 2**53 is factored, and every
+        # 67-bit one is refused by the divisions its factoring would take
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "parse", "--expr", f"sqrt({2 ** 53 + 1}) |0>")
+        got, out, err = run_cli(capsys, "parse", "--expr", f"sqrt({radicand}) |0>")
         assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "cap" in err
+        assert got == code
+        assert (out if code == 0 else err).endswith(shown)
 
     @pytest.mark.parametrize("command", ["parse", "measure"])
     @pytest.mark.parametrize(
@@ -939,7 +946,7 @@ class TestMemory:
 
 # Atoms at the edges where short inputs once escaped as Python errors or
 # bought unbounded work: literals at Python's 4300-digit limit, nesting
-# at MAX_NESTING and past the interpreter's stack, radicands at the cap,
+# at MAX_NESTING and past the interpreter's stack, radicands at 2**53,
 # indices at the 2**20 total, non-ASCII digits, zero divisors and long
 # '/' chains.
 LONG = "9" * 4300

@@ -22,7 +22,6 @@ from entwedge.errors import (
 from entwedge import ketlang
 from entwedge.ketlang import (
     MAX_NESTING,
-    MAX_RADICAND,
     MAX_RADICAND_DIVISIONS,
     ExactScalar,
     KetNode,
@@ -32,6 +31,7 @@ from entwedge.ketlang import (
     _square_split,
 )
 from conftest import bell_state, ghz_state, w3_state
+from oracles import square_split_divisions
 
 # Expressions the canonical printer must survive: parse -> pretty ->
 # reparse gives the same tree, and a second pretty is byte-identical.
@@ -97,7 +97,8 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
-# The 20 largest primes below 2**53, each a radicand under the cap.
+# The 20 largest primes below 2**53, charged 2080640 divisions in all,
+# and the next prime down, which takes the charge past 2**21.
 BIG_PRIMES = [
     9007199254740881, 9007199254740847, 9007199254740761, 9007199254740727,
     9007199254740677, 9007199254740653, 9007199254740649, 9007199254740623,
@@ -105,6 +106,7 @@ BIG_PRIMES = [
     9007199254740529, 9007199254740509, 9007199254740481, 9007199254740439,
     9007199254740397, 9007199254740311, 9007199254740307, 9007199254740299,
 ]
+PRIME_21 = 9007199254740259
 
 
 def square_split_by_trial(n: int) -> tuple[int, int]:
@@ -356,24 +358,26 @@ class TestParsing:
     @pytest.mark.parametrize("prime", [1000000000039, 2 ** 53 - 111])
     def test_large_prime_radicand_is_fast(self, prime):
         # trial division to sqrt(n) needs about 10**8 steps on the prime
-        # just below the cap
+        # just below 2**53; evaluate factors it
         start = time.perf_counter()
-        (value,) = parse_ket(f"sqrt({prime})").atoms
+        state = evaluate(parse_ket(f"sqrt({prime}) |0>"))
         assert time.perf_counter() - start < 0.5
-        assert value == ExactScalar(Fraction(1), Fraction(0), Fraction(prime))
+        assert state.amplitudes[0] == math.sqrt(prime)
 
     def test_radicand_cap(self):
-        assert MAX_RADICAND == 2 ** 53
-        assert parse_ket(f"sqrt({2 ** 53})").atoms == (ExactScalar.make(2 ** 26, 0, 2),)
-        for text in (f"sqrt({2 ** 53 + 1})", f"2 sqrt(2/{2 ** 53 + 1}) |0>"):
-            with pytest.raises(KetSyntaxError) as info:
-                parse_ket(text)
-            assert info.value.column == text.index("sqrt") + 1
-            assert "cap" in str(info.value)
-        # the cap applies in lowest terms
-        assert parse_ket(f"sqrt({2 * (2 ** 53 + 1)}/{2 ** 53 + 1})").atoms == (
-            ExactScalar.make(1, 0, 2),
+        # there is none: a radicand past 2**53 parses as written, sqrt(p/q)
+        # in lowest terms as sqrt(p*q)/q, and evaluate factors it
+        big = 2 ** 53 + 1
+        assert parse_ket(f"sqrt({big})").atoms == (ExactScalar(Fraction(1), Fraction(0), big),)
+        assert parse_ket(f"sqrt(2/{big})").atoms == (
+            ExactScalar(Fraction(1, big), Fraction(0), 2 * big),
         )
+        assert parse_ket(f"sqrt({2 * big}/{big})").atoms == (ExactScalar.make(1, 0, 2),)
+        assert ketlang._walk(parse_ket(f"sqrt({2 ** 53})")) == {
+            ((), 2): ExactScalar.make(2 ** 26, 0, 2)
+        }
+        amplitude = evaluate(parse_ket(f"2 sqrt(2/{big}) |0>")).amplitudes[0]
+        assert amplitude == pytest.approx(2 * math.sqrt(2 / big), rel=1e-15)
 
     @pytest.mark.parametrize("text, column", [
         ("|{}>", 2), ("|0,{}>", 4), ("{} |0>", 1), ("0.{} |0>", 1),
@@ -413,8 +417,8 @@ class TestParsing:
         ("sqrt(2)/0.000000001 |0>", math.sqrt(2) * 10 ** 9),
     ], ids=["over-sqrt3", "sqrt2-over-decimal"])
     def test_chain_past_radicand_cap_parses(self, text, value):
-        # 10**9 sqrt(3)/3 and 10**9 sqrt(2) fold into no radicand under
-        # the cap, but the chain prints as written
+        # 10**9 sqrt(3)/3 and 10**9 sqrt(2) fold into no radicand below
+        # 2**53, but the chain prints as written
         expr = parse_ket(text)
         assert pretty(expr) == text
         assert evaluate(expr).amplitudes[0] == pytest.approx(value, rel=1e-15)
@@ -423,17 +427,14 @@ class TestParsing:
             ((), 3): ExactScalar.make(1, 0, Fraction(1, 3))
         }
 
-    def test_unit_scalar_past_radicand_cap_refused(self):
-        # sqrt(p)/sqrt(5)/0.2 is sqrt(5p): written as one atom its
-        # radicand is past the cap, but the cap reads written radicands,
-        # so the chain parses and evaluates to the same value
+    def test_unit_scalar_past_2_53_is_its_chain(self):
+        # sqrt(p)/sqrt(5)/0.2 is sqrt(5p), past 2**53 as one atom: written
+        # either way, it evaluates to the same amplitude
         p = 9007199254740991
-        with pytest.raises(KetSyntaxError, match="beyond the cap") as info:
-            parse_ket(f"|0> sqrt({5 * p})")
-        assert info.value.column == 5
         text = f"sqrt({p})/sqrt(5)/0.2 |0>"
         assert pretty(parse_ket(text)) == text
         amplitude = evaluate(parse_ket(text)).amplitudes[0]
+        assert evaluate(parse_ket(f"|0> sqrt({5 * p})")).amplitudes[0] == amplitude
         assert amplitude == pytest.approx(math.sqrt(5 * p), rel=1e-15)
 
     @pytest.mark.parametrize("text, value", [
@@ -563,7 +564,7 @@ class TestEvaluate:
 
     def test_not_normalized_by_design(self):
         state = evaluate(parse_ket("|0,0> + |1,1>"))
-        assert state.norm() == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_dims_inferred_per_slot(self):
         assert evaluate(parse_ket("|0,1>")).dims == (1, 2)
@@ -632,32 +633,69 @@ class TestEvaluate:
 
 class TestRadicandBudget:
     def test_budget(self):
-        # the twenty primes below the cap take 2080640 divisions
+        # the twenty primes below 2**53 take 2080640 divisions
         assert MAX_RADICAND_DIVISIONS == 2 ** 21
         assert 20 * ((round(BIG_PRIMES[0] ** (1 / 3)) + 1) // 2) <= MAX_RADICAND_DIVISIONS
 
-    def test_charged_before_factoring(self, monkeypatch):
-        factored = []
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Every radicand ``_square_split`` is called on, in order."""
+        calls = []
         real = ketlang._square_split
 
         def counted(n):
-            factored.append(n)
+            calls.append(n)
             return real(n)
 
         monkeypatch.setattr(ketlang, "_square_split", counted)
+        return calls
+
+    def test_charged_before_factoring(self, factored):
+        # parse_ket only reads, and evaluate refuses before it factors
+        pair = f"sqrt({2 ** 53 - 111})/sqrt({2 ** 53 - 145})"
+        message = f"^factoring the sqrt radicands takes over {MAX_RADICAND_DIVISIONS} divisions$"
+        for text in (" ".join([pair] * 200) + " |0,0>",
+                     " ".join(f"sqrt({p})" for p in [*BIG_PRIMES, PRIME_21]) + " |0>"):
+            expr = parse_ket(text)
+            assert factored == []
+            with pytest.raises(TooLargeError, match=message):
+                evaluate(expr)
+            assert factored == []
+        evaluate(parse_ket(" ".join(f"sqrt({p})" for p in BIG_PRIMES) + " |0>"))
+        assert factored == BIG_PRIMES
+
+    def test_charged_per_expression_in_lowest_terms(self, monkeypatch, factored):
         # 1000 and 1001 each charge 5, and 15 > 12
         monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 12)
-        assert len(parse_ket("sqrt(1000) sqrt(1001/1) |0>").factors) == 3
+        evaluate(parse_ket("sqrt(1000) sqrt(1001/1) |0>"))
         assert factored == [1000, 1001]
         factored.clear()
         with pytest.raises(TooLargeError, match="^factoring the sqrt radicands takes over 12 divisions$"):
-            parse_ket("sqrt(1000) sqrt(1001) sqrt(1/1000) |0>")
-        assert factored == [1000, 1001]
-        # charged per expression and in lowest terms, where 4000*4 would charge 13
-        parse_ket("sqrt(4000/4) sqrt(1) sqrt(3/3) |0>")
+            evaluate(parse_ket("sqrt(1000) sqrt(1001) sqrt(1/1000) |0>"))
+        assert factored == []
+        # in lowest terms, where 4000*4 would charge 13, and sqrt(1) and
+        # sqrt(3/3) factor nothing and are charged nothing
+        monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 5)
+        evaluate(parse_ket("sqrt(4000/4) sqrt(1) sqrt(3/3) |0>"))
         monkeypatch.setattr(ketlang, "MAX_RADICAND_DIVISIONS", 4)
         with pytest.raises(TooLargeError):
-            parse_ket("sqrt(1000)")
+            evaluate(parse_ket("sqrt(1000) |0>"))
+
+    K = 2 ** 17 + 1
+
+    @pytest.mark.parametrize("n, prime", [
+        (2 ** 53 - 111, True), (2 ** 61 - 1, True),
+        (K ** 3 - 1, False), (K ** 3, False), (K ** 3 + 1, False),
+        (999983 * 1000003 ** 2, False),
+    ], ids=["2**53-111", "2**61-1", "k**3-1", "k**3", "k**3+1", "prime-times-square"])
+    def test_charge_bounds_the_divisions(self, n, prime):
+        # the charge bounds the loop's work at any size, with no cap on
+        # the radicand, and for a prime it is the loop's count within 1
+        charged = ketlang._shape(parse_ket(f"sqrt({n})"))[4]
+        tried = square_split_divisions(n)
+        assert charged >= tried
+        if prime:
+            assert charged - tried <= 1
 
 
 class TestGuardsBeforeExpansion:
@@ -736,7 +774,7 @@ class TestGuardsBeforeExpansion:
         # 8 sums of 4 steps, then partial products of 4, 8, .., 256 terms;
         # each sum of two 1-bit kets prices 2 bits, and the product adds them
         expr = parse_ket("(|0>+|1>)" * 8)
-        assert ketlang._shape(expr)[1:] == (256, 8 * 4 + 508, 8 * 2)
+        assert ketlang._shape(expr)[1:4] == (256, 8 * 4 + 508, 8 * 2)
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 540)
         assert evaluate(expr).dims == (2,) * 8
         monkeypatch.setattr(ketlang, "MAX_EXPANSION", 539)
@@ -768,7 +806,7 @@ class TestGuardsBeforeExpansion:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         text = "".join(f"(0.{'7' * 1000}+sqrt({p}))" for p in primes) + "|0>"
         expr = parse_ket(text)
-        terms, steps, bits = ketlang._shape(expr)[1:]
+        terms, steps, bits = ketlang._shape(expr)[1:4]
         assert steps <= ketlang.MAX_EXPANSION < steps * bits
         peak, seconds = peak_bytes_and_seconds(lambda: evaluate(expr))
         assert peak < 1 << 20

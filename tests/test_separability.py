@@ -40,7 +40,8 @@ from oracles import matricize, partial_trace, purity
 
 def residual(state: PureState, part: Bipartition) -> float:
     """The split's residual as the report gives it, keyed by its canonical side."""
-    return separability_report(state).per_partition[part.canonical()].residual
+    key = part if part.is_canonical else Bipartition(part.right, part.total)
+    return separability_report(state).per_partition[key].residual
 
 
 def svd_residual(state: PureState, part: Bipartition) -> float:

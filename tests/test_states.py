@@ -279,7 +279,6 @@ class TestBipartitions:
         assert all(p.is_canonical for p in parts)
 
     def test_canonicalization(self):
-        assert Bipartition((2, 3), 4).canonical().left == (1, 4)
         assert Bipartition((2,), 3).is_canonical
         assert not Bipartition((1, 3), 3).is_canonical
         assert Bipartition((1, 2), 4).is_canonical
