@@ -88,10 +88,10 @@ def measure_rows(kind: MeasureKind, rows: np.ndarray, dims) -> np.ndarray:
     in slot order.  On two subsystems the one split read is counted
     twice, which makes the multipartite value bitwise twice the
     bipartite one.  Each split is unfolded once for the whole stack.
-    Trusts its input: the caller has already checked the arity, the size
-    guard and the norms.  :func:`_measure`, behind both public measures,
-    and the invariance experiment's re-measure both end here, so each
-    quantity has one implementation.
+    Trusts its input, a validated state or, in ``lu``, that state rotated
+    by checked gates, of checked arity and size.  :func:`_measure`, behind
+    both public measures, and the invariance experiment's re-measure both
+    end here, so each quantity has one implementation.
     """
     if kind is MeasureKind.BIPARTITE_CONCURRENCE:
         weight = 1.0

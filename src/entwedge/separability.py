@@ -48,7 +48,7 @@ class PartitionVerdict:
     separable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityReport:
     """Residuals and verdicts for every canonical bipartition.
 
@@ -57,7 +57,7 @@ class SeparabilityReport:
     subsystem when the state is fully separable, otherwise ``None``;
     ``certificate_error`` is the phase-aligned reconstruction distance.
     ``genuinely_entangled`` is true when no split passes the threshold,
-    and ``threshold`` is always :data:`THRESHOLD`.
+    and ``threshold`` is always :data:`THRESHOLD`.  Compared by identity.
     """
 
     threshold: float

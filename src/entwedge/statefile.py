@@ -8,9 +8,9 @@ The on-disk shape is::
 ``idx`` entries are 0-based multi-indices.  Saving writes every
 amplitude in row-major order; loading accepts any subset (absent
 entries are zero) but rejects duplicates, out-of-range indices, and
-unknown fields, naming the offending field in the error.  Floats pass
-through ``repr`` on the way out and ordinary parsing on the way in, so
-a save/load round trip reproduces amplitudes bit for bit.
+unknown or repeated fields, naming the offending field in the error.
+Floats pass through ``repr`` on the way out and ordinary parsing on the
+way in, so a save/load round trip reproduces amplitudes bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ def _require_number(value, where: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
     return number
+
+
+def _unique_fields(pairs: list) -> dict:
+    """An object's fields, refusing one given twice (json keeps the last)."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ParseError(f"duplicate field {key!r}")
+        fields[key] = value
+    return fields
 
 
 def _object(raw, fields, where: str) -> None:
@@ -106,7 +116,7 @@ def load_state(path: str) -> PureState:
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_fields)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -82,9 +82,9 @@ def require_int(value, error: type[Exception], where: str) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Immutable dense pure state.
+    """Immutable dense pure state, compared and hashed by identity.
 
     Parameters
     ----------
@@ -234,24 +234,11 @@ def validate(state: PureState) -> None:
         Carrying the actual norm unless ``|sum |a|^2 - 1|`` is at most
         ``DEFAULT_NORM_TOL``, so a non-finite amplitude is refused too.
     """
-    check_unit_norms(state.amplitudes[None])
-
-
-def check_unit_norms(rows: np.ndarray) -> None:
-    """Refuse a ``(T, D)`` stack of amplitude rows unless every row's
-    squared norm is within ``DEFAULT_NORM_TOL`` of 1, in one reduction
-    over the stack.
-
-    The first failing row raises :class:`NotNormalizedError` with its
-    norm, computed scaled, so an amplitude whose square overflows or
-    underflows is named at its size.
-    """
     with np.errstate(over="ignore"):  # inf fails the check like any misfit
-        sq = _sq_norms(rows)
+        sq = _sq_norms(state.amplitudes)
     # written as "not <=" because every comparison with NaN is False
-    bad = np.flatnonzero(~(np.abs(sq - 1.0) <= DEFAULT_NORM_TOL))
-    if bad.size:
-        raise NotNormalizedError(_norm(rows[bad[0]]), DEFAULT_NORM_TOL)
+    if not abs(sq - 1.0) <= DEFAULT_NORM_TOL:
+        raise NotNormalizedError(_norm(state.amplitudes), DEFAULT_NORM_TOL)
 
 
 def normalize(state: PureState) -> PureState:

@@ -398,6 +398,23 @@ class TestDeterminism:
         assert outputs[0].count(b"exit 0\n") == len(runs)
         assert outputs[0] == outputs[1]
 
+    def test_fingerprint_script(self, tmp_path):
+        # tests/default_outputs.py prints one line per case, the same on
+        # every run
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "default_outputs.py")
+        outputs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, script, str(tmp_path)], capture_output=True,
+                env=child_env(), timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            outputs.append(proc.stdout)
+        ids = [line.split(b"  ")[1].decode() for line in outputs[0].splitlines()]
+        assert ids == [param.id for param in DEFAULT_OUTPUT_CASES]
+        assert len(ids) == 23
+        assert outputs[0] == outputs[1]
+
     def test_certificate_error_ignores_blas_threads(self, tmp_path):
         # a (1, 16384) state is a product with one 16384-entry factor, long
         # enough that a BLAS dot product or norm would split it by threads
@@ -522,6 +539,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "measure", "--state", str(path))
         assert code == 1
         assert "not valid JSON" in err
+
+    def test_repeated_field_is_one(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"dims": [2], "dims": [1], "amplitudes": []}', encoding="utf-8")
+        assert run_cli(capsys, "measure", "--state", str(path)) == (
+            1, "", "error: duplicate field 'dims'\n"
+        )
 
     @pytest.mark.parametrize("fragment", sorted(HOSTILE_STATE_FILES))
     def test_hostile_state_file_is_one(self, capsys, tmp_path, int_digit_limit, fragment):

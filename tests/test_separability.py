@@ -150,6 +150,14 @@ class TestReport:
         for factor, target in zip(report.certificate, want):
             np.testing.assert_allclose(factor, target, atol=1e-12)
 
+    def test_compares_by_identity(self):
+        # a certified report holds arrays, which have no single truth value
+        state = PureState((2, 2), [1.0, 0.0, 0.0, 0.0])
+        report = separability_report(state)
+        assert report.certificate is not None
+        assert report == report
+        assert report != separability_report(state)
+
     def test_certificate_phase_is_fixed_on_the_first_tied_component(self):
         # both factors of (|0> + i|1>)(|0> - |1>) / 2 have two components
         # of equal modulus; whatever the global phase, each factor is

@@ -207,6 +207,18 @@ class TestSchemaMessages:
         doc = {"dims": [2, 2], "amplitudes": [amp([0, 0], re=1.0), amp([0, 0])]}
         self.check(tmp_path, doc, "amplitudes[1].idx: duplicate multi-index [0, 0]")
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"dims": [2], "dims": [1], "amplitudes": []}', "dims"),
+        ('{"dims": [1], "amplitudes": [{"idx": [0], "re": 5.0, "re": 1.0, "im": 0.0}]}', "re"),
+    ], ids=["top-level", "entry"])
+    def test_repeated_field(self, tmp_path, text, field):
+        # json would keep the last value; a file that gives a field twice
+        # is ambiguous, so it is refused
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^duplicate field '{field}'$"):
+            load_state(str(path))
+
     def test_component_not_a_number(self, tmp_path):
         doc = {"dims": [2], "amplitudes": [{"idx": [0], "re": "big", "im": 0.0}]}
         self.check(tmp_path, doc, "amplitudes[0].re: expected a number, got 'big'")

@@ -79,6 +79,14 @@ class TestPureState:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.3
 
+    def test_compares_by_identity(self):
+        # array fields have no single truth value, so a state is equal
+        # only to itself and hashes by identity
+        state = bell_state()
+        assert state == state
+        assert state != PureState(state.dims, state.amplitudes)
+        assert state in {state}
+
     def test_validate_ok(self):
         validate(bell_state())
         vec = np.zeros(4, dtype=np.complex128)
