@@ -16,10 +16,12 @@ sum is bitwise the same whatever else is in the stack.  Summation order
 is fixed, so repeated calls with the same input give bitwise-identical
 results.
 
-Every temporary holds at most ``_BLOCK_ENTRIES`` entries (128 KB of
-complex128).  A pair product wider than that is summed in row blocks;
-the split into blocks starts at vectors longer than 90 entries, where
-the result can differ from one unblocked sum in the last bits.
+One rule bounds its memory: each temporary of a pair's product holds
+at most ``_BLOCK_ENTRIES`` entries (128 KB of complex128), or one row
+where a row is longer.  Row blocks start at rows longer than 90
+entries, where a result can differ from one unblocked sum in the last
+bits.  A run of the stack holds as many matrices as one block of a
+pair's product fits, and a tall matrix costs one copy of itself.
 
 ``check_split_work`` counts the kernel's products for a list of splits:
 the one price every measure, verdict and invariance trial pays, held to
@@ -34,6 +36,7 @@ at most ``min(127 D, 4 MAX_SPLIT_WORK / D) <= 712741`` amplitudes
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -41,9 +44,8 @@ import numpy as np
 from .errors import TooLargeError
 from .states import unfold
 
-# Cap on entries per temporary (128 KB of complex128).  It bounds the
-# row blocks of a wide pair product, and the run of a stack processed at
-# once: the run's contiguous copy, and one product block across the run.
+# Cap on the entries of one row block of a pair's product across a run
+# of the stack: ``run * block * C``, unless one row alone is longer.
 _BLOCK_ENTRIES = 1 << 13
 
 # Most kernel products one call may make: the smallest round number above
@@ -53,26 +55,6 @@ _BLOCK_ENTRIES = 1 << 13
 # `entwedge measure --state` process (55 MB peak RSS, 5 runs timed by
 # hand, OPENBLAS_NUM_THREADS=1) on a shared 2-CPU x86-64 Xeon host.
 MAX_SPLIT_WORK = 10 ** 9
-
-
-def _run_sums(mats: np.ndarray, block: int) -> np.ndarray:
-    """Per-matrix minor sums of a contiguous ``(s, rows, n)`` run with
-    ``rows <= n``, pairing rows and summing each pair's ``(n, n)``
-    product ``block`` rows at a time."""
-    s, rows, n = mats.shape
-    tails = mats[:, :, None, :]
-    heads = [mats[:, :, start:start + block, None] for start in range(0, n, block)]
-    totals = np.zeros(s)
-    for mu in range(rows):
-        for nu in range(mu + 1, rows):
-            # a pair's blocks add up on their own before joining the total
-            pair = None
-            for head in heads:
-                w = head[:, mu] * tails[:, nu] - head[:, nu] * tails[:, mu]
-                part = np.add.reduce((w.real ** 2 + w.imag ** 2).reshape(s, -1), axis=1)
-                pair = part if pair is None else pair + part
-            totals += pair
-    return totals
 
 
 def minor_pair_sum(stack: np.ndarray) -> np.ndarray:
@@ -88,26 +70,47 @@ def minor_pair_sum(stack: np.ndarray) -> np.ndarray:
         stack = stack.transpose(0, 2, 1)
         R, C = C, R
     block = min(C, max(1, _BLOCK_ENTRIES // C))
-    run = max(1, _BLOCK_ENTRIES // max(R * C, block * C))
-    totals = np.empty(count)
+    run = max(1, _BLOCK_ENTRIES // (block * C))
+    totals = np.zeros(count)
     for first in range(0, count, run):
         mats = np.ascontiguousarray(stack[first:first + run], dtype=np.complex128)
-        totals[first:first + run] = _run_sums(mats, block)
+        tails = mats[:, :, None, :]
+        heads = [mats[:, :, start:start + block, None] for start in range(0, C, block)]
+        for mu, nu in itertools.combinations(range(R), 2):
+            # a pair's blocks add up on their own before joining the total
+            pair = None
+            for head in heads:
+                w = head[:, mu] * tails[:, nu] - head[:, nu] * tails[:, mu]
+                part = np.add.reduce((w.real ** 2 + w.imag ** 2).reshape(len(w), -1), axis=1)
+                pair = part if pair is None else pair + part
+            totals[first:first + run] += pair
     return totals
+
+
+def _row_groups(dims, lefts) -> dict:
+    """The splits ``lefts[s]`` that unfold, as ``{r: [s, ...]}`` by row
+    count r in first-seen order.  One with a one-row side, ``r == 1`` or
+    ``r == prod(dims)``, has no 2x2 minors and no price, and is left out."""
+    total = math.prod(dims)
+    groups = {}
+    for s, left in enumerate(lefts):
+        r = math.prod(dims[ax] for ax in left)
+        if 1 < r < total:
+            groups.setdefault(r, []).append(s)
+    return groups
 
 
 def check_split_work(dims, lefts) -> int:
     """Products :func:`split_residuals` makes for the splits ``lefts`` of
-    a state on ``dims``: per split, the row pairs of its shorter side
-    times its longer side squared, as :func:`minor_pair_sum` pairs.
-    ``TooLargeError`` above ``MAX_SPLIT_WORK``.  Reads dims only, so it
-    runs before validation."""
+    a state on ``dims``: per split that unfolds, the row pairs of its
+    shorter side times its longer side squared, as :func:`minor_pair_sum`
+    pairs.  ``TooLargeError`` above ``MAX_SPLIT_WORK``.  Reads dims only,
+    so it runs before validation."""
     total = math.prod(dims)
     work = 0
-    for left in lefts:
-        r = math.prod(dims[ax] for ax in left)
+    for r, members in _row_groups(dims, lefts).items():
         short, long = sorted((r, total // r))
-        work += short * (short - 1) // 2 * long * long
+        work += len(members) * (short * (short - 1) // 2) * long * long
     if work > MAX_SPLIT_WORK:
         raise TooLargeError(
             f"kernel work of {work} products on dims {tuple(dims)} exceeds the "
@@ -121,24 +124,17 @@ def split_residuals(rows: np.ndarray, dims, lefts) -> np.ndarray:
     rows: entry ``[t, s]`` is row t's at the split with the 0-based slots
     ``lefts[s]`` on the rows.  Trusts its arguments.
 
-    A split with a one-row side, ``r == 1`` or ``r == D``, has no 2x2
-    minors: it is never unfolded and its residual is exactly 0.0, which
-    is what the kernel returns on a one-row matrix.  The shape ``(r, D /
-    r)`` of any other split follows from ``dims``, so those splits are
-    grouped by row count r, and each group of k is unfolded once for the
-    whole stack: ``k * T * D`` entries, at most ``m * 2**16`` (8 MB at
-    m = 8) for a ``lu.CHUNK_AMPLITUDES`` chunk.  The kernel runs once per
-    row and group.  One call per group on the whole stack is a one-line
-    change with bitwise equal results; it waits on the benchmark harness,
-    whose peak memory grows with the op rate (ROADMAP item 1)."""
-    total = math.prod(dims)
-    groups = {}
-    for s, left in enumerate(lefts):
-        r = math.prod(dims[ax] for ax in left)
-        if 1 < r < total:
-            groups.setdefault(r, []).append(s)
+    A split with a one-row side is never unfolded; its residual is exactly
+    0.0, the kernel's own answer on a one-row matrix.  Each group of k
+    splits from :func:`_row_groups` has one shape ``(r, D / r)`` and is
+    unfolded once for the whole stack, ``k * T * D`` entries, at most
+    ``m * 2**16`` (8 MB at m = 8) for a ``lu.CHUNK_AMPLITUDES`` chunk.
+    The kernel runs once per row and group.  One call per group on the
+    whole stack is a one-line change with bitwise equal results; it waits
+    on the benchmark harness, whose peak memory grows with the op rate
+    (ROADMAP item 1)."""
     residuals = np.zeros((len(rows), len(lefts)))
-    for r, members in groups.items():
+    for r, members in _row_groups(dims, lefts).items():
         stack = np.empty((len(rows), len(members), r, rows.shape[1] // r), np.complex128)
         for k, s in enumerate(members):
             stack[:, k] = unfold(rows, dims, lefts[s])

@@ -7,8 +7,9 @@ With that convention the squared norm of the wedge of two qubit rows is
 twice the squared 2x2 determinant, which is what the concurrence
 normalization expects.  The unfolding and marginal oracles transpose
 ``state.tensor`` themselves, apart from the library's ``states.unfold``.
-``row_pair_minor_sum`` is a copy of the library's blocked row-pair
-kernel, the bitwise reference the kernel is held to.
+``row_pair_minor_sum`` keeps the library's blocked row-pair kernel in
+its earlier two-function layout, the bitwise reference the kernel is
+held to.
 ``square_split_divisions`` counts the trial divisors a copy of
 ``ketlang._square_split``'s loop tries, which the radicand price must
 bound.
@@ -116,9 +117,10 @@ def row_pair_minor_sum(mat: np.ndarray):
     A 2-D ``mat`` gives a float; an ``(S, R, C)`` stack gives an array
     of its S sums, each bitwise the one-matrix result.
 
-    A copy of the library's blocked row-pair kernel, one-matrix shape
-    included, so that the recorded residuals keep a bitwise reference if
-    ``entwedge._kernels.minor_pair_sum`` changes its algorithm."""
+    The library's blocked row-pair kernel in its earlier two-function
+    layout, one-matrix shape included: the bitwise reference that
+    ``entwedge._kernels.minor_pair_sum`` is held to, so that the recorded
+    residuals keep their bits if the kernel changes its algorithm."""
     stack = np.asarray(mat)
     single = stack.ndim == 2
     if single:

@@ -256,6 +256,10 @@ class TestSplitResiduals:
         [((2, 2, 2), [(3, 2, 4)] * 4), ((2, 3, 4), [(1, 2, 12), (1, 3, 8), (1, 4, 6)] * 4)],
     )
     def test_one_call_per_row_and_shape(self, monkeypatch, rng, dims, want):
+        # The kernel would give bitwise equal sums from one call per shape
+        # on the whole stack; this pin stays only because the benchmark
+        # harness's peak memory grows with the op rate (ROADMAP item 1).
+        # The PR that lands the row fold (item 3) moves it to one call.
         rows = np.stack([random_state(rng, dims).amplitudes for _ in range(4)])
         shapes = self.count_kernel(monkeypatch)
         measure_rows(MeasureKind.MULTIPARTITE_E, rows, dims)
@@ -320,6 +324,34 @@ class TestSplitWork:
         residuals = _kernels.split_residuals(rows, dims, lefts)
         assert residuals.shape == (1, 127)
         assert not residuals.any()
+
+    @pytest.mark.parametrize(
+        "dims", [d for m in (2, 3, 4) for d in itertools.product((1, 2, 3), repeat=m)]
+    )
+    def test_price_and_kernel_unfold_the_same_splits(self, monkeypatch, rng, dims):
+        # every nonempty proper left side in one call: the price counts
+        # exactly the splits the kernel unfolds, and no split it skips
+        # reads anything but 0.0
+        m = len(dims)
+        lefts = [left for size in range(1, m) for left in itertools.combinations(range(m), size)]
+        unfolded = []
+        real = _kernels.unfold
+
+        def unfold(rows, dims, left):
+            unfolded.append(left)
+            return real(rows, dims, left)
+
+        monkeypatch.setattr(_kernels, "unfold", unfold)
+        residuals = _kernels.split_residuals(random_state(rng, dims).amplitudes[None], dims, lefts)
+        price = 0
+        for left in unfolded:
+            r = math.prod(dims[ax] for ax in left)
+            short, long = sorted((r, math.prod(dims) // r))
+            assert short > 1
+            price += short * (short - 1) // 2 * long ** 2
+        assert _kernels.check_split_work(dims, lefts) == price
+        skipped = [s for s, left in enumerate(lefts) if left not in unfolded]
+        assert all(residuals[0, s] == 0.0 for s in skipped)
 
     def test_guard_boundary(self, monkeypatch):
         monkeypatch.setattr(_kernels, "MAX_SPLIT_WORK", 3 * 8 ** 2)
