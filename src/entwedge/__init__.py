@@ -15,7 +15,6 @@ from .separability import (
 )
 from .statefile import load_state, save_state
 from .states import (
-    Bipartition,
     PureState,
     enumerate_bipartitions,
     normalize,
@@ -25,7 +24,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "InvarianceRun",
     "MeasureKind",
     "MeasureResult",

@@ -52,8 +52,11 @@ class PartitionVerdict:
 class SeparabilityReport:
     """Residuals and verdicts for every canonical bipartition.
 
-    ``per_partition`` is keyed by :class:`Bipartition` in enumeration
-    order (singletons first).  ``certificate`` holds one unit vector per
+    ``per_partition`` is keyed in enumeration order (singletons first)
+    by :class:`entwedge.states.Bipartition` records, each a split's
+    canonical side as sorted 1-based labels plus the subsystem count, so
+    ``per_partition[Bipartition((1, 2), 4)]`` reads split {1,2}.
+    ``certificate`` holds one unit vector per
     subsystem when the state is fully separable, otherwise ``None``;
     ``certificate_error`` is the phase-aligned reconstruction distance.
     ``genuinely_entangled`` is true when no split passes the threshold,
@@ -82,7 +85,7 @@ def separability_report(state: PureState) -> SeparabilityReport:
     threshold = float(THRESHOLD)
     m = state.num_subsystems
     parts = enumerate_bipartitions(m)
-    lefts = [part.left_axes(m) for part in parts]
+    lefts = [[j - 1 for j in part.left] for part in parts]
     _kernels.check_split_work(state.dims, lefts)
     validate(state)
     residuals = _kernels.split_residuals(state.amplitudes[None], state.dims, lefts)[0].tolist()

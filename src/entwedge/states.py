@@ -10,8 +10,8 @@ Conventions used across the package:
   over ``(0, 0) .. (1, 1)``;
 * subsystem labels are 1-based, so a three-party state has subsystems
   1, 2, 3.  Labels appear in :class:`Bipartition` and everywhere a
-  caller names a subsystem; :meth:`Bipartition.left_axes` turns them
-  into the 0-based slots that :func:`unfold` takes.
+  caller names a subsystem; :func:`unfold` takes 0-based slots, so
+  label j is slot j - 1.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ def check_size_guards(dims) -> None:
     if total > MAX_TOTAL_DIM:
         size = shown(total, "of {} bits")
         raise TooLargeError(f"total dimension {size} exceeds the guard of {MAX_TOTAL_DIM}")
-
-
-def _subsystem_count(value, where: str) -> int:
-    """``value`` as the subsystem count of a bipartition: an integer
-    from 2 to ``MAX_SUBSYSTEMS``, checked before any label is read."""
-    m = require_int(value, ValidationError, where)
-    if m < 2:
-        raise ValidationError(f"need at least 2 subsystems, got {shown(m)}")
-    if m > MAX_SUBSYSTEMS:  # named without its digits, which may not print
-        raise TooLargeError(f"{where} exceeds the guard of {MAX_SUBSYSTEMS} subsystems")
-    return m
 
 
 def shown(value, huge: str = "an integer of {} bits") -> str:
@@ -174,49 +163,14 @@ def sparse_state(dims, entries) -> PureState:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """One side of a split of subsystems {1, ..., total} into two blocks.
-
-    ``left`` is kept sorted and must be a nonempty proper subset.  The
-    canonical representative of a split is the smaller side, with ties
-    broken by lexicographic order (so it always contains subsystem 1).
-    ``total`` past ``MAX_SUBSYSTEMS`` is a :class:`TooLargeError`, read
-    before ``left``; any other bad argument a :class:`ValidationError`.
-    """
+    """A split of subsystems 1..``total`` into two blocks, named by its
+    canonical side ``left``: sorted 1-based labels, the smaller side, or
+    on a tie the side holding subsystem 1.  Formed by
+    :func:`enumerate_bipartitions` and unchecked; compared and hashed by
+    value, so it keys the separability report's verdicts."""
 
     left: tuple[int, ...]
     total: int
-
-    def __post_init__(self):
-        total = _subsystem_count(self.total, "total")
-        left = tuple(sorted(require_int(x, ValidationError, "left") for x in self.left))
-        if len(left) == 0 or len(left) >= total:
-            raise ValidationError(
-                f"left side {shown(left)} must be a nonempty proper subset of 1..{total}"
-            )
-        if len(set(left)) != len(left):
-            raise ValidationError(f"duplicate subsystem labels in {shown(left)}")
-        if left[0] < 1 or left[-1] > total:
-            raise ValidationError(f"labels in {shown(left)} must lie in 1..{total}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "total", total)
-
-    @property
-    def right(self) -> tuple[int, ...]:
-        members = set(self.left)
-        return tuple(j for j in range(1, self.total + 1) if j not in members)
-
-    @property
-    def is_canonical(self) -> bool:
-        other = self.right
-        if len(self.left) != len(other):
-            return len(self.left) < len(other)
-        return self.left < other
-
-    def left_axes(self, m: int) -> list[int]:
-        """The left side's 0-based slots in a state of ``m`` subsystems."""
-        if self.total != m:
-            raise ValidationError(f"partition of {self.total} subsystems applied to {shown(m)}")
-        return [j - 1 for j in self.left]
 
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.left) + "}"
@@ -283,14 +237,17 @@ def enumerate_bipartitions(m: int) -> list[Bipartition]:
     """All canonical bipartitions of subsystems 1..m, 2^(m-1) - 1 in total.
 
     Ordered by left-side size, then lexicographically, e.g. for m = 4:
-    {1}, {2}, {3}, {4}, {1,2}, {1,3}, {1,4}.  ``m`` is refused as a
-    :class:`Bipartition`'s ``total`` is, before any split is formed.
+    {1}, {2}, {3}, {4}, {1,2}, {1,3}, {1,4}.  ``m`` must be an integer
+    from 2 to ``MAX_SUBSYSTEMS``, checked before any split is formed.
     """
-    m = _subsystem_count(m, "m")
-    out = []
-    for size in range(1, m // 2 + 1):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            part = Bipartition(combo, m)
-            if part.is_canonical:
-                out.append(part)
-    return out
+    m = require_int(m, ValidationError, "m")
+    if m < 2:
+        raise ValidationError(f"need at least 2 subsystems, got {shown(m)}")
+    if m > MAX_SUBSYSTEMS:  # named without its digits, which may not print
+        raise TooLargeError(f"m exceeds the guard of {MAX_SUBSYSTEMS} subsystems")
+    return [
+        Bipartition(combo, m)
+        for size in range(1, m // 2 + 1)
+        for combo in itertools.combinations(range(1, m + 1), size)
+        if 2 * size < m or combo[0] == 1
+    ]

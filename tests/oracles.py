@@ -6,7 +6,9 @@ projection, while ``wedge_pair`` deliberately does NOT divide by 2.
 With that convention the squared norm of the wedge of two qubit rows is
 twice the squared 2x2 determinant, which is what the concurrence
 normalization expects.  The unfolding and marginal oracles transpose
-``state.tensor`` themselves, apart from the library's ``states.unfold``.
+``state.tensor`` themselves, apart from the library's ``states.unfold``;
+``complement`` and ``slots`` read a split key's other side and its
+0-based slots.
 ``row_pair_minor_sum`` keeps the library's blocked row-pair kernel in
 its earlier two-function layout, the bitwise reference the kernel is
 held to.
@@ -28,7 +30,8 @@ from functools import reduce
 
 import numpy as np
 
-from entwedge import Bipartition, PureState, lu
+from entwedge import PureState, lu
+from entwedge.states import Bipartition
 
 
 def signature(image) -> int:
@@ -147,11 +150,21 @@ def pair_qubit_term_sum(amps: np.ndarray) -> float:
     return 2.0 * (det.real * det.real + det.imag * det.imag)
 
 
+def complement(part: Bipartition) -> tuple[int, ...]:
+    """The labels of 1..``part.total`` not in ``part.left``, in order."""
+    return tuple(j for j in range(1, part.total + 1) if j not in part.left)
+
+
+def slots(part: Bipartition) -> list[int]:
+    """``part.left`` as the 0-based slots ``states.unfold`` takes."""
+    return [j - 1 for j in part.left]
+
+
 def matricize(state: PureState, part: Bipartition) -> np.ndarray:
     """``state`` as a matrix across ``part``: rows over the left labels,
     columns over the rest, each row-major in increasing label order."""
     rows = math.prod(state.dims[j - 1] for j in part.left)
-    axes = [j - 1 for j in part.left + part.right]
+    axes = [j - 1 for j in part.left + complement(part)]
     return np.transpose(state.tensor, axes).reshape(rows, -1)
 
 

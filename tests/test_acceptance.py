@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from entwedge import (
-    Bipartition,
     PureState,
     bipartite_concurrence,
     enumerate_bipartitions,
@@ -31,6 +30,7 @@ from entwedge import (
     separability_report,
 )
 from entwedge.cli import cli_main
+from entwedge.states import Bipartition
 from conftest import (
     bell_state,
     bell_x_bell_state,

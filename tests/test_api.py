@@ -6,7 +6,6 @@ import entwedge
 from entwedge import errors
 
 PUBLIC_NAMES = [
-    "Bipartition",
     "InvarianceRun",
     "MeasureKind",
     "MeasureResult",

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from entwedge import (
-    Bipartition,
     enumerate_bipartitions,
     multipartite_measure,
     separability_report,
@@ -19,7 +18,7 @@ from entwedge import (
 from entwedge import _kernels, lu
 from entwedge.errors import TooLargeError
 from entwedge.measures import MeasureKind, measure_rows
-from entwedge.states import unfold
+from entwedge.states import Bipartition, unfold
 from conftest import random_state
 from oracles import (
     brute_minor_sum,
@@ -27,6 +26,7 @@ from oracles import (
     grid_norm_sq,
     matricize,
     row_pair_minor_sum,
+    slots,
     wedge_pair,
 )
 
@@ -303,7 +303,7 @@ class TestSplitWork:
         # separability_report on (2,2,2,2,4,4,4,4) reads all 127 splits;
         # no call on a total dimension of at most 4096 prices more
         dims = (2, 2, 2, 2, 4, 4, 4, 4)
-        lefts = [part.left_axes(8) for part in enumerate_bipartitions(8)]
+        lefts = [slots(part) for part in enumerate_bipartitions(8)]
         assert _kernels.check_split_work(dims, lefts) == 977010688
         assert 977010688 <= _kernels.MAX_SPLIT_WORK
 
@@ -311,7 +311,7 @@ class TestSplitWork:
         # every split of (2**20, 1, ..., 1) has a one-row side, so it
         # prices no products and has no minors to sum
         dims = (1 << 20,) + (1,) * 7
-        lefts = [part.left_axes(8) for part in enumerate_bipartitions(8)]
+        lefts = [slots(part) for part in enumerate_bipartitions(8)]
         assert _kernels.check_split_work(dims, lefts) == 0
 
         def unfold(rows, dims, left):

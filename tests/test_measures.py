@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from entwedge import (
-    Bipartition,
     MeasureKind,
     PureState,
     bipartite_concurrence,
@@ -22,7 +21,7 @@ from entwedge import (
 )
 from entwedge import _kernels
 from entwedge.measures import _values, measure_rows
-from entwedge.states import unfold
+from entwedge.states import Bipartition, unfold
 from entwedge.errors import (
     NotNormalizedError,
     TooLargeError,
@@ -39,6 +38,7 @@ from conftest import (
 from oracles import (
     brute_minor_sum,
     brute_swap_sum,
+    complement,
     pair_qubit_term_sum,
     partial_trace,
     purity,
@@ -290,10 +290,11 @@ class TestNearProductExact:
         state = normalize(evaluate(parse_ket(text)))
         e = Fraction(1, 10**k)
         exact = 2 * e**2 / (1 + e**2) ** 2
+        per = separability_report(state).per_partition
         for j in range(1, m + 1):
             part = Bipartition((j,), m)
-            key = part if part.is_canonical else Bipartition(part.right, m)
-            residual = separability_report(state).per_partition[key].residual
+            key = part if part in per else Bipartition(complement(part), m)
+            residual = per[key].residual
             assert self._rel(residual, exact) <= self.REL
         assert self._rel(multipartite_measure(state).term_sum, 2 * m * exact) <= self.REL
         if m == 2:
